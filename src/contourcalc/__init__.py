@@ -36,7 +36,6 @@ from .combinatorics import (
     theta_product_decompose,
 )
 from .engine import (
-    Composition,
     component_representation,
     composition_representation,
     expand_retarded,

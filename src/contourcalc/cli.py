@@ -176,45 +176,35 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--target",
                 action="append",
-                default=None,
+                dest="targets",
+                metavar="TARGET",
                 help="component/composition name (repeatable), default 'all'",
             )
-        p.add_argument("--contour", choices=[KELDYSH, EXTENDED], default=EXTENDED)
-        p.add_argument("--format", choices=["text", "latex"], default="text")
+        p.add_argument("--contour", choices=[KELDYSH, EXTENDED])
+        p.add_argument("--format", choices=["text", "latex"])
 
     p_derive = sub.add_parser("derive", help="print compiled real-time rules")
     common(p_derive, True)
 
     p_verify = sub.add_parser("verify", help="check rules against both oracles")
     common(p_verify, True)
-    p_verify.add_argument("--grid", type=int, default=24)
-    p_verify.add_argument("--seeds", type=int, default=3)
-    p_verify.add_argument("--tol", type=float, default=1e-8)
-    p_verify.add_argument("--json", action="store_true", dest="json_out")
-    p_verify.add_argument("--jobs", type=int, default=1, help="parallel verification workers")
+    p_verify.add_argument("--grid", type=int)
+    p_verify.add_argument("--seeds", type=int)
+    p_verify.add_argument("--tol", type=float)
+    p_verify.add_argument("--json", action="store_true", default=None, dest="json_out")
+    p_verify.add_argument("--jobs", type=int, help="parallel verification workers")
 
     p_tables = sub.add_parser("tables", help="print the reference rule tables")
     common(p_tables, False)
-    p_tables.add_argument("--only", choices=sorted(catalog.CORPUS), default=None)
+    p_tables.add_argument("--only", choices=sorted(catalog.CORPUS))
 
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=ns.command,
-        input=getattr(ns, "input", None),
-        targets=(getattr(ns, "target", None) or ["all"]),
-        contour=ns.contour,
-        format=ns.format,
-        grid=getattr(ns, "grid", 24),
-        seeds=getattr(ns, "seeds", 3),
-        tol=getattr(ns, "tol", 1e-8),
-        json_out=getattr(ns, "json_out", False),
-        only=getattr(ns, "only", None),
-        jobs=getattr(ns, "jobs", 1),
-    )
+    # unset options are None and fall back to the RunConfig defaults
+    cfg = RunConfig(**{k: v for k, v in vars(ns).items() if v is not None})
     handler = {"derive": cmd_derive, "verify": cmd_verify, "tables": cmd_tables}[cfg.command]
     return handler(cfg)
 

@@ -69,7 +69,7 @@ class ShuffleClass:
 def enumerate_shuffles(cls: ShuffleClass) -> list[Permutation]:
     """All permutations of the class, as images of the identity.
 
-    There are binomial(m, k) of them: a permutation is fixed by choosing
+    There are C(m, k) of them: a permutation is fixed by choosing
     which positions the front block occupies.
     """
     front = list(range(cls.k, 0, -1)) if cls.reversed_front else list(range(1, cls.k + 1))
@@ -126,7 +126,7 @@ def theta_product_decompose(
     """Rewrite Theta(front) * Theta(back) as a sum of single Theta chains.
 
     Pointwise exact for pairwise-distinct times.  For disjoint chains of
-    sizes k and m-k this yields the binomial(m, k) shuffles; shared labels
+    sizes k and m-k this yields the C(m, k) shuffles; shared labels
     are allowed and reduce the count.
     """
     f = tuple(reversed(front)) if reversed_front else tuple(front)
@@ -135,6 +135,18 @@ def theta_product_decompose(
 
 # ---------------------------------------------------------------------------
 # nested commutators over formal words
+
+
+def commutator_words(
+    left: Sequence[tuple[int, tuple]], right: Sequence[tuple[int, tuple]]
+) -> list[tuple[int, tuple]]:
+    """The commutator ``[L, R] = LR - RL`` of two sums of signed words."""
+    out: list[tuple[int, tuple]] = []
+    for s1, w1 in left:
+        for s2, w2 in right:
+            out.append((s1 * s2, w1 + w2))
+            out.append((-s1 * s2, w2 + w1))
+    return out
 
 
 def nested_commutator(items: Sequence[Hashable]) -> list[tuple[int, tuple]]:
@@ -147,11 +159,7 @@ def nested_commutator(items: Sequence[Hashable]) -> list[tuple[int, tuple]]:
         raise RangeError("nested commutator needs at least one item")
     terms: list[tuple[int, tuple]] = [(1, (items[0],))]
     for item in items[1:]:
-        nxt: list[tuple[int, tuple]] = []
-        for sign, word in terms:
-            nxt.append((sign, word + (item,)))
-            nxt.append((-sign, (item,) + word))
-        terms = nxt
+        terms = commutator_words(terms, [(1, (item,))])
     return terms
 
 
@@ -159,7 +167,7 @@ def commutator_slice(items: Sequence[Hashable], k: int) -> list[tuple[int, tuple
     """The (-1)**k part of the nested commutator with k items left of the head.
 
     The words have the left block in decreasing original order and the
-    right block increasing; there are binomial(n-1, k) of them.
+    right block increasing; there are C(n-1, k) of them.
     """
     n = len(items)
     if not 0 <= k <= n - 1:
@@ -172,12 +180,6 @@ def commutator_slice(items: Sequence[Hashable], k: int) -> list[tuple[int, tuple
         right = [rest[i] for i in range(len(rest)) if i not in left_idx]
         out.append((sign, tuple(left) + (head,) + tuple(right)))
     return out
-
-
-def binomial(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)
 
 
 def orders_consistent_with(chains: Iterable[Sequence[Hashable]], labels: Sequence[Hashable]) -> list[tuple]:

@@ -20,6 +20,7 @@ words of plain components; the result is then exact but not compact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,7 +48,10 @@ from .engine import (
     enumerate_pivots,
     nested_expand,
     normalize_item,
+    ordering_variants,
     representation,
+    tree_dims,
+    tree_word,
     _validate_target,
 )
 
@@ -339,54 +343,8 @@ def _pair_factor(bf: BFunc, block_word: Sequence[str], u: str, v: str) -> Factor
 # words  prod_d s_d  with one sign dimension per commutator level (outer
 # and inside nested entries).  When each sub-function of the block straddles
 # at most one swap, the sum factorizes per dimension and telescopes into a
-# single retarded-difference factor per dimension.
-
-_Tree = tuple  # ("leaf", label) | ("swap", dim_id, left, right)
-
-
-def _tree_labels(tree: _Tree) -> tuple[str, ...]:
-    if tree[0] == "leaf":
-        return (tree[1],)
-    return _tree_labels(tree[2]) + _tree_labels(tree[3])
-
-
-def _tree_word(tree: _Tree, signs: dict[int, int]) -> tuple[str, ...]:
-    if tree[0] == "leaf":
-        return (tree[1],)
-    left = _tree_word(tree[2], signs)
-    right = _tree_word(tree[3], signs)
-    return left + right if signs.get(tree[1], 1) > 0 else right + left
-
-
-def _tree_dims(tree: _Tree, out: list):
-    if tree[0] == "swap":
-        out.append((tree[1], frozenset(_tree_labels(tree[2])), frozenset(_tree_labels(tree[3]))))
-        _tree_dims(tree[2], out)
-        _tree_dims(tree[3], out)
-
-
-def _set_variants(item: Item, counter: list) -> list[tuple[tuple, _Tree]]:
-    """Ordering variants of a retarded set as (step chains, swap tree)."""
-    if isinstance(item, Plain):
-        return [((), ("leaf", item.label))]
-    assert isinstance(item, Ret)
-    out = []
-    for perm in itertools.permutations(item.rest):
-        chain = (top_label(item.top),) + tuple(top_label(e) for e in perm)
-        chain_part = (chain,) if len(chain) > 1 else ()
-        for top_chains, top_tree in _set_variants(item.top, counter):
-            partials = [(top_chains + chain_part, top_tree)]
-            for entry in perm:
-                nxt = []
-                for e_chains, e_tree in _set_variants(entry, counter):
-                    for p_chains, p_tree in partials:
-                        counter[0] += 1
-                        nxt.append(
-                            (p_chains + e_chains, ("swap", counter[0], p_tree, e_tree))
-                        )
-                partials = nxt
-            out.extend(partials)
-    return out
+# single retarded-difference factor per dimension.  The ordering variants
+# and their swap trees come from ``engine.ordering_variants``.
 
 
 def _closure(pairs: set[tuple[str, str]]) -> set[tuple[str, str]]:
@@ -406,27 +364,20 @@ def _chain_pairs(chains) -> set[tuple[str, str]]:
     return {(c[i], c[i + 1]) for c in chains for i in range(len(c) - 1)}
 
 
-_SUPPORT_CACHE: dict[SuperIndex, frozenset] = {}
-
-
-def _factor_support_pairs(factor: Factor) -> frozenset:
-    """Order relations that hold wherever the factor is non-zero."""
-    cached = _SUPPORT_CACHE.get(factor.index)
-    if cached is not None:
-        return cached
+@functools.lru_cache(maxsize=4096)
+def _support_pairs(index: SuperIndex) -> frozenset:
+    """Order relations that hold wherever a factor with this index is non-zero."""
     common = None
-    for _, chains, _ in expand_retarded(factor.index):
+    for _, chains, _ in expand_retarded(index):
         cl = _closure(_chain_pairs(chains))
         common = cl if common is None else (common & cl)
-    result = frozenset(common or set())
-    _SUPPORT_CACHE[factor.index] = result
-    return result
+    return frozenset(common or set())
 
 
 def _strip_implied(chains, factors) -> tuple:
     """Drop step pairs already enforced by the factors' supports."""
     implied = _closure(
-        set().union(*(_factor_support_pairs(f) for f in factors)) if factors else set()
+        set().union(*(_support_pairs(f.index) for f in factors)) if factors else set()
     )
     out = []
     for chain in chains:
@@ -479,11 +430,10 @@ def _delta_candidate(word, deltas, support):
                 placed = True
         else:
             items.append(Plain(l))
-    index = tuple(items)
-    for _, chains, _ in expand_retarded(index):
+    for chains, _ in ordering_variants(built):
         if not _chain_pairs(chains) <= support:
             return None
-    return index
+    return tuple(items)
 
 
 def _multilinear_reduce(funcs: tuple[BFunc, ...], items: tuple[Item, ...]):
@@ -506,15 +456,13 @@ def _multilinear_reduce(funcs: tuple[BFunc, ...], items: tuple[Item, ...]):
         return None
     if len(item_labels(items[set_idx])) > 6:
         return None
-    counter = [0]
-    variants = _set_variants(items[set_idx], counter)
+    variants = ordering_variants(items[set_idx])
     if len(variants) > 8:
         return None
 
     out: list[PartTerm] = []
     for chains, tree in variants:
-        dims: list = []
-        _tree_dims(tree, dims)
+        dims = tree_dims(tree)
         dim_ids = [d for d, _, _ in dims]
         sides = {d: (left, right) for d, left, right in dims}
         depth = {d: i for i, d in enumerate(dim_ids)}
@@ -522,7 +470,7 @@ def _multilinear_reduce(funcs: tuple[BFunc, ...], items: tuple[Item, ...]):
         def block_word(signs: dict[int, int]) -> tuple[str, ...]:
             w: list[str] = []
             for i, item in enumerate(items):
-                w.extend(_tree_word(tree, signs) if i == set_idx else item_labels(item))
+                w.extend(tree_word(tree, signs) if i == set_idx else item_labels(item))
             return tuple(w)
 
         dep: dict[int, list[int]] = {d: [] for d in dim_ids}
@@ -732,20 +680,14 @@ def derive_rule(
     terms = []
     for rt in rep:
         pc = ProductComposition(eq.product, rt.index, rt.real_integrals, rt.imag_integrals)
-        funcs, items = _split_mats(pc)
-        closed: list[Factor] = []
-        remaining: list[BFunc] = []
-        for bf in funcs:
-            if len(_kargs(bf)) == 0:
-                closed.append(_factor(bf, ()))
-            else:
-                remaining.append(bf)
-        for sign, chains, factors in _reduce_block(tuple(remaining), items, dropped):
+        closed, rest = distribute_matsubara(pc)
+        funcs, items = _split_mats(rest)
+        for sign, chains, factors in _reduce_block(funcs, items, dropped):
             terms.append(
                 RealTimeTerm(
                     sign,
                     chains,
-                    tuple(closed) + factors,
+                    closed + factors,
                     rt.real_integrals,
                     rt.imag_integrals,
                 )

@@ -8,6 +8,10 @@ rewrite compositions themselves: the former into step-function-weighted
 nested commutators (and further into signed words), the latter into sums
 of nested retarded compositions obtained by pinning one retarded entry
 onto each of its siblings.
+
+``ordering_variants`` is the one place that enumerates the orderings of a
+retarded set; the compiler's telescope reads its swap trees directly, and
+every other expansion goes through ``expand_retarded``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .combinatorics import RangeError
+from .combinatorics import RangeError, commutator_words
 from .ir import (
     EXTENDED,
     LABELED,
@@ -33,14 +37,6 @@ from .ir import (
 Chain = tuple[str, ...]
 Word = tuple[str, ...]
 SignedWord = tuple[int, tuple[Chain, ...], Word]
-
-
-@dataclass(frozen=True)
-class Composition:
-    """A named function together with a composition super-index."""
-
-    func: str
-    index: SuperIndex
 
 
 @dataclass(frozen=True)
@@ -144,15 +140,16 @@ def composition_representation(eq: ContourEquation, target: SuperIndex) -> list[
 
 
 # ---------------------------------------------------------------------------
-# expansion of compositions into step-weighted commutators and words
+# ordering variants of retarded sets, as swap trees
+#
+# A retarded set is the sum over orderings of its retarded entries, each
+# weighted by the step chain over the entries' top labels.  One ordering is
+# a nested commutator of the entries; its swap tree is left-nested, one
+# ``swap`` node per commutator level, and nested entries contribute their
+# own subtrees.  Every sign assignment to the swap nodes is one word.
 
-
-def _entry_expansion(entry: Item, edges=None) -> list[SignedWord]:
-    if isinstance(entry, Plain):
-        return [(1, (), (entry.label,))]
-    if isinstance(entry, Ret):
-        return _expand_ret(entry, edges)
-    raise CoverError("Matsubara sets cannot be expanded over real orderings")
+Tree = tuple  # ("leaf", label) | ("swap", dim_id, left, right)
+Variant = tuple[tuple[Chain, ...], Tree]
 
 
 def _prune_seq(entries: tuple[Item, ...], edges) -> bool:
@@ -166,58 +163,93 @@ def _prune_seq(entries: tuple[Item, ...], edges) -> bool:
     return False
 
 
-def _expand_ret(item: Ret, edges=None) -> list[SignedWord]:
-    out: list[SignedWord] = []
+def ordering_variants(item: Item, edges=None) -> list[Variant]:
+    """The ordering variants of a retarded set as ``(step chains, swap tree)``.
+
+    Swap nodes are numbered uniquely within a tree.  When a direct-connection
+    edge set is supplied, orderings in which some entry is not directly
+    connected to anything on its left are pruned (they cancel identically
+    for that product structure).
+    """
+    return _variants(item, edges, itertools.count(1))
+
+
+def _variants(item: Item, edges, ids: itertools.count) -> list[Variant]:
+    if isinstance(item, Plain):
+        return [((), ("leaf", item.label))]
+    if not isinstance(item, Ret):
+        raise CoverError("Matsubara sets cannot be expanded over real orderings")
+    out = []
     for perm in itertools.permutations(item.rest):
         seq = (item.top,) + perm
         if edges is not None and _prune_seq(seq, edges):
             continue
         chain = tuple(top_label(e) for e in seq)
-        terms = _entry_expansion(seq[0], edges)
-        for entry in seq[1:]:
-            ex = _entry_expansion(entry, edges)
-            nxt: list[SignedWord] = []
-            for s1, c1, w1 in terms:
-                for s2, c2, w2 in ex:
-                    nxt.append((s1 * s2, c1 + c2, w1 + w2))
-                    nxt.append((-s1 * s2, c1 + c2, w2 + w1))
-            terms = nxt
-        prefix = (chain,) if len(chain) > 1 else ()
-        out.extend((s, prefix + c, w) for s, c, w in terms)
+        chain_part = (chain,) if len(chain) > 1 else ()
+        for top_chains, top_tree in _variants(item.top, edges, ids):
+            partials = [(top_chains + chain_part, top_tree)]
+            for entry in perm:
+                nxt = []
+                for e_chains, e_tree in _variants(entry, edges, ids):
+                    for p_chains, p_tree in partials:
+                        nxt.append((p_chains + e_chains, ("swap", next(ids), p_tree, e_tree)))
+                partials = nxt
+            out.extend(partials)
     return out
+
+
+def _tree_labels(tree: Tree) -> tuple[str, ...]:
+    if tree[0] == "leaf":
+        return (tree[1],)
+    return _tree_labels(tree[2]) + _tree_labels(tree[3])
+
+
+def tree_word(tree: Tree, signs: dict[int, int]) -> Word:
+    """The word of one sign assignment; unassigned swaps keep their order."""
+    if tree[0] == "leaf":
+        return (tree[1],)
+    left = tree_word(tree[2], signs)
+    right = tree_word(tree[3], signs)
+    return left + right if signs.get(tree[1], 1) > 0 else right + left
+
+
+def tree_words(tree: Tree) -> list[tuple[int, Word]]:
+    """All signed words of a swap tree: its nested commutator, expanded."""
+    if tree[0] == "leaf":
+        return [(1, (tree[1],))]
+    return commutator_words(tree_words(tree[2]), tree_words(tree[3]))
+
+
+def tree_dims(tree: Tree) -> list[tuple[int, frozenset, frozenset]]:
+    """The swap nodes in pre-order, with the labels on either side."""
+    if tree[0] == "leaf":
+        return []
+    left, right = tree[2], tree[3]
+    return [(tree[1], frozenset(_tree_labels(left)), frozenset(_tree_labels(right)))] + (
+        tree_dims(left) + tree_dims(right)
+    )
 
 
 def expand_retarded(items: tuple[Item, ...] | SuperIndex, edges=None) -> list[SignedWord]:
     """Fully expand the real items into ``(sign, theta chains, word)`` terms.
 
     Words list all covered labels in contour order, latest first.  Nested
-    sets contribute their own step chains over top labels only.  When a
-    direct-connection edge set is supplied, commutator terms in which some
-    entry is not directly connected to anything on its left are pruned
-    (they cancel identically for that product structure).
+    sets contribute their own step chains over top labels only.  ``edges``
+    prunes orderings as in :func:`ordering_variants`.
     """
     if isinstance(items, SuperIndex):
         items = items.real_items()
     terms: list[SignedWord] = [(1, (), ())]
     for item in items:
-        ex = _entry_expansion(normalize_item(item), edges)
+        ex = [
+            (s, chains, w)
+            for chains, tree in ordering_variants(normalize_item(item), edges)
+            for s, w in tree_words(tree)
+        ]
         terms = [
             (s1 * s2, c1 + c2, w1 + w2) for s1, c1, w1 in terms for s2, c2, w2 in ex
         ]
     return terms
-
-
-def commutator_terms(item: Ret) -> list[tuple[Chain, tuple[Item, ...]]]:
-    """The step-weighted nested-commutator terms of one retarded set.
-
-    Each term is ``(theta chain over top labels, entry sequence)``; the
-    nested commutator of the entries is to be read off the sequence.
-    """
-    out = []
-    for perm in itertools.permutations(item.rest):
-        seq = (item.top,) + perm
-        out.append((tuple(top_label(e) for e in seq), seq))
-    return out
 
 
 def enumerate_pivots(items: tuple[Item, ...]) -> list[tuple[int, ...]]:
@@ -273,9 +305,7 @@ def nested_expand(items: tuple[Item, ...] | SuperIndex, pivot: tuple[int, ...]) 
     nested onto the top first, then onto each remaining entry in order.
     The sum of the results equals the original composition.
     """
-    si = None
     if isinstance(items, SuperIndex):
-        si = items
         items = items.real_items()
     if not pivot or not 0 <= pivot[0] < len(items):
         raise RangeError(f"bad pivot path {pivot}")
@@ -303,6 +333,4 @@ def nested_expand(items: tuple[Item, ...] | SuperIndex, pivot: tuple[int, ...]) 
     results = []
     for variant in expanded:
         results.append(tuple(base[: pivot[0]]) + (variant,) + tuple(base[pivot[0] + 1 :]))
-    if si is not None:
-        return results
     return results

@@ -127,10 +127,6 @@ def normal_form_equal(x: RealTimeExpression, y: RealTimeExpression, eq: ContourE
     return normal_form(x, eq) == normal_form(y, eq)
 
 
-def is_normal_zero(expr: RealTimeExpression, eq: ContourEquation) -> bool:
-    return not normal_form(expr, eq)
-
-
 # ---------------------------------------------------------------------------
 # branch splitting
 
@@ -408,7 +404,7 @@ def evaluate_contour_side(
 ):
     """Discrete contour integral of the product, for one target placement.
 
-    Composition targets are expanded into their step-weighted component
+    Retarded-composition targets are expanded into their step-weighted component
     combination first, each component evaluated with a fixed external
     branch placement.  Returns a complex value (and an absolute-magnitude
     scale when requested).

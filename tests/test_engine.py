@@ -21,6 +21,7 @@ from contourcalc.ir import (
     Ret,
     SuperIndex,
     to_hacek,
+    top_label,
 )
 from contourcalc.parser import parse_equation, parse_superindex
 from contourcalc import catalog
@@ -173,6 +174,78 @@ def test_expand_retarded_nested_single_chain_pair():
             (1, ("d", "c", "a")),
         ]
     )
+
+
+def _poly_mul(p, q):
+    out = {}
+    for (c1, w1), x in p.items():
+        for (c2, w2), y in q.items():
+            key = (tuple(sorted(c1 + c2)), w1 + w2)
+            out[key] = out.get(key, 0) + x * y
+    return out
+
+
+def _poly_add(p, q, scale=1):
+    out = dict(p)
+    for key, y in q.items():
+        out[key] = out.get(key, 0) + scale * y
+    return {k: v for k, v in out.items() if v}
+
+
+def brute_retarded(items):
+    """Oracle: the definition of a retarded set, expanded over formal words.
+
+    ``R(t, e_1..e_m)`` is the sum over orderings P of the entries of
+    ``Theta(top labels of t, P) [..[[t, P_1], P_2].., P_m]`` with the
+    commutator ``[X, Y] = XY - YX`` taken literally on polynomials in
+    non-commuting words; step chains are scalars.  Items multiply in order.
+    Polynomials map ``(sorted chains, word)`` to a coefficient.
+    """
+
+    def expand(item):
+        if isinstance(item, Plain):
+            return {((), (item.label,)): 1}
+        total = {}
+        for perm in itertools.permutations(item.rest):
+            chain = tuple(top_label(e) for e in (item.top,) + perm)
+            acc = expand(item.top)
+            for entry in perm:
+                x = expand(entry)
+                acc = _poly_add(_poly_mul(acc, x), _poly_mul(x, acc), -1)
+            total = _poly_add(total, _poly_mul({((chain,), ()): 1}, acc))
+        return total
+
+    out = {((), ()): 1}
+    for item in items:
+        out = _poly_mul(out, expand(item))
+    return out
+
+
+def _R(top, *rest):
+    wrap = lambda x: Plain(x) if isinstance(x, str) else x
+    return Ret(wrap(top), tuple(wrap(e) for e in rest))
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        (_R(_R("a", "b"), "c", "d"),),  # nested top
+        (_R("a", _R("b", "c"), "d"),),  # nested retarded entry
+        (_R("a", _R("b", _R("c", "d")), "e"),),  # two nesting levels
+        (_R(_R(_R("a", "b"), "c"), "d"),),  # two nesting levels in the top
+        (_R("a", "b", "c"), Plain("g"), _R("d", _R("e", "f"))),  # two sets side by side
+    ],
+    ids=["nested-top", "nested-entry", "two-levels", "two-levels-in-top", "side-by-side"],
+)
+def test_expand_retarded_nested_matches_formal_words(items):
+    got = {}
+    for sign, chains, word in expand_retarded(items):
+        key = (tuple(sorted(chains)), word)
+        got[key] = got.get(key, 0) + sign
+    oracle = brute_retarded(items)
+    assert got == oracle
+    # distinct labels: no two expansion terms coincide, so nothing cancelled
+    assert len(expand_retarded(items)) == len(oracle)
 
 
 def test_retarded_symmetry_under_permuted_rest():
