@@ -362,7 +362,8 @@ class Factor:
         return f"{self.func.name}^{{{self.index}}}"
 
     def sort_key(self):
-        return (self.func.name, str(self.hacek()))
+        # the arguments only break ties between factors of one name
+        return (self.func.name, str(self.hacek()), self.func.args)
 
 
 @dataclass(frozen=True)

@@ -300,17 +300,19 @@ class ComponentTable:
     def __init__(self, eq: ContourEquation, seed: int):
         self.eq = eq
         self.seed = seed
-        names = [f.name for f in eq.product]
-        if len(set(names)) != len(names):
-            raise UnknownComponent(
-                "numeric tables need distinct sub-function names; "
-                f"got {sorted(names)}"
-            )
-        self.funcs = {f.name: f for f in eq.product}
+        # a repeated name is one function: its components are shared
+        self.funcs: dict[str, SubFunction] = {}
+        for f in eq.product:
+            other = self.funcs.setdefault(f.name, f)
+            if len(other.args) != len(f.args):
+                raise UnknownComponent(
+                    f"sub-function {f.name} is used with {len(other.args)} and "
+                    f"{len(f.args)} arguments ({other} and {f})"
+                )
         # built eagerly for every legal component key, so instances are
         # immutable afterwards and safe to share between workers
         self._coeff_table: dict = {}
-        for f in eq.product:
+        for f in self.funcs.values():
             n = len(f.args)
             for k in range(n + 1):
                 for msub in itertools.combinations(range(1, n + 1), k):
@@ -415,6 +417,7 @@ def evaluate_contour_side(
     branch_opts = [FWD, BWD] + ([MAT] if eq.contour == EXTENDED else [])
     total = 0.0 + 0.0j
     scale = 0.0
+    by_kinds: dict = {}
     for sign_t, chains_t, ext_word in expand_retarded(target.real_items()):
         ok = all(
             all(
@@ -444,34 +447,38 @@ def evaluate_contour_side(
             l: grid.contour_key(kinds[l], external_times[l]) for l in eq.external
         }
         for assign in itertools.product(branch_opts, repeat=len(eq.internal)):
-            shape = []
-            for l, b in zip(eq.internal, assign):
-                shape.append(grid.n_mats if b == MAT else grid.n_fwd)
-            mesh = np.meshgrid(
+            # sparse axes: each function runs on its own arguments' axes and
+            # broadcasts into the full product
+            axes = np.meshgrid(
                 *[grid.mats_nodes if b == MAT else grid.real_nodes for b in assign],
                 indexing="ij",
+                sparse=True,
             )
-            weight = np.ones(tuple(shape) or (1,))
+            shape = tuple(grid.n_mats if b == MAT else grid.n_fwd for b in assign) or (1,)
+            weight = 1.0
             sign = 1
-            for i, (l, b) in enumerate(zip(eq.internal, assign)):
+            for l, b, t in zip(eq.internal, assign, axes):
                 kinds[l] = b
-                times[l] = mesh[i]
-                keys[l] = grid.contour_key(b, mesh[i])
-                w = grid.mats_weights[0] if b == MAT else grid.real_weights[0]
-                weight = weight * w
+                times[l] = t
+                keys[l] = grid.contour_key(b, t)
+                weight *= grid.mats_weights[0] if b == MAT else grid.real_weights[0]
                 if b == BWD:
                     sign = -sign
             phase = (-1j) ** sum(1 for b in assign if b == MAT)
-            mask = np.ones(tuple(shape) or (1,), dtype=bool)
+            mask = np.ones(shape, dtype=bool)
             reals = [l for l, b in zip(eq.internal, assign) if b != MAT]
             for x, y in itertools.combinations(reals, 2):
-                mask &= np.asarray(times[x]) != np.asarray(times[y])
+                mask &= times[x] != times[y]
             if truncate_at is not None:
                 for l in reals:
-                    mask &= np.asarray(times[l]) <= truncate_at
-            value = np.ones(tuple(shape) or (1,), dtype=complex)
+                    mask &= times[l] <= truncate_at
+            value = np.ones(shape, dtype=complex)
             for f in eq.product:
-                value = value * _func_value(tables, f, kinds, times, keys)
+                # a function's value depends only on its own arguments' kinds
+                fkey = (f, tuple(kinds[a] for a in f.args))
+                if fkey not in by_kinds:
+                    by_kinds[fkey] = _func_value(tables, f, kinds, times, keys)
+                value = value * by_kinds[fkey]
             contrib = sign_t * sign * phase * (weight * mask * value).sum()
             total += contrib
             scale += float((weight * mask * np.abs(value)).sum())
@@ -495,16 +502,14 @@ def evaluate_realtime_side(
         reals = sorted(term.real_integrals)
         imags = sorted(term.imag_integrals)
         axes = [grid.real_nodes] * len(reals) + [grid.mats_nodes] * len(imags)
-        mesh = np.meshgrid(*axes, indexing="ij") if axes else []
+        mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
         shape = tuple(len(a) for a in axes) or (1,)
         times: dict[str, object] = dict(external_times)
-        for i, l in enumerate(reals + imags):
-            times[l] = mesh[i]
-        weight = np.ones(shape)
-        for _ in reals:
-            weight = weight * grid.real_weights[0]
-        for _ in imags:
-            weight = weight * grid.mats_weights[0]
+        for l, t in zip(reals + imags, mesh):
+            times[l] = t
+        weight = math.prod(
+            [grid.real_weights[0]] * len(reals) + [grid.mats_weights[0]] * len(imags)
+        )
         mask = np.ones(shape, dtype=bool)
         for x, y in itertools.combinations(reals, 2):
             mask &= np.asarray(times[x]) != np.asarray(times[y])
@@ -590,6 +595,11 @@ def _ordering_classes(eq: ContourEquation, target: SuperIndex) -> list[tuple[str
     return classes
 
 
+# draws of external times before _sample_times gives up; a tie has
+# probability zero, so only a broken generator exhausts them
+SAMPLE_ATTEMPTS = 100
+
+
 def _sample_times(
     eq: ContourEquation,
     target: SuperIndex,
@@ -601,13 +611,18 @@ def _sample_times(
     span = grid.t_max - grid.t0
     lo, hi = grid.t0 + 0.05 * span, grid.t_max - 0.05 * span
     times: dict[str, float] = {}
-    while True:
+    for _ in range(SAMPLE_ATTEMPTS):
         draws = np.sort(rng.uniform(lo, hi, len(omega)))[::-1]
         ok = all(
             np.min(np.abs(grid.real_nodes - t)) > 1e-9 for t in draws
         ) and (len(draws) < 2 or np.min(np.abs(np.diff(draws))) > 1e-9)
         if ok:
             break
+    else:
+        raise GridTieError(
+            f"no tie-free external times for ordering {omega} "
+            f"in {SAMPLE_ATTEMPTS} draws"
+        )
     for l, t in zip(omega, draws):
         times[l] = float(t)
     for l in m_ext:
@@ -630,9 +645,16 @@ def verify(
     name = target_name or str(target)
     rule = derive_rule(eq, target) if rule is None else rule
     records = []
-    sym_ok = normal_form_equal(branch_split_oracle(eq, target), rule, eq)
+    sym_detail = ""
+    try:
+        split = branch_split_oracle(eq, target)
+    except NotImplementedError as err:
+        split, sym_detail = None, f"symbolic oracle unavailable: {err}"
+    sym_ok = split is not None and normal_form_equal(split, rule, eq)
     records.append(
-        VerifyRecord(eq.lhs_name, name, "symbolic", None, 0.0 if sym_ok else np.inf, sym_ok)
+        VerifyRecord(
+            eq.lhs_name, name, "symbolic", None, 0.0 if sym_ok else np.inf, sym_ok, sym_detail
+        )
     )
     grid = DiscreteContour(n_fwd=grid_size)
     classes = _ordering_classes(eq, target)

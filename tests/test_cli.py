@@ -80,6 +80,22 @@ def test_verify_impossible_tolerance_exit_2(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_three_horizontal_externals_exit_2(tmp_path, capsys):
+    src = tmp_path / "x.ctr"
+    src.write_text("X[a,b,c] = int{u,v} : A[a,u]*B[u,b]*C[u,v]*D[v,c]\n", encoding="utf-8")
+    # the symbolic oracle cannot place three horizontal externals: a FAIL
+    # record, not a traceback, and the numeric checks still run
+    assert main([
+        "verify", "--input", str(src), "--target", "R(1,23)",
+        "--grid", "6", "--seeds", "1",
+    ]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2
+    assert out[0].startswith("FAIL X^{R(1,23)} mode=symbolic seed=- max_error=inf")
+    assert "horizontal externals" in out[0]
+    assert out[1].startswith("PASS X^{R(1,23)} mode=numeric seed=0")
+
+
 def test_tables_golden_text(capsys):
     assert main(["tables"]) == 0
     got = capsys.readouterr().out

@@ -1,5 +1,8 @@
 """Branch-splitting oracle, normal forms, and the discrete-contour evaluators."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from contourcalc import catalog
@@ -11,9 +14,12 @@ from contourcalc.ir import (
     SuperIndex,
 )
 from contourcalc.oracle import (
+    SAMPLE_ATTEMPTS,
     ComponentTable,
     DiscreteContour,
     GridTieError,
+    UnknownComponent,
+    _sample_times,
     branch_count,
     branch_split_oracle,
     evaluate_contour_side,
@@ -202,8 +208,6 @@ def test_verify_passes_and_fails():
 
 
 def test_unknown_component_raises():
-    from contourcalc.oracle import UnknownComponent
-
     tables = ComponentTable(CONV, 0)
     with pytest.raises(UnknownComponent):
         tables.component("Z", frozenset(), (1, 2), [0.1, 0.2])
@@ -247,3 +251,145 @@ def test_nonzero_origin_grid():
     assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
     with pytest.raises(ValueError):
         DiscreteContour(t0=-1.0, t_max=1.0)
+
+
+# ---------------------------------------------------------------------------
+# repeated sub-function names
+
+SELF_ENERGY = "S[a,b] = int{c,d} : G[a,c]*G[c,d]*G[d,b]"
+
+
+@pytest.mark.parametrize("contour", ["extended", "keldysh"])
+def test_repeated_names_verify_every_target(contour):
+    eq = parse_equation(SELF_ENERGY, contour=contour)
+    targets = catalog.all_targets(eq)
+    assert len(targets) == (7 if contour == "extended" else 4)
+    for name in targets:
+        records = verify(eq, parse_superindex(name, eq), target_name=name, grid_size=8)
+        assert all(r.passed for r in records), (name, records)
+
+
+def test_repeated_names_corrupted_rule_fails():
+    eq = parse_equation(SELF_ENERGY)
+    target = parse_superindex(">", eq)
+    bad = verify(eq, target, seeds=(0,), grid_size=8, rule=_flip_one_sign(derive_rule(eq, target)))
+    assert not any(r.passed for r in bad)
+
+
+def test_repeated_name_with_two_arities_is_refused():
+    eq = parse_equation("S[a,b] = int{c} : G[a,c]*G[c]*G[c,b]")
+    with pytest.raises(UnknownComponent, match="G"):
+        ComponentTable(eq, 0)
+
+
+# ---------------------------------------------------------------------------
+# verify driver robustness
+
+
+class _OnNodeGenerator:
+    """Stands in for a numpy generator and always draws one grid node."""
+
+    def __init__(self, node):
+        self.node = node
+        self.calls = 0
+
+    def uniform(self, low, high, size=None):
+        self.calls += 1
+        return np.full(size, self.node)
+
+
+def test_sample_times_gives_up_after_bounded_draws():
+    grid = DiscreteContour(n_fwd=8)
+    rng = _OnNodeGenerator(float(grid.real_nodes[3]))
+    with pytest.raises(GridTieError):
+        _sample_times(CONV, parse_superindex(">", CONV), ("a", "b"), grid, rng)
+    assert rng.calls == SAMPLE_ATTEMPTS
+
+
+# ---------------------------------------------------------------------------
+# contour side against a literal per-point sum
+
+
+def _literal_contour_sum(eq, tables, grid, ext_kinds, ext_times, truncate_at=None):
+    """Sum over every branch, every node and, at each point, the one
+    contour order of each function's arguments; returns (value, scale)."""
+    span = grid.t_max
+
+    def contour_time(kind, t):  # increasing along the contour
+        return t if kind == "F" else 2 * span - t
+
+    branches = ["F", "B"] + (["M"] if eq.contour == "extended" else [])
+    total, scale = 0j, 0.0
+    for assign in itertools.product(branches, repeat=len(eq.internal)):
+        nodes = [
+            list(zip(grid.mats_nodes, grid.mats_weights)) if b == "M"
+            else list(zip(grid.real_nodes, grid.real_weights))
+            for b in assign
+        ]
+        for point in itertools.product(*nodes):
+            kinds, times = dict(ext_kinds), dict(ext_times)
+            factor, weight, real_times = 1 + 0j, 1.0, []
+            for label, b, (t, w) in zip(eq.internal, assign, point):
+                kinds[label], times[label] = b, float(t)
+                weight *= w
+                if b == "M":
+                    factor *= -1j
+                else:
+                    real_times.append(float(t))
+                    factor *= -1 if b == "B" else 1
+            if len(set(real_times)) < len(real_times):
+                continue  # two internals on one real node
+            if truncate_at is not None and any(t > truncate_at for t in real_times):
+                continue
+            value = 1 + 0j
+            for f in eq.product:
+                mset = frozenset(i + 1 for i, a in enumerate(f.args) if kinds[a] == "M")
+                horizontal = [i + 1 for i, a in enumerate(f.args) if kinds[a] != "M"]
+                korder = tuple(sorted(
+                    horizontal,
+                    key=lambda i: -contour_time(kinds[f.args[i - 1]], times[f.args[i - 1]]),
+                ))
+                value *= tables.component(f.name, mset, korder, [times[a] for a in f.args])
+            total += factor * weight * value
+            scale += weight * abs(value)
+    return total, scale
+
+
+# (equation, target, external branches, external times, options)
+LITERAL_CASES = [
+    (CONV, ">", {"a": "B", "b": "F"}, {"a": 1.31, "b": 0.52}, {}),
+    (CONV, ">", {"a": "B", "b": "F"}, {"a": 0.52, "b": 1.31}, {"truncate_at": 1.0}),
+    (CONV, "rc", {"a": "F", "b": "M"}, {"a": 0.77, "b": 0.35}, {}),
+    (_keldysh(catalog.chain3()), ">", {"a": "B", "b": "F"}, {"a": 1.7321, "b": 0.61}, {}),
+    (
+        _keldysh(catalog.chain3()), ">", {"a": "F", "b": "F"}, {"a": 1.7321, "b": 0.61},
+        {"branch_override": {"a": "F"}},
+    ),
+    (  # moves b past a on the contour, so the value changes
+        _keldysh(catalog.chain3()), ">", {"a": "B", "b": "B"}, {"a": 1.7321, "b": 0.61},
+        {"branch_override": {"b": "B"}},
+    ),
+    (
+        _keldysh(catalog.chain3()), ">", {"a": "B", "b": "F"}, {"a": 0.61, "b": 1.7321},
+        {"truncate_at": 1.2},
+    ),
+    (catalog.double_triangle(), ">", {"a": "B", "b": "F"}, {"a": 1.31, "b": 0.52}, {}),
+    (catalog.double_triangle(), "lc", {"a": "M", "b": "F"}, {"a": 0.4, "b": 1.13}, {}),
+    (parse_equation(SELF_ENERGY), ">", {"a": "B", "b": "F"}, {"a": 0.52, "b": 1.31}, {}),
+]
+
+
+@pytest.mark.parametrize("case", range(len(LITERAL_CASES)))
+def test_contour_side_matches_literal_point_sum(case):
+    eq, tname, ext_kinds, ext_times, options = LITERAL_CASES[case]
+    grid = DiscreteContour(n_fwd=3)
+    tables = ComponentTable(eq, seed=7)
+    got, got_scale = evaluate_contour_side(
+        eq, parse_superindex(tname, eq), tables, grid, ext_times, with_scale=True, **options
+    )
+    want, want_scale = _literal_contour_sum(
+        eq, tables, grid, ext_kinds, ext_times, options.get("truncate_at")
+    )
+    assert want_scale > 0
+    assert abs(got - want) <= 1e-12 * want_scale
+    assert got_scale == pytest.approx(want_scale, rel=1e-12)
