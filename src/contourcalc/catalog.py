@@ -27,6 +27,7 @@ from .ir import (
     Ret,
     SubFunction,
     SuperIndex,
+    TWO_POINT,
     canonicalize,
     check_equation,
 )
@@ -74,8 +75,11 @@ CORPUS = {
     "triangle": triangle_one,
 }
 
-TWO_POINT_TARGETS = (">", "<", "R", "A", "rc", "lc", "M")
-KELDYSH_TWO_POINT_TARGETS = (">", "<", "R", "A")
+TWO_POINT_TARGETS = tuple(TWO_POINT)
+# the Keldysh contour has no vertical branch, so no Matsubara slot
+KELDYSH_TWO_POINT_TARGETS = tuple(
+    k for k, tp in TWO_POINT.items() if not isinstance(tp.items("x", "y")[0], Mats)
+)
 
 
 def all_targets(eq: ContourEquation) -> list[str]:
@@ -136,17 +140,7 @@ def _fn(eq: ContourEquation, name: str) -> SubFunction:
 
 
 def two_point_index(func: SubFunction, kind: str) -> SuperIndex:
-    x, y = func.args
-    table = {
-        ">": (Plain(x), Plain(y)),
-        "<": (Plain(y), Plain(x)),
-        "R": (Ret(Plain(x), (Plain(y),)),),
-        "A": (Ret(Plain(y), (Plain(x),)),),
-        "rc": (Mats((y,)), Plain(x)),
-        "lc": (Mats((x,)), Plain(y)),
-        "M": (Mats((x, y)),),
-    }
-    return SuperIndex(table[kind])
+    return SuperIndex(TWO_POINT[kind].items(*func.args))
 
 
 def _letter(eq: ContourEquation, name: str, kind: str) -> Factor:

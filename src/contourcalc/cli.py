@@ -76,23 +76,17 @@ def cmd_derive(cfg: RunConfig) -> int:
 
 
 def _verify_one(job):
-    eq, name, seeds, grid, tol = job
-    return verify(
-        eq,
-        parse_superindex(name, eq),
-        target_name=name,
-        seeds=range(seeds),
-        grid_size=grid,
-        tol=tol,
-    )
+    eq, name, target, seeds, grid, tol = job
+    return verify(eq, target, target_name=name, seeds=range(seeds), grid_size=grid, tol=tol)
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     failed = False
     try:
         equations = _load_equations(cfg)
+        # targets are parsed here, so a bad name is a usage error
         jobs = [
-            (eq, name, cfg.seeds, cfg.grid, cfg.tol)
+            (eq, name, parse_superindex(name, eq), cfg.seeds, cfg.grid, cfg.tol)
             for eq in equations
             for name in _targets_for(eq, cfg)
         ]

@@ -38,6 +38,7 @@ from .ir import (
     Ret,
     SubFunction,
     SuperIndex,
+    TWO_POINT,
     canonicalize,
     connected,
     item_labels,
@@ -317,22 +318,6 @@ def _try_bridge(funcs: Sequence[BFunc], items: Sequence[Item]):
             new_funcs = tuple(b for b in funcs if b is not bf)
             return factor, new_funcs, new_items
     return None
-
-
-def _pair_factor(bf: BFunc, block_word: Sequence[str], u: str, v: str) -> Factor:
-    """Component difference of ``bf`` under swapping u (later) and v, with the
-    step support absorbed: the composition with ``R(u, v)`` in place of the
-    pair, other arguments at their fixed slots."""
-    ks = set(_kargs(bf))
-    items: list[Item] = []
-    for l in block_word:
-        if l not in ks:
-            continue
-        if l == u:
-            items.append(Ret(Plain(u), (Plain(v),)))
-        elif l != v:
-            items.append(Plain(l))
-    return _factor(bf, tuple(items))
 
 
 # ---------------------------------------------------------------------------
@@ -699,44 +684,17 @@ def derive_rule(
 # emission
 
 
-_LANGRETH_TEXT = {
-    ">": ">",
-    "<": "<",
-    "R": "R",
-    "A": "A",
-    "rc": "⌉",  # right ceiling: mixed component with the second slot imaginary
-    "lc": "⌈",
-    "M": "M",
-}
-
-_LANGRETH_LATEX = {
-    ">": ">",
-    "<": "<",
-    "R": "R",
-    "A": "A",
-    "rc": r"\rceil",
-    "lc": r"\lceil",
-    "M": "M",
-}
-
-
 def langreth_name(factor: Factor) -> Optional[str]:
     """Two-point shorthand key for a factor, or None if it has none."""
     if len(factor.func.args) != 2:
         return None
     x, y = factor.func.args
     items = factor.index.items
-    patterns = {
-        (Plain(x), Plain(y)): ">",
-        (Plain(y), Plain(x)): "<",
-        (Ret(Plain(x), (Plain(y),)),): "R",
-        (Ret(Plain(y), (Plain(x),)),): "A",
-        (Mats((y,)), Plain(x)): "rc",
-        (Mats((x,)), Plain(y)): "lc",
-        (Mats((x, y)),): "M",
-        (Mats((y, x)),): "M",
-    }
-    return patterns.get(tuple(items))
+    for kind, tp in TWO_POINT.items():
+        # the Matsubara component is M(xy) and M(yx) alike
+        if items == tp.items(x, y) or (kind == "M" and items == tp.items(y, x)):
+            return kind
+    return None
 
 
 def _latex_item(item: Item, hacek: bool) -> str:
@@ -758,7 +716,7 @@ def _render_factor(factor: Factor, fmt: str, naming: str) -> str:
             raise NamingUnavailable(
                 f"factor {factor} is not a two-point component; use hacek naming"
             )
-        sup = _LANGRETH_LATEX[key] if fmt == "latex" else _LANGRETH_TEXT[key]
+        sup = TWO_POINT[key].latex if fmt == "latex" else TWO_POINT[key].text
         return f"{factor.func.name}^{{{sup}}}"
     index = factor.hacek() if naming == "hacek" else factor.index
     if fmt == "latex":

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 LabelLike = Union[str, int]
 
@@ -198,6 +198,29 @@ def to_labeled(si: SuperIndex, args: Iterable[str]) -> SuperIndex:
 
 def plain_index(labels: Iterable[LabelLike], mode: str = LABELED) -> SuperIndex:
     return SuperIndex(tuple(Plain(l) for l in labels), mode)
+
+
+class TwoPoint(NamedTuple):
+    """A two-point shorthand: its items over the arguments ``(x, y)`` and
+    its glyphs in text and LaTeX output."""
+
+    items: Callable[[LabelLike, LabelLike], tuple[Item, ...]]
+    text: str
+    latex: str
+
+
+# the seven two-point shorthands, by kind; the parser also accepts the text
+# glyphs of the mixed components as aliases
+TWO_POINT = {
+    ">": TwoPoint(lambda x, y: (Plain(x), Plain(y)), ">", ">"),
+    "<": TwoPoint(lambda x, y: (Plain(y), Plain(x)), "<", "<"),
+    "R": TwoPoint(lambda x, y: (Ret(Plain(x), (Plain(y),)),), "R", "R"),
+    "A": TwoPoint(lambda x, y: (Ret(Plain(y), (Plain(x),)),), "A", "A"),
+    # right ceiling: mixed component with the second slot imaginary
+    "rc": TwoPoint(lambda x, y: (Mats((y,)), Plain(x)), "⌉", r"\rceil"),
+    "lc": TwoPoint(lambda x, y: (Mats((x,)), Plain(y)), "⌈", r"\lceil"),
+    "M": TwoPoint(lambda x, y: (Mats((x, y)),), "M", "M"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +440,6 @@ class RealTimeExpression:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-
-ZERO = RealTimeExpression(())
 
 
 def canonicalize(expr: RealTimeExpression) -> RealTimeExpression:

@@ -131,30 +131,17 @@ def normal_form_equal(x: RealTimeExpression, y: RealTimeExpression, eq: ContourE
 # branch splitting
 
 
-def _external_placement(word: tuple[str, ...]) -> dict[str, str]:
-    """A fixed branch assignment realising the contour order ``word`` for
-    every configuration of real external times (supported up to E = 2)."""
-    if len(word) == 0:
-        return {}
-    if len(word) == 1:
-        return {word[0]: FWD}
-    if len(word) == 2:
-        return {word[0]: BWD, word[1]: FWD}
-    raise NotImplementedError(
-        "branch splitting with more than two horizontal externals needs "
-        "region-dependent placements"
-    )
-
-
 def placement_for_times(word: tuple[str, ...], times: dict[str, float]) -> Optional[dict[str, str]]:
     """A branch assignment realising contour order ``word`` at given times.
 
     The first k labels go backward (needing increasing real times along the
-    word) and the rest forward (decreasing); regions admitting no such
-    split are not contour-constrained and yield None.
+    word) and the rest forward (decreasing), trying k from ``len(word) - 1``
+    down; regions admitting no such split are not contour-constrained and
+    yield None.  For one or two labels the first k always fits, so the
+    placement does not depend on the times: F, and (B, F).
     """
     ts = [times[l] for l in word]
-    for k in range(len(word) + 1):
+    for k in range(max(len(word) - 1, 0), -1, -1):
         bwd, fwd = ts[:k], ts[k:]
         if all(bwd[i] < bwd[i + 1] for i in range(len(bwd) - 1)) and all(
             fwd[i] > fwd[i + 1] for i in range(len(fwd) - 1)
@@ -182,24 +169,28 @@ def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpr
     Every internal is assigned to the forward branch, the backward branch
     (one sign flip each), or the Matsubara branch (extended contour); each
     total ordering of the real labels is treated separately and reduced by
-    plain component calculus.  The output is fully expanded and cancelled.
+    plain component calculus.  The externals take the placement of
+    :func:`placement_for_times` for their order within the total ordering;
+    orders with no placement are skipped.  The output is fully expanded and
+    cancelled.
     """
     m_ext = tuple(str(l) for l in target.mats_labels())
     branch_opts = (FWD, BWD) + ((MAT,) if eq.contour == EXTENDED else ())
     nf: Counter = Counter()
     for sign_t, chains_t, ext_word in expand_retarded(target.real_items()):
-        placement = _external_placement(ext_word)
+        # placement for each real-time order of the word's labels, latest first
+        placements = {
+            order: placement_for_times(ext_word, {l: -i for i, l in enumerate(order)})
+            for order in itertools.permutations(ext_word)
+        }
+        in_word = frozenset(ext_word).__contains__
         for assign in itertools.product(branch_opts, repeat=len(eq.internal)):
-            branch = dict(placement)
-            m_labels = list(m_ext)
-            for l, b in zip(eq.internal, assign):
-                branch[l] = b
-                if b == MAT:
-                    m_labels.append(l)
-            sign_b = (-1) ** sum(1 for b in assign if b == BWD)
-            real_labels = sorted(l for l, b in branch.items() if b != MAT)
-            imag = frozenset(l for l in eq.internal if branch.get(l) == MAT)
+            internal = dict(zip(eq.internal, assign))
+            m_labels = list(m_ext) + [l for l, b in internal.items() if b == MAT]
+            sign_b = (-1) ** assign.count(BWD)
+            imag = frozenset(l for l, b in internal.items() if b == MAT)
             real_int = frozenset(eq.internal) - imag
+            real_labels = sorted(real_int.union(ext_word))
             bfuncs: tuple[BFunc, ...] = tuple(
                 (f, tuple(l for l in m_labels if l in f.args)) for f in eq.product
             )
@@ -207,7 +198,10 @@ def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpr
                 pos = {l: i for i, l in enumerate(omega)}
                 if not all(_chain_holds(c, pos) for c in chains_t):
                     continue
-                word = _contour_word(omega, branch)
+                placement = placements[tuple(filter(in_word, omega))]
+                if placement is None:
+                    continue
+                word = _contour_word(omega, {**placement, **internal})
                 factors = component_of_product(bfuncs, word)
                 key = (omega, tuple(sorted(factors, key=Factor.sort_key)), real_int, imag)
                 nf[key] += sign_t * sign_b
@@ -407,9 +401,9 @@ def evaluate_contour_side(
     """Discrete contour integral of the product, for one target placement.
 
     Retarded-composition targets are expanded into their step-weighted component
-    combination first, each component evaluated with a fixed external
-    branch placement.  Returns a complex value (and an absolute-magnitude
-    scale when requested).
+    combination first, each component evaluated with the external branch
+    placement :func:`placement_for_times` gives at these times.  Returns a
+    complex value (and an absolute-magnitude scale when requested).
     """
     m_ext = [str(l) for l in target.mats_labels()]
     for l in set(eq.external) - set(m_ext):
@@ -429,15 +423,11 @@ def evaluate_contour_side(
         if not ok:
             continue
         word = tuple(str(l) for l in ext_word)
-        if len(word) <= 2:
-            placement = _external_placement(word)
-        else:
-            found = placement_for_times(word, external_times)
-            if found is None:
-                raise GridTieError(
-                    f"contour order {word} is not realisable at these external times"
-                )
-            placement = found
+        placement = placement_for_times(word, external_times)
+        if placement is None:
+            raise GridTieError(
+                f"contour order {word} is not realisable at these external times"
+            )
         if branch_override:
             placement.update(branch_override)
         kinds = {l: MAT for l in m_ext}
@@ -572,27 +562,31 @@ class VerifyRecord:
         }
 
 
-def _ordering_classes(eq: ContourEquation, target: SuperIndex) -> list[tuple[str, ...]]:
-    """Total orders of the horizontal externals on which the target's step
-    prefactors can be non-zero and every needed contour order is realisable."""
+def _ordering_classes(
+    eq: ContourEquation, target: SuperIndex
+) -> tuple[list[tuple[str, ...]], set[tuple[str, ...]]]:
+    """Total orders of the horizontal externals, latest first, as
+    ``(classes, blocked)``.  An order is blocked when some external word
+    whose step prefactor can be non-zero there has no contour placement;
+    the classes are the other orders on which some prefactor can be
+    non-zero, which the numeric oracle samples."""
     m_ext = set(str(l) for l in target.mats_labels())
     k_ext = [l for l in eq.external if l not in m_ext]
-    classes = []
+    words = expand_retarded(target.real_items())
+    classes, blocked = [], set()
     for omega in itertools.permutations(k_ext):
         pos = {l: i for i, l in enumerate(omega)}
         times = {l: float(len(omega) - i) for i, l in enumerate(omega)}
-        usable = False
-        for _, chains, word in expand_retarded(target.real_items()):
-            if not all(_chain_holds(c, pos) for c in chains):
-                continue
-            w = tuple(str(l) for l in word)
-            if len(w) > 2 and placement_for_times(w, times) is None:
-                usable = False
-                break
-            usable = True
-        if usable:
+        live = [
+            tuple(str(l) for l in word)
+            for _, chains, word in words
+            if all(_chain_holds(c, pos) for c in chains)
+        ]
+        if any(placement_for_times(w, times) is None for w in live):
+            blocked.add(omega)
+        elif live:
             classes.append(omega)
-    return classes
+    return classes, blocked
 
 
 # draws of external times before _sample_times gives up; a tie has
@@ -644,34 +638,39 @@ def verify(
     not exceptions."""
     name = target_name or str(target)
     rule = derive_rule(eq, target) if rule is None else rule
-    records = []
-    sym_detail = ""
-    try:
-        split = branch_split_oracle(eq, target)
-    except NotImplementedError as err:
-        split, sym_detail = None, f"symbolic oracle unavailable: {err}"
-    sym_ok = split is not None and normal_form_equal(split, rule, eq)
-    records.append(
-        VerifyRecord(
-            eq.lhs_name, name, "symbolic", None, 0.0 if sym_ok else np.inf, sym_ok, sym_detail
-        )
-    )
+    classes, blocked = _ordering_classes(eq, target)
+    horizontal = set(eq.external) - {str(l) for l in target.mats_labels()}
+
+    def placed(expr: RealTimeExpression) -> Counter:
+        # the normal form on the orders of the horizontal externals that
+        # have a contour placement; the branch split leaves out the others
+        return Counter({
+            key: c for key, c in normal_form(expr, eq).items()
+            if tuple(l for l in key[2] if l in horizontal) not in blocked
+        })
+
+    sym_ok = placed(branch_split_oracle(eq, target)) == placed(rule)
+    records = [
+        VerifyRecord(eq.lhs_name, name, "symbolic", None, 0.0 if sym_ok else np.inf, sym_ok)
+    ]
     grid = DiscreteContour(n_fwd=grid_size)
-    classes = _ordering_classes(eq, target)
     for seed in seeds:
-        tables = ComponentTable(eq, seed)
         rng = np.random.default_rng(_stable_seed("verify", seed, eq.lhs_name, name))
         worst = 0.0
         detail = ""
-        for omega in classes:
-            for _ in range(samples_per_class):
-                times = _sample_times(eq, target, omega, grid, rng)
-                lhs = evaluate_contour_side(eq, target, tables, grid, times)
-                rhs = evaluate_realtime_side(rule, eq, tables, grid, times)
-                err = float(abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs))))
-                if err > worst:
-                    worst = err
-                    detail = f"ordering {'>'.join(omega) or '-'}"
+        try:
+            tables = ComponentTable(eq, seed)
+            for omega in classes:
+                for _ in range(samples_per_class):
+                    times = _sample_times(eq, target, omega, grid, rng)
+                    lhs = evaluate_contour_side(eq, target, tables, grid, times)
+                    rhs = evaluate_realtime_side(rule, eq, tables, grid, times)
+                    err = float(abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs))))
+                    if err > worst:
+                        worst = err
+                        detail = f"ordering {'>'.join(omega) or '-'}"
+        except ContourError as exc:
+            worst, detail = np.inf, str(exc)
         records.append(
             VerifyRecord(eq.lhs_name, name, "numeric", int(seed), worst, worst <= tol, detail)
         )

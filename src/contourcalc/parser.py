@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 from .ir import (
     EXTENDED,
+    HACEK,
+    TWO_POINT,
     ContourEquation,
     ContourError,
     Item,
@@ -27,6 +29,7 @@ from .ir import (
     Ret,
     SubFunction,
     SuperIndex,
+    map_labels,
     to_labeled,
     validate_equation,
 )
@@ -209,18 +212,12 @@ def pretty(eq: ContourEquation) -> str:
 # ---------------------------------------------------------------------------
 # target super-indices
 
+# raw text -> two-point kind: the kinds, their text glyphs and ASCII forms
 _SHORTHANDS = {
-    ">": (">",),
-    "<": ("<",),
-    "R": ("R",),
-    "A": ("A",),
-    "M": ("M",),
-    "rc": ("rc",),
-    "lc": ("lc",),
-    "⌉": ("rc",),
-    "⌈": ("lc",),
-    "^r]": ("rc",),
-    "^l]": ("lc",),
+    **{k: k for k in TWO_POINT},
+    **{tp.text: k for k, tp in TWO_POINT.items()},
+    "^r]": "rc",
+    "^l]": "lc",
 }
 
 
@@ -229,28 +226,19 @@ def parse_superindex(text: str, target: ContourEquation) -> SuperIndex:
     raw = text.strip()
     ext = target.external
     if raw in _SHORTHANDS:
-        (kind,) = _SHORTHANDS[raw]
+        kind = _SHORTHANDS[raw]
         if kind == "M":
             return SuperIndex((Mats(tuple(ext)),))
         if len(ext) != 2:
             raise ArityMismatch(
                 f"shorthand {raw!r} requires a two-point function, {target.lhs_name} has {len(ext)} externals"
             )
-        a, b = ext
-        table = {
-            ">": (Plain(a), Plain(b)),
-            "<": (Plain(b), Plain(a)),
-            "R": (Ret(Plain(a), (Plain(b),)),),
-            "A": (Ret(Plain(b), (Plain(a),)),),
-            "rc": (Mats((b,)), Plain(a)),
-            "lc": (Mats((a,)), Plain(b)),
-        }
-        return SuperIndex(table[kind])
+        return SuperIndex(TWO_POINT[kind].items(*ext))
 
     items, used_digits = _parse_items(raw, target)
     si = SuperIndex(tuple(items))
     if used_digits:
-        si = to_labeled(SuperIndex(tuple(items), "hacek"), ext)
+        si = to_labeled(map_labels(si, int, HACEK), ext)
     covered = sorted(si.labels())
     if covered != sorted(ext):
         raise ArityMismatch(
@@ -316,15 +304,4 @@ def _parse_items(raw: str, target: ContourEquation):
         first = False
     if digits_seen and letters_seen:
         sc.error("cannot mix positions and labels in one super-index")
-    if digits_seen:
-        conv = [_to_int_item(i) for i in items]
-        return conv, True
-    return items, False
-
-
-def _to_int_item(item: Item) -> Item:
-    if isinstance(item, Plain):
-        return Plain(int(item.label))
-    if isinstance(item, Mats):
-        return Mats(tuple(int(l) for l in item.labels))
-    return Ret(_to_int_item(item.top), tuple(_to_int_item(e) for e in item.rest))
+    return items, digits_seen

@@ -80,20 +80,40 @@ def test_verify_impossible_tolerance_exit_2(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_verify_three_horizontal_externals_exit_2(tmp_path, capsys):
+def test_verify_three_horizontal_externals_exit_0(tmp_path, capsys):
     src = tmp_path / "x.ctr"
     src.write_text("X[a,b,c] = int{u,v} : A[a,u]*B[u,b]*C[u,v]*D[v,c]\n", encoding="utf-8")
-    # the symbolic oracle cannot place three horizontal externals: a FAIL
-    # record, not a traceback, and the numeric checks still run
     assert main([
         "verify", "--input", str(src), "--target", "R(1,23)",
         "--grid", "6", "--seeds", "1",
-    ]) == 2
+    ]) == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 2
-    assert out[0].startswith("FAIL X^{R(1,23)} mode=symbolic seed=- max_error=inf")
-    assert "horizontal externals" in out[0]
+    assert out[0].startswith("PASS X^{R(1,23)} mode=symbolic seed=- max_error=0.000e+00")
     assert out[1].startswith("PASS X^{R(1,23)} mode=numeric seed=0")
+
+
+def test_verify_bad_target_exit_1(capsys):
+    # a target that does not fit the equation is a usage error, as in derive
+    assert main(["verify", "--input", "convolution", "--target", "123"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: positions [3] out of range")
+
+
+def test_verify_oracle_error_is_fail_record_exit_2(tmp_path, capsys):
+    # G has two arities, which the component tables refuse: every numeric
+    # record fails with the cause, and the run ends with exit 2
+    src = tmp_path / "s.ctr"
+    src.write_text("S[a,b] = int{c} : G[a,c]*G[c]*G[c,b]\n", encoding="utf-8")
+    assert main([
+        "verify", "--input", str(src), "--target", ">", "--grid", "6", "--seeds", "2",
+    ]) == 2
+    numeric = [l for l in capsys.readouterr().out.splitlines() if "mode=numeric" in l]
+    assert len(numeric) == 2
+    for line in numeric:
+        assert line.startswith("FAIL S^{>} mode=numeric")
+        assert "max_error=inf" in line and "used with 2 and 1 arguments" in line
 
 
 def test_tables_golden_text(capsys):

@@ -10,13 +10,13 @@ import random
 from contourcalc import catalog
 from contourcalc.compiler import derive_rule
 from contourcalc.ir import ContourEquation, SubFunction, validate_equation
-from contourcalc.oracle import branch_split_oracle, normal_form_equal
+from contourcalc.oracle import branch_split_oracle, normal_form_equal, verify
 from contourcalc.parser import parse_superindex
 
 
-def _random_equation(rng):
+def _random_equation(rng, n_ext=(1, 2, 2)):
     n_int = rng.choice([0, 1, 1, 2, 2])
-    ext = ["a", "b"][: rng.choice([1, 2, 2])]
+    ext = ["a", "b", "c"][: rng.choice(n_ext)]
     internal = ["u", "v"][:n_int]
     labels = ext + internal
     product = []
@@ -52,6 +52,25 @@ def test_random_structures_match_oracle():
             )
             checked += 1
     assert checked >= 120
+
+
+def test_random_three_external_structures_match_oracle():
+    # symbolic check only: it compares the normal forms on every order of
+    # the three externals that has a contour placement
+    rng = random.Random(27182)
+    checked = 0
+    trials = 0
+    while checked < 45 and trials < 300:
+        trials += 1
+        eq = _random_equation(rng, n_ext=(3,))
+        if eq is None:
+            continue
+        for tname in catalog.all_targets(eq):
+            target = parse_superindex(tname, eq)
+            (record,) = verify(eq, target, target_name=tname, seeds=())
+            assert record.passed, (str(eq), tname)
+            checked += 1
+    assert checked >= 45
 
 
 def test_random_structures_numeric():

@@ -14,11 +14,14 @@ from contourcalc.ir import (
     SuperIndex,
 )
 from contourcalc.oracle import (
+    BWD,
+    FWD,
     SAMPLE_ATTEMPTS,
     ComponentTable,
     DiscreteContour,
     GridTieError,
     UnknownComponent,
+    _contour_word,
     _sample_times,
     branch_count,
     branch_split_oracle,
@@ -26,6 +29,7 @@ from contourcalc.oracle import (
     evaluate_realtime_side,
     normal_form,
     normal_form_equal,
+    placement_for_times,
     verify,
 )
 from contourcalc.parser import parse_equation, parse_superindex
@@ -35,10 +39,10 @@ def _keldysh(eq):
     return ContourEquation(eq.lhs_name, eq.external, eq.internal, eq.product, "keldysh")
 
 
-def _flip_one_sign(expr: RealTimeExpression) -> RealTimeExpression:
-    t0 = expr.terms[0]
-    flipped = RealTimeTerm(-t0.sign, t0.steps, t0.factors, t0.real_integrals, t0.imag_integrals)
-    return RealTimeExpression((flipped,) + expr.terms[1:])
+def _flip_one_sign(expr: RealTimeExpression, k: int = 0) -> RealTimeExpression:
+    t = expr.terms[k]
+    flipped = RealTimeTerm(-t.sign, t.steps, t.factors, t.real_integrals, t.imag_integrals)
+    return RealTimeExpression(expr.terms[:k] + (flipped,) + expr.terms[k + 1:])
 
 
 CONV = catalog.convolution()
@@ -59,6 +63,27 @@ def test_branch_split_product_greater():
         # A^> B^<: with B's arguments (b, a), its lesser component renders
         # with a later, i.e. as the word (a, b)
         assert sorted(str(f) for f in factors) == ["A^{ab}", "B^{ab}"]
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_placement_for_times_against_every_assignment(n):
+    labels = "abc"[:n]
+    for word in itertools.permutations(labels):
+        found = set()
+        for order in itertools.permutations(labels):  # latest first
+            times = {l: float(n - i) for i, l in enumerate(order)}
+            realisable = any(
+                _contour_word(order, dict(zip(word, branches))) == word
+                for branches in itertools.product((FWD, BWD), repeat=n)
+            )
+            placement = placement_for_times(word, times)
+            assert (placement is None) == (not realisable), (word, order)
+            if placement is not None:
+                assert _contour_word(order, placement) == word
+                found.add(tuple(placement[l] for l in word))
+        if n <= 2:
+            # one placement for every order of the times
+            assert found == {{0: (), 1: (FWD,), 2: (BWD, FWD)}[n]}
 
 
 def test_branch_split_counts():
@@ -280,6 +305,40 @@ def test_repeated_name_with_two_arities_is_refused():
     eq = parse_equation("S[a,b] = int{c} : G[a,c]*G[c]*G[c,b]")
     with pytest.raises(UnknownComponent, match="G"):
         ComponentTable(eq, 0)
+
+
+# ---------------------------------------------------------------------------
+# three horizontal externals
+
+THREE_EXTERNAL = "X[a,b,c] = int{u,v} : A[a,u]*B[u,b]*C[u,v]*D[v,c]"
+
+
+@pytest.mark.parametrize("contour", ["extended", "keldysh"])
+def test_three_horizontal_externals_pass_symbolically(contour):
+    eq = parse_equation(THREE_EXTERNAL, contour=contour)
+    targets = catalog.all_targets(eq)
+    assert len(targets) == (19 if contour == "extended" else 9)
+    for name in targets:
+        (record,) = verify(eq, parse_superindex(name, eq), target_name=name, seeds=())
+        assert record.mode == "symbolic" and record.passed, name
+
+
+def test_branch_split_skips_orders_without_placement():
+    eq = parse_equation(THREE_EXTERNAL)
+    split = branch_split_oracle(eq, parse_superindex("123", eq))
+    orders = {tuple(l for l in term.steps[0] if l in "abc") for term in split}
+    # the contour word a, b, c has no placement where b is earliest
+    assert orders == set(itertools.permutations("abc")) - {("a", "c", "b"), ("c", "a", "b")}
+
+
+def test_three_horizontal_externals_sign_flip_fails_symbolically():
+    eq = parse_equation(THREE_EXTERNAL)
+    target = parse_superindex("123", eq)
+    rule = derive_rule(eq, target)
+    assert len(rule.terms) > 1
+    for k in range(len(rule.terms)):
+        (record,) = verify(eq, target, seeds=(), rule=_flip_one_sign(rule, k))
+        assert not record.passed, k
 
 
 # ---------------------------------------------------------------------------
