@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
+from .combinatorics import RangeError
 from .compiler import component_of_product
 from .engine import expand_retarded
 from .ir import (
@@ -91,7 +92,7 @@ def all_targets(eq: ContourEquation) -> list[str]:
     """
     ext = eq.external
     if len(ext) > 4:
-        raise ValueError("target enumeration is capped at 4 externals")
+        raise RangeError("target enumeration is capped at 4 externals")
     if len(ext) == 2:
         return list(
             TWO_POINT_TARGETS if eq.contour == "extended" else KELDYSH_TWO_POINT_TARGETS

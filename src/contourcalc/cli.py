@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import catalog
+from .combinatorics import RangeError
 from .compiler import NamingUnavailable, derive_rule, emit
 from .ir import EXTENDED, KELDYSH, ContourEquation, ContourError
 from .oracle import verify
@@ -31,9 +32,9 @@ class RunConfig:
 
     def __post_init__(self):
         if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+            raise RangeError("tolerance must be positive")
         if self.grid < 4:
-            raise ValueError("grid size must be at least 4")
+            raise RangeError("grid size must be at least 4")
 
 
 def _load_equations(cfg: RunConfig) -> list[ContourEquation]:
@@ -198,7 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     # unset options are None and fall back to the RunConfig defaults
-    cfg = RunConfig(**{k: v for k, v in vars(ns).items() if v is not None})
+    try:
+        cfg = RunConfig(**{k: v for k, v in vars(ns).items() if v is not None})
+    except ContourError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     handler = {"derive": cmd_derive, "verify": cmd_verify, "tables": cmd_tables}[cfg.command]
     return handler(cfg)
 

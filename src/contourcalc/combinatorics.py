@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 from .ir import ContourError
 
@@ -181,19 +181,3 @@ def commutator_slice(items: Sequence[Hashable], k: int) -> list[tuple[int, tuple
         out.append((sign, tuple(left) + (head,) + tuple(right)))
     return out
 
-
-def orders_consistent_with(chains: Iterable[Sequence[Hashable]], labels: Sequence[Hashable]) -> list[tuple]:
-    """Total orders of ``labels`` on which every Theta chain evaluates to 1.
-
-    Used to put step-weighted combinations into a common basis.
-    """
-    chains = [tuple(c) for c in chains]
-    out = []
-    for perm in itertools.permutations(labels):
-        pos = {l: i for i, l in enumerate(perm)}
-        if all(
-            all(pos[c[i]] < pos[c[i + 1]] for i in range(len(c) - 1))
-            for c in chains
-        ):
-            out.append(perm)
-    return out

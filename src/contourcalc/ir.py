@@ -14,6 +14,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
@@ -385,8 +386,23 @@ class Factor:
         return f"{self.func.name}^{{{self.index}}}"
 
     def sort_key(self):
-        # the arguments only break ties between factors of one name
-        return (self.func.name, str(self.hacek()), self.func.args)
+        return _factor_sort_key(self)
+
+    # the branch-split oracle orders its terms by repr, many times per factor
+    @functools.cached_property
+    def _repr(self) -> str:
+        return f"Factor(func={self.func!r}, index={self.index!r})"
+
+    def __repr__(self) -> str:
+        return self._repr
+
+
+# the oracles sort the same factors many times; a bounded memo keeps the key
+# from being rebuilt through to_hacek on every comparison
+@functools.lru_cache(maxsize=4096)
+def _factor_sort_key(factor: Factor):
+    # the arguments only break ties between factors of one name
+    return (factor.func.name, str(factor.hacek()), factor.func.args)
 
 
 @dataclass(frozen=True)

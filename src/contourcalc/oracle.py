@@ -66,6 +66,42 @@ def _chain_holds(chain: Sequence[str], pos: dict[str, int]) -> bool:
     return all(pos[chain[i]] < pos[chain[i + 1]] for i in range(len(chain) - 1))
 
 
+def _linear_extensions(
+    labels: Sequence[str], chains: Iterable[Sequence[str]]
+) -> list[tuple[str, ...]]:
+    """The total orders of ``labels``, latest first, in which every chain
+    holds (each chain lists labels from latest to earliest).
+
+    Depth first: a label is placed once all of its chain predecessors are,
+    trying labels in their given order, so the orders come out in the order
+    of ``itertools.permutations(labels)``.  A cyclic chain set has none.
+    """
+    preds: dict[str, set[str]] = {l: set() for l in labels}
+    for chain in chains:
+        for x, y in zip(chain, chain[1:]):
+            if x not in preds or y not in preds:
+                raise ValueError(f"step chain {chain} leaves the labels {tuple(labels)}")
+            preds[y].add(x)
+    out: list[tuple[str, ...]] = []
+    order: list[str] = []
+    placed: set[str] = set()
+
+    def place():
+        if len(order) == len(labels):
+            out.append(tuple(order))
+            return
+        for l in labels:
+            if l not in placed and preds[l] <= placed:
+                order.append(l)
+                placed.add(l)
+                place()
+                placed.remove(l)
+                order.pop()
+
+    place()
+    return out
+
+
 def _plain_factor(func: SubFunction, mats: Iterable[str], word: Iterable[str]) -> Factor:
     items = tuple(Plain(l) for l in word)
     mats = tuple(sorted(mats))
@@ -79,6 +115,8 @@ def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
     ordering of the real labels, plain component factors)."""
     known = {f.name for f in eq.product}
     nf: Counter = Counter()
+    # each distinct factor expands once, into (sign, step chains, plain factor)
+    expansions: dict[Factor, list[tuple[int, tuple, Factor]]] = {}
     for term in expr.terms:
         m_placed: set[str] = set()
         for f in term.factors:
@@ -89,37 +127,22 @@ def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
         real_labels = sorted(
             (set(eq.labels()) - m_placed - set(eq.internal)) | set(term.real_integrals)
         )
-        expansions = []
         for f in term.factors:
-            ex = expand_retarded(f.index)
-            expansions.append(
-                (f.func, tuple(sorted(str(l) for l in f.index.mats_labels())), ex)
-            )
-        for omega in itertools.permutations(real_labels):
-            pos = {l: i for i, l in enumerate(omega)}
-            if not all(_chain_holds(c, pos) for c in term.steps):
-                continue
-            choices = []
-            for func, mats, ex in expansions:
-                local = [
-                    (s, w)
-                    for s, chains, w in ex
-                    if all(_chain_holds(c, pos) for c in chains)
+            if f not in expansions:
+                mats = [str(l) for l in f.index.mats_labels()]
+                expansions[f] = [
+                    (s, chains, _plain_factor(f.func, mats, w))
+                    for s, chains, w in expand_retarded(f.index)
                 ]
-                choices.append((func, mats, local))
-            for combo in itertools.product(*(l for _, _, l in choices)):
-                sign = term.sign
-                factors = []
-                for (func, mats, _), (s, w) in zip(choices, combo):
-                    sign *= s
-                    factors.append(_plain_factor(func, mats, w))
-                key = (
-                    frozenset(m_placed),
-                    frozenset(term.imag_integrals),
-                    omega,
-                    tuple(sorted(factors, key=Factor.sort_key)),
-                )
-                nf[key] += sign
+        placed = (frozenset(m_placed), frozenset(term.imag_integrals))
+        # a combination of expansion entries holds on the orderings where
+        # the term's chains and all of the entries' chains hold
+        for combo in itertools.product(*(expansions[f] for f in term.factors)):
+            sign = term.sign * math.prod(s for s, _, _ in combo)
+            chains = term.steps + tuple(c for _, cs, _ in combo for c in cs)
+            factors = tuple(sorted((pf for _, _, pf in combo), key=Factor.sort_key))
+            for omega in _linear_extensions(real_labels, chains):
+                nf[placed + (omega, factors)] += sign
     return Counter({k: v for k, v in nf.items() if v != 0})
 
 
@@ -177,6 +200,9 @@ def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpr
     m_ext = tuple(str(l) for l in target.mats_labels())
     branch_opts = (FWD, BWD) + ((MAT,) if eq.contour == EXTENDED else ())
     nf: Counter = Counter()
+    # a function's component depends only on its Matsubara labels and the
+    # contour order of its horizontal ones, which many orderings share
+    induced: dict[tuple[int, tuple[str, ...], tuple[str, ...]], Factor] = {}
     for sign_t, chains_t, ext_word in expand_retarded(target.real_items()):
         # placement for each real-time order of the word's labels, latest first
         placements = {
@@ -194,15 +220,18 @@ def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpr
             bfuncs: tuple[BFunc, ...] = tuple(
                 (f, tuple(l for l in m_labels if l in f.args)) for f in eq.product
             )
-            for omega in itertools.permutations(real_labels):
-                pos = {l: i for i, l in enumerate(omega)}
-                if not all(_chain_holds(c, pos) for c in chains_t):
-                    continue
+            horizontal = [set(f.args).difference(m) for f, m in bfuncs]
+            for omega in _linear_extensions(real_labels, chains_t):
                 placement = placements[tuple(filter(in_word, omega))]
                 if placement is None:
                     continue
                 word = _contour_word(omega, {**placement, **internal})
-                factors = component_of_product(bfuncs, word)
+                factors = []
+                for i, (bf, own) in enumerate(zip(bfuncs, horizontal)):
+                    sub = tuple(l for l in word if l in own)
+                    if (i, bf[1], sub) not in induced:
+                        (induced[i, bf[1], sub],) = component_of_product((bf,), sub)
+                    factors.append(induced[i, bf[1], sub])
                 key = (omega, tuple(sorted(factors, key=Factor.sort_key)), real_int, imag)
                 nf[key] += sign_t * sign_b
     terms = []

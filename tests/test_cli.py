@@ -101,6 +101,25 @@ def test_verify_bad_target_exit_1(capsys):
     assert captured.err.startswith("error: positions [3] out of range")
 
 
+def test_derive_five_externals_default_targets_exit_1(tmp_path, capsys):
+    # the default target list stops at four externals: a usage error
+    src = tmp_path / "e.ctr"
+    src.write_text("E[a,b,c,d,e] = int{} : F[a,b,c,d,e]\n", encoding="utf-8")
+    assert main(["derive", "--input", str(src)]) == 1
+    assert capsys.readouterr().err == "error: target enumeration is capped at 4 externals\n"
+
+
+def test_verify_bad_grid_or_tolerance_exit_1(capsys):
+    for option, value, message in (
+        ("--grid", "2", "grid size must be at least 4"),
+        ("--tol", "0", "tolerance must be positive"),
+    ):
+        assert main(["verify", "--input", "convolution", option, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_verify_oracle_error_is_fail_record_exit_2(tmp_path, capsys):
     # G has two arities, which the component tables refuse: every numeric
     # record fails with the cause, and the run ends with exit 2

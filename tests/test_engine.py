@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from contourcalc.combinatorics import RangeError, orders_consistent_with
+from contourcalc.combinatorics import RangeError
 from contourcalc.engine import (
     component_representation,
     composition_representation,
@@ -141,8 +141,10 @@ def _nf(terms):
     """Total-order normal form of (sign, chains, word) expansions."""
     out = {}
     for sign, chains, word in terms:
-        labels = sorted(set(word))
-        for omega in orders_consistent_with(chains, labels):
+        for omega in itertools.permutations(sorted(set(word))):
+            pos = {l: i for i, l in enumerate(omega)}
+            if not all(pos[x] < pos[y] for c in chains for x, y in zip(c, c[1:])):
+                continue
             key = (omega, word)
             out[key] = out.get(key, 0) + sign
     return {k: v for k, v in out.items() if v}

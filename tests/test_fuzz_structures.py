@@ -14,7 +14,10 @@ from contourcalc.oracle import branch_split_oracle, normal_form_equal, verify
 from contourcalc.parser import parse_superindex
 
 
-def _random_equation(rng, n_ext=(1, 2, 2)):
+def _random_equation(rng, n_ext=(1, 2, 2), names=None):
+    """A random valid equation, or None.  With ``names``, each sub-function
+    draws its name from that pool, so names repeat; without, the names are
+    F0, F1, ... and take no draw from ``rng``."""
     n_int = rng.choice([0, 1, 1, 2, 2])
     ext = ["a", "b", "c"][: rng.choice(n_ext)]
     internal = ["u", "v"][:n_int]
@@ -23,7 +26,8 @@ def _random_equation(rng, n_ext=(1, 2, 2)):
     for i in range(rng.randint(1, 4)):
         arity = rng.choice([1, 2, 2, 2, 3])
         args = rng.sample(labels, min(arity, len(labels)))
-        product.append(SubFunction(f"F{i}", tuple(args)))
+        name = f"F{i}" if names is None else rng.choice(names)
+        product.append(SubFunction(name, tuple(args)))
     used = {a for f in product for a in f.args}
     if not set(internal) <= used:
         return None
@@ -52,6 +56,31 @@ def test_random_structures_match_oracle():
             )
             checked += 1
     assert checked >= 120
+
+
+def test_random_repeated_name_structures_match_oracle():
+    # names drawn from a pool of two, so one name labels several factors
+    rng = random.Random(16180)
+    checked = 0
+    repeated = 0
+    trials = 0
+    while checked < 120 and trials < 600:
+        trials += 1
+        eq = _random_equation(rng, names=("G", "H"))
+        if eq is None:
+            continue
+        names = [f.name for f in eq.product]
+        repeated += len(set(names)) < len(names)
+        for tname in catalog.all_targets(eq):
+            target = parse_superindex(tname, eq)
+            rule = derive_rule(eq, target)
+            assert normal_form_equal(branch_split_oracle(eq, target), rule, eq), (
+                str(eq),
+                tname,
+            )
+            checked += 1
+    assert checked >= 120
+    assert repeated >= 10
 
 
 def test_random_three_external_structures_match_oracle():

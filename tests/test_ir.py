@@ -189,6 +189,16 @@ def test_factor_cover_checks():
         Factor(A2, SuperIndex((Plain("a"), Plain("z"))))
 
 
+def test_factor_sort_key_and_repr():
+    f = Factor(A2, SuperIndex((Mats(("a",)), Plain("b"))))
+    # the memoized sort key and the kept repr are those the fields give
+    assert f.sort_key() == ("A", "M(1)2", ("a", "b"))
+    assert repr(f) == (
+        "Factor(func=SubFunction(name='A', args=('a', 'b')), index=SuperIndex("
+        "items=(Mats(labels=('a',)), Plain(label='b')), mode='labeled'))"
+    )
+
+
 def test_linear_combination_from_words():
     from contourcalc.ir import LinearCombination
 

@@ -1,0 +1,162 @@
+"""The symbolic normal form against a literal permutation-filter reference.
+
+``normal_form`` visits only the total orderings that a term's step chains
+allow, through ``_linear_extensions``.  The references below walk every
+permutation of the real labels and filter it, which is slow but plainly
+right; the optimized code must give exactly the same result.
+"""
+
+import itertools
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from contourcalc import catalog
+from contourcalc.compiler import derive_rule
+from contourcalc.engine import expand_retarded
+from contourcalc.ir import ContourEquation, Factor, Mats, Plain, SuperIndex
+from contourcalc.oracle import _linear_extensions, branch_split_oracle, normal_form
+from contourcalc.parser import parse_equation, parse_superindex
+
+
+def _holds(chain, pos):
+    return all(pos[chain[i]] < pos[chain[i + 1]] for i in range(len(chain) - 1))
+
+
+def _filtered_permutations(labels, chains):
+    out = []
+    for omega in itertools.permutations(labels):
+        pos = {l: i for i, l in enumerate(omega)}
+        if all(_holds(c, pos) for c in chains):
+            out.append(omega)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# linear extensions
+
+
+LABELS = "abcdef"
+
+
+@st.composite
+def _labels_and_chains(draw):
+    labels = list(draw(st.permutations(LABELS[: draw(st.integers(0, 6))])))
+    if not labels:
+        return labels, []
+    chain = st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True)
+    chains = draw(st.lists(chain, max_size=4))
+    return labels, chains
+
+
+@settings(max_examples=300, deadline=None)
+@given(_labels_and_chains())
+def test_linear_extensions_match_permutation_filter(case):
+    labels, chains = case
+    got = _linear_extensions(labels, chains)
+    assert len(set(got)) == len(got)
+    # the same orders, and in the order of itertools.permutations(labels)
+    assert got == _filtered_permutations(labels, chains)
+
+
+@pytest.mark.parametrize(
+    "labels, chains, count",
+    [
+        ("abcd", [], 24),  # no chains: every order
+        ("abcd", [("c",), ("a",)], 24),  # length-1 chains constrain nothing
+        ("abcde", [("a", "b", "c"), ("b", "d"), ("e", "c")], 7),  # overlapping
+        ("abcdef", [("f", "a", "c", "b", "e", "d")], 1),  # one total chain
+        ("abcd", [("a", "b"), ("b", "c"), ("c", "a")], 0),  # a cycle
+        ("", [], 1),  # the empty order
+    ],
+)
+def test_linear_extensions_examples(labels, chains, count):
+    got = _linear_extensions(list(labels), chains)
+    assert got == _filtered_permutations(list(labels), chains)
+    assert len(got) == count
+
+
+def test_linear_extensions_reject_foreign_labels():
+    with pytest.raises(ValueError):
+        _linear_extensions(["a", "b"], [("a", "z")])
+
+
+# ---------------------------------------------------------------------------
+# normal form
+
+
+def _reference_normal_form(expr, eq):
+    """The normal form by filtering every permutation of the real labels,
+    rebuilding each plain factor for every (ordering, combination) pair."""
+    nf = Counter()
+    for term in expr.terms:
+        m_placed = set(term.imag_integrals)
+        for f in term.factors:
+            m_placed.update(str(l) for l in f.index.mats_labels())
+        real_labels = sorted(
+            (set(eq.labels()) - m_placed - set(eq.internal)) | set(term.real_integrals)
+        )
+        expansions = [
+            (f.func, sorted(str(l) for l in f.index.mats_labels()), expand_retarded(f.index))
+            for f in term.factors
+        ]
+        for omega in itertools.permutations(real_labels):
+            pos = {l: i for i, l in enumerate(omega)}
+            if not all(_holds(c, pos) for c in term.steps):
+                continue
+            choices = [
+                [(s, w) for s, chains, w in ex if all(_holds(c, pos) for c in chains)]
+                for _, _, ex in expansions
+            ]
+            for combo in itertools.product(*choices):
+                sign = term.sign
+                factors = []
+                for (func, mats, _), (s, w) in zip(expansions, combo):
+                    sign *= s
+                    items = tuple(Plain(l) for l in w)
+                    if mats:
+                        items = (Mats(tuple(mats)),) + items
+                    factors.append(Factor(func, SuperIndex(items)))
+                key = (
+                    frozenset(m_placed),
+                    frozenset(term.imag_integrals),
+                    omega,
+                    tuple(sorted(factors, key=Factor.sort_key)),
+                )
+                nf[key] += sign
+    return Counter({k: v for k, v in nf.items() if v != 0})
+
+
+PROBES = {
+    "chain4": "G[a,b] = int{c,d,e,f} : A[a,c]*B[c,d]*C[d,e]*D[e,f]*E[f,b]",
+    "X": "X[a,b,c] = int{u,v} : A[a,u]*B[u,b]*C[u,v]*D[v,c]",
+}
+
+
+def _structures(contour):
+    for name, build in catalog.CORPUS.items():
+        eq = build()
+        yield name, ContourEquation(eq.lhs_name, eq.external, eq.internal, eq.product, contour)
+    for name, text in PROBES.items():
+        yield name, parse_equation(text, contour)
+
+
+@pytest.mark.parametrize("contour", ["extended", "keldysh"])
+def test_normal_form_matches_reference(contour):
+    checked = 0
+    for name, eq in _structures(contour):
+        for tname in catalog.all_targets(eq):
+            target = parse_superindex(tname, eq)
+            for side, expr in (
+                ("rule", derive_rule(eq, target)),
+                ("branch split", branch_split_oracle(eq, target)),
+            ):
+                assert normal_form(expr, eq) == _reference_normal_form(expr, eq), (
+                    name,
+                    tname,
+                    side,
+                )
+                checked += 1
+    assert checked == {"extended": 2 * 63, "keldysh": 2 * 34}[contour]
