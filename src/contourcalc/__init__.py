@@ -44,14 +44,9 @@ from .engine import (
 )
 from .compiler import (
     NamingUnavailable,
-    ProductComposition,
-    commutator_prune,
     component_of_product,
     derive_rule,
-    distribute_matsubara,
     emit,
-    separate,
-    vanishes,
 )
 from .oracle import (
     ComponentTable,

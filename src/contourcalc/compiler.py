@@ -1,12 +1,14 @@
 """Reduction of compositions of products to single-function factors.
 
-The driver ``derive_rule`` distributes internal labels over the target's
-retarded and Matsubara sets, discards distributions containing a
-disconnected retarded set, moves Matsubara markers onto the individual
-sub-functions, and then reduces each surviving block by a fixpoint of:
+The driver ``derive_rule`` takes each term of the target's representation
+(the internal labels distributed over its retarded and Matsubara sets),
+gives every sub-function its own labels of the Matsubara set, and reduces
+the resulting block.  A block with a disconnected retarded set vanishes;
+the rest is reduced by a fixpoint of:
 
-* factoring out sub-functions whose surviving arguments sit in distinct
-  top-level items (their contour order is fixed),
+* factoring out sub-functions whose horizontal arguments sit in distinct
+  top-level items (their contour order is fixed; this closes functions
+  left with at most one horizontal argument),
 * splitting blocks whose sub-functions fall apart into disconnected groups,
 * peeling two-point bridges off binary nested sets,
 * a multilinear telescope over the sign dimensions of a single retarded
@@ -23,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ir import (
@@ -59,16 +60,6 @@ from .engine import (
 
 class NamingUnavailable(ContourError):
     """Langreth shorthand naming requested for a factor that has none."""
-
-
-@dataclass(frozen=True)
-class ProductComposition:
-    """A composition super-index attached to a product of sub-functions."""
-
-    product: tuple[SubFunction, ...]
-    index: SuperIndex
-    real_integrals: frozenset[str] = frozenset()
-    imag_integrals: frozenset[str] = frozenset()
 
 
 # a sub-function together with the subset of its arguments pinned to the
@@ -123,55 +114,6 @@ def disconnected_witness(items: Sequence[Item], edges: set[frozenset[str]]) -> O
     return None
 
 
-def _split_mats(pc: ProductComposition) -> tuple[tuple[BFunc, ...], tuple[Item, ...]]:
-    m_order = pc.index.mats_labels()
-    funcs = tuple(
-        (f, tuple(l for l in m_order if l in set(f.args))) for f in pc.product
-    )
-    items = tuple(normalize_item(i) for i in pc.index.real_items())
-    return funcs, items
-
-
-def vanishes(pc: ProductComposition) -> tuple[bool, Optional[Item]]:
-    """Does some retarded set of the composition have disconnected labels?
-
-    Connectivity counts only arguments still on the horizontal branches;
-    sub-functions with arguments in the Matsubara set provide edges only
-    among their remaining arguments.
-    """
-    funcs, items = _split_mats(pc)
-    witness = disconnected_witness(items, _kedges(funcs))
-    return witness is not None, witness
-
-
-def distribute_matsubara(pc: ProductComposition) -> tuple[tuple[Factor, ...], ProductComposition]:
-    """Move the Matsubara set onto the individual sub-functions.
-
-    Sub-functions left with at most one horizontal argument reduce to
-    closed components and are factored out; the rest keep per-function
-    Matsubara markers (their factors will carry the ``M(...)`` prefix).
-    The returned composition has no Matsubara head.
-    """
-    funcs, items = _split_mats(pc)
-    closed: list[Factor] = []
-    remaining: list[SubFunction] = []
-    for func, mats in funcs:
-        ks = _kargs((func, mats))
-        if len(ks) == 0:
-            closed.append(_factor((func, mats), ()))
-        elif len(ks) == 1 and mats:
-            closed.append(_factor((func, mats), (Plain(ks[0]),)))
-        else:
-            remaining.append(func)
-    kept_mats = tuple(
-        l for l in pc.index.mats_labels() if any(l in f.args for f in remaining)
-    )
-    head: tuple[Item, ...] = (Mats(kept_mats),) if kept_mats else ()
-    return tuple(closed), ProductComposition(
-        tuple(remaining), SuperIndex(head + items), pc.real_integrals, pc.imag_integrals
-    )
-
-
 def component_of_product(
     product: Sequence[SubFunction] | Sequence[BFunc], full_order: Sequence[str]
 ) -> tuple[Factor, ...]:
@@ -188,42 +130,6 @@ def component_of_product(
         induced = tuple(Plain(l) for l in word if l in ks)
         out.append(_factor(bf, induced))
     return tuple(out)
-
-
-def commutator_prune(
-    funcs: Sequence[BFunc] | Sequence[SubFunction], items: Sequence[Item] | SuperIndex
-):
-    """Step-weighted words of a composition, minus identically-zero terms.
-
-    A commutator term dies when some entry (nested sets count as atoms) is
-    not directly connected to any entry on its left; connections are shared
-    horizontal arguments of the block's sub-functions.
-    """
-    bfuncs = tuple(bf if isinstance(bf, tuple) else (bf, ()) for bf in funcs)
-    return expand_retarded(items, edges=_kedges(bfuncs))
-
-
-def separate(pc: ProductComposition) -> tuple[tuple[Factor, ...], tuple[ProductComposition, ...]]:
-    """One round of factoring and block splitting, without expansions.
-
-    Returns the closed component factors pulled out of the product and the
-    remaining independent blocks, each a smaller composition.
-    """
-    closed, rest = distribute_matsubara(pc)
-    bfuncs, items = _split_mats(rest)
-    got, blocks = _separate_once(bfuncs, items)
-    pcs = []
-    for bl_funcs, bl_items in blocks:
-        mats = tuple(
-            l for l in rest.index.mats_labels() if any(l in f.args for f, _ in bl_funcs)
-        )
-        head: tuple[Item, ...] = (Mats(mats),) if mats else ()
-        pcs.append(
-            ProductComposition(
-                tuple(f for f, _ in bl_funcs), SuperIndex(head + tuple(bl_items))
-            )
-        )
-    return closed + got, tuple(pcs)
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +490,7 @@ def _fuse_chain_sets(c1, c2):
 
 
 def _reduce_block(funcs: tuple[BFunc, ...], items: tuple[Item, ...], dropped=None) -> list[PartTerm]:
+    """Signed step-chain terms of one block; ``dropped`` collects vanishing blocks."""
     items = tuple(normalize_item(i) for i in items)
     edges = _kedges(funcs)
     if disconnected_witness(items, edges) is not None:
@@ -664,18 +571,12 @@ def derive_rule(
     rep = representation(eq, target)
     terms = []
     for rt in rep:
-        pc = ProductComposition(eq.product, rt.index, rt.real_integrals, rt.imag_integrals)
-        closed, rest = distribute_matsubara(pc)
-        funcs, items = _split_mats(rest)
-        for sign, chains, factors in _reduce_block(funcs, items, dropped):
+        # each function keeps its own labels of the Matsubara set
+        mats = rt.index.mats_labels()
+        funcs = tuple((f, tuple(l for l in mats if l in f.args)) for f in eq.product)
+        for sign, chains, factors in _reduce_block(funcs, rt.index.real_items(), dropped):
             terms.append(
-                RealTimeTerm(
-                    sign,
-                    chains,
-                    closed + factors,
-                    rt.real_integrals,
-                    rt.imag_integrals,
-                )
+                RealTimeTerm(sign, chains, factors, rt.real_integrals, rt.imag_integrals)
             )
     return canonicalize(RealTimeExpression(tuple(terms)))
 

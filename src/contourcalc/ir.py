@@ -388,14 +388,6 @@ class Factor:
     def sort_key(self):
         return _factor_sort_key(self)
 
-    # the branch-split oracle orders its terms by repr, many times per factor
-    @functools.cached_property
-    def _repr(self) -> str:
-        return f"Factor(func={self.func!r}, index={self.index!r})"
-
-    def __repr__(self) -> str:
-        return self._repr
-
 
 # the oracles sort the same factors many times; a bounded memo keeps the key
 # from being rebuilt through to_hacek on every comparison

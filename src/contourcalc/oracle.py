@@ -195,7 +195,7 @@ def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpr
     plain component calculus.  The externals take the placement of
     :func:`placement_for_times` for their order within the total ordering;
     orders with no placement are skipped.  The output is fully expanded and
-    cancelled.
+    cancelled, its terms in the order they first arise.
     """
     m_ext = tuple(str(l) for l in target.mats_labels())
     branch_opts = (FWD, BWD) + ((MAT,) if eq.contour == EXTENDED else ())
@@ -235,9 +235,7 @@ def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpr
                 key = (omega, tuple(sorted(factors, key=Factor.sort_key)), real_int, imag)
                 nf[key] += sign_t * sign_b
     terms = []
-    for (omega, factors, real_int, imag), coeff in sorted(
-        nf.items(), key=lambda kv: repr(kv[0])
-    ):
+    for (omega, factors, real_int, imag), coeff in nf.items():
         for _ in range(abs(coeff)):
             terms.append(
                 RealTimeTerm(
@@ -260,29 +258,21 @@ def branch_count(eq: ContourEquation) -> int:
 class DiscreteContour:
     """Shared-node discretisation of the two-branch (plus vertical) contour.
 
-    Forward and backward branches carry the same real nodes with opposite
-    integration signs; the vertical branch has unit imaginary extent.  All
-    nodes are midpoints shifted by an irrational fraction of the spacing,
-    so no two nodes coincide.
+    Forward and backward branches carry the same ``n_fwd`` real nodes with
+    opposite integration signs; the vertical branch has unit imaginary
+    extent and as many nodes (``n_mats``).  All nodes are midpoints shifted
+    by an irrational fraction of the spacing, so no two nodes coincide.
     """
 
-    def __init__(self, t0: float = 0.0, t_max: float = 2.0, n_fwd: int = 24,
-                 n_bwd: Optional[int] = None, n_mats: Optional[int] = None):
-        n_bwd = n_fwd if n_bwd is None else n_bwd
-        n_mats = n_fwd if n_mats is None else n_mats
-        if n_bwd != n_fwd:
-            raise GridTieError(
-                "forward and backward branches must share their real nodes"
-            )
-        if min(n_fwd, n_mats) < 2:
-            raise ValueError("grid sizes must be at least 2")
+    def __init__(self, t0: float = 0.0, t_max: float = 2.0, n_fwd: int = 24):
+        if n_fwd < 2:
+            raise ValueError("the grid size must be at least 2")
         if not (0.0 <= t0 < t_max):
             raise ValueError("need 0 <= t0 < t_max to keep branch keys disjoint")
         self.t0 = t0
         self.t_max = t_max
         self.n_fwd = n_fwd
-        self.n_bwd = n_bwd
-        self.n_mats = n_mats
+        self.n_mats = n_mats = n_fwd
         dt = (t_max - t0) / n_fwd
         shift = math.sqrt(2.0) - 1.0  # irrational, in (0, 1)
         self.real_nodes = t0 + (np.arange(n_fwd) + shift) * dt

@@ -46,9 +46,10 @@ def test_derive_parse_error_exit_1(tmp_path, capsys):
 
 
 def test_derive_corpus_file(capsys):
-    assert main(["derive", "--input", str(ROOT / "corpus.ctr"), "--target", "M"]) == 0
+    corpus = ROOT / "perfbench" / "inputs" / "corpus.ctr"
+    assert main(["derive", "--input", str(corpus), "--target", "M"]) == 0
     out = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
-    assert len(out) == 5  # one M rule per stanza
+    assert len(out) == 6  # one M rule per stanza
     assert out[0] == "D^{M} = ⋆{c} A^{M} B^{M}"
 
 

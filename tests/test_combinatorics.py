@@ -41,6 +41,31 @@ def brute_force_shuffles(m, k, reversed_front):
     return sorted(out)
 
 
+def brute_force_shuffle_classes(m):
+    """Independent oracle for every class of S_m in one walk over S_m.
+
+    Each permutation joins the classes ``(k, reversed_front)`` whose defining
+    conditions it meets: labels ``1..k`` in increasing (or, reversed, in
+    decreasing) order of position and labels ``k+1..m`` in increasing order.
+    """
+    classes = {(k, rev): [] for k in range(m + 1) for rev in (False, True)}
+    for image in itertools.permutations(range(1, m + 1)):
+        inv = [0] * m
+        for i, v in enumerate(image):
+            inv[v - 1] = i
+        # rises[i]: label i+1 sits before label i+2
+        rises = [inv[i] < inv[i + 1] for i in range(m - 1)]
+        for k in range(m + 1):
+            if not all(rises[k:]):
+                continue
+            front = rises[: max(k - 1, 0)]
+            if all(front):
+                classes[k, False].append(image)
+            if not any(front):
+                classes[k, True].append(image)
+    return {key: sorted(images) for key, images in classes.items()}
+
+
 def test_shuffles_m4_k2():
     got = sorted(p.mapping for p in enumerate_shuffles(ShuffleClass(4, 2)))
     assert got == [
@@ -65,12 +90,13 @@ def test_shuffles_m6_k3_against_brute_force():
 
 def test_shuffle_counts_binomial_up_to_8():
     for m in range(0, 9):
+        brute = brute_force_shuffle_classes(m)
         for k in range(0, m + 1):
             for rev in (False, True):
                 got = enumerate_shuffles(ShuffleClass(m, k, rev))
                 assert len(got) == math.comb(m, k)
                 assert len({p.mapping for p in got}) == len(got)
-                assert sorted(p.mapping for p in got) == brute_force_shuffles(m, k, rev)
+                assert sorted(p.mapping for p in got) == brute[k, rev]
 
 
 def test_shuffle_class_range_checks():

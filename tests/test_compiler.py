@@ -5,15 +5,12 @@ import pytest
 from contourcalc import catalog
 from contourcalc.compiler import (
     NamingUnavailable,
-    ProductComposition,
-    commutator_prune,
+    _reduce_block,
     component_of_product,
     derive_rule,
-    distribute_matsubara,
     emit,
-    separate,
-    vanishes,
 )
+from contourcalc.engine import expand_retarded
 from contourcalc.ir import (
     ContourEquation,
     Mats,
@@ -23,6 +20,7 @@ from contourcalc.ir import (
     SubFunction,
     SuperIndex,
     canonicalize,
+    direct_edges,
 )
 from contourcalc.oracle import normal_form_equal
 from contourcalc.parser import parse_equation, parse_superindex
@@ -50,41 +48,43 @@ def test_component_of_product_examples():
     assert _fs(got) == ["A^{ca}"]
 
 
+def _block(eq, index):
+    """The (function, Matsubara labels) pairs and real items derive_rule reduces."""
+    mats = index.mats_labels()
+    funcs = tuple((f, tuple(l for l in mats if l in f.args)) for f in eq.product)
+    return funcs, index.real_items()
+
+
+def _reduced(eq, index, dropped=None):
+    return [(s, c, _fs(f)) for s, c, f in _reduce_block(*_block(eq, index), dropped)]
+
+
 def test_distribute_matsubara_convolution():
+    # both functions keep the Matsubara label and close on their external
     eq = catalog.convolution()
-    pc = ProductComposition(
-        eq.product, SuperIndex((Mats(("c",)), Plain("a"), Plain("b")))
-    )
-    closed, rest = distribute_matsubara(pc)
-    assert _fs(closed) == ["A^{M(c)a}", "B^{M(c)b}"]
-    assert rest.product == ()
+    got = _reduced(eq, SuperIndex((Mats(("c",)), Plain("a"), Plain("b"))))
+    assert got == [(1, (), ["A^{M(c)a}", "B^{M(c)b}"])]
 
 
 def test_distribute_matsubara_vertex_keeps_marked_function():
+    # only the functions owning c carry the marker; C keeps it on its
+    # two horizontal arguments, B gets none
     eq = catalog.vertex()
-    pc = ProductComposition(
-        eq.product, SuperIndex((Mats(("c",)), Plain("a"), Plain("b"), Plain("d")))
-    )
-    closed, rest = distribute_matsubara(pc)
-    assert _fs(closed) == ["A^{M(c)a}"]
-    assert [f.name for f in rest.product] == ["B", "C"]
-    assert rest.index.mats_labels() == ("c",)
+    got = _reduced(eq, SuperIndex((Mats(("c",)), Plain("a"), Plain("b"), Plain("d"))))
+    assert got == [(1, (), ["A^{M(c)a}", "B^{ad}", "C^{M(c)bd}"])]
 
 
 def test_distribute_matsubara_empty_set_is_identity():
     eq = catalog.convolution()
-    pc = ProductComposition(eq.product, SuperIndex((Plain("a"), Plain("b"), Plain("c"))))
-    closed, rest = distribute_matsubara(pc)
-    assert closed == () and rest.product == eq.product
+    got = _reduced(eq, SuperIndex((Plain("a"), Plain("b"), Plain("c"))))
+    assert got == [(1, (), ["A^{ac}", "B^{bc}"])]
 
 
 def test_all_labels_matsubara_double_triangle():
     eq = catalog.double_triangle()
-    pc = ProductComposition(eq.product, SuperIndex((Mats(("a", "b", "c", "d")),)))
-    closed, rest = distribute_matsubara(pc)
-    assert rest.product == ()
-    assert _fs(closed) == [
-        "A^{M(ac)}", "B^{M(bc)}", "C^{M(cd)}", "D^{M(ad)}", "E^{M(bd)}"
+    got = _reduced(eq, SuperIndex((Mats(("a", "b", "c", "d")),)))
+    assert got == [
+        (1, (), ["A^{M(ac)}", "B^{M(bc)}", "C^{M(cd)}", "D^{M(ad)}", "E^{M(bd)}"])
     ]
 
 
@@ -92,32 +92,35 @@ CHAIN = catalog.chain3()
 
 
 def test_vanishes_matsubara_separated_retarded_pair():
-    pc = ProductComposition(
-        CHAIN.product,
-        SuperIndex((Mats(("c", "d")), Ret(Plain("a"), (Plain("b"),)))),
-    )
-    dead, witness = vanishes(pc)
-    assert dead and witness == Ret(Plain("a"), (Plain("b"),))
+    # with c and d vertical nothing joins a and b on the horizontal branches
+    pair = Ret(Plain("a"), (Plain("b"),))
+    index = SuperIndex((Mats(("c", "d")), pair))
+    dropped = []
+    assert _reduced(CHAIN, index, dropped) == []
+    assert dropped == [_block(CHAIN, index)]
+    assert dropped[0][1] == (pair,)
 
 
 def test_vanishes_connected_set_survives():
-    pc = ProductComposition(
-        CHAIN.product,
-        SuperIndex((Ret(Plain("a"), (Plain("c"), Plain("d"), Plain("b"))),)),
-    )
-    dead, witness = vanishes(pc)
-    assert not dead and witness is None
+    dropped = []
+    index = SuperIndex((Ret(Plain("a"), (Plain("c"), Plain("d"), Plain("b"))),))
+    assert _reduced(CHAIN, index, dropped)
+    assert dropped == []
 
 
 def test_vanishes_singleton_never():
-    pc = ProductComposition(CHAIN.product, SuperIndex((Plain("a"), Plain("b"), Plain("c"), Plain("d"))))
-    assert vanishes(pc) == (False, None)
+    dropped = []
+    index = SuperIndex((Plain("a"), Plain("b"), Plain("c"), Plain("d")))
+    assert _reduced(CHAIN, index, dropped) == [
+        (1, (), ["A^{ac}", "B^{cd}", "C^{bd}"])
+    ]
+    assert dropped == []
 
 
 def test_commutator_prune_chain_single_survivor():
     # of the six permutations of R(a,cdb) over the chain, one survives
     items = (Ret(Plain("a"), (Plain("c"), Plain("d"), Plain("b"))),)
-    got = commutator_prune(CHAIN.product, items)
+    got = expand_retarded(items, edges=direct_edges(CHAIN.product))
     chains = {c for _, cs, _ in got for c in cs}
     assert chains == {("a", "c", "d", "b")}
     assert len(got) == 2 ** 3
@@ -125,33 +128,23 @@ def test_commutator_prune_chain_single_survivor():
 
 def test_commutator_prune_disconnected_pair_empty():
     eq = parse_equation("Z[a,b] = int{} : P[a]*Q[b]")
-    got = commutator_prune(eq.product, (Ret(Plain("a"), (Plain("b"),)),))
-    assert got == []
+    items = (Ret(Plain("a"), (Plain("b"),)),)
+    assert expand_retarded(items, edges=direct_edges(eq.product)) == []
 
 
 def test_separate_distinct_sets_factor_out():
-    # a two-point function spanning two retarded sets is fully determined
-    eq = CHAIN
-    pc = ProductComposition(
-        eq.product,
-        SuperIndex((Ret(Plain("a"), (Plain("c"),)), Ret(Plain("b"), (Plain("d"),)))),
-    )
-    closed, blocks = separate(pc)
-    assert _fs(closed) == ["B^{cd}"]
-    assert sorted(str(b.index) for b in blocks) == ["R(a,c)", "R(b,d)"]
+    # a two-point function spanning two retarded sets is fully determined,
+    # and the two sets fall apart into one single-function block each
+    index = SuperIndex((Ret(Plain("a"), (Plain("c"),)), Ret(Plain("b"), (Plain("d"),))))
+    assert _reduced(CHAIN, index) == [(1, (), ["A^{R(a,c)}", "B^{cd}", "C^{R(b,d)}"])]
 
 
 def test_separate_leaves_bridge_work_to_the_reducer():
     # a nested composition joined through a two-point bridge is not split by
-    # plain separation; derive_rule handles it via the bridge rewrite
+    # plain separation; the bridge rewrite peels it
     eq2 = parse_equation("X[a,c,d] = int{} : A[a,c]*B[c,d]")
-    pc = ProductComposition(
-        eq2.product,
-        SuperIndex((Ret(Plain("a"), (Ret(Plain("c"), (Plain("d"),)),)),)),
-    )
-    closed, blocks = separate(pc)
-    assert closed == ()
-    assert len(blocks) == 1
+    index = SuperIndex((Ret(Plain("a"), (Ret(Plain("c"), (Plain("d"),)),)),))
+    assert _reduced(eq2, index) == [(1, (), ["A^{R(a,c)}", "B^{R(c,d)}"])]
     rule = derive_rule(eq2, parse_superindex("R(a,cd)", eq2))
     assert emit(rule, "text", "labeled") == "A^{R(a,c)} B^{R(c,d)}"
 
@@ -261,8 +254,7 @@ def test_three_external_composition_consistency():
     # identities pin the pipeline at E = 3: symmetry of the retarded
     # arguments, and the composition being the step-weighted commutator
     # combination of the component rules
-    from contourcalc.engine import expand_retarded
-    from contourcalc.ir import Plain, RealTimeTerm, SuperIndex
+    from contourcalc.ir import RealTimeTerm
 
     eq = parse_equation("X[a,b,c] = int{u,v} : A[a,u]*B[u,b]*C[u,v]*D[v,c]")
     r1 = derive_rule(eq, parse_superindex("R(a,bc)", eq))

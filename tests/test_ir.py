@@ -191,7 +191,7 @@ def test_factor_cover_checks():
 
 def test_factor_sort_key_and_repr():
     f = Factor(A2, SuperIndex((Mats(("a",)), Plain("b"))))
-    # the memoized sort key and the kept repr are those the fields give
+    # the memoized sort key and the dataclass repr are those the fields give
     assert f.sort_key() == ("A", "M(1)2", ("a", "b"))
     assert repr(f) == (
         "Factor(func=SubFunction(name='A', args=('a', 'b')), index=SuperIndex("

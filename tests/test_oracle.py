@@ -1,6 +1,11 @@
 """Branch-splitting oracle, normal forms, and the discrete-contour evaluators."""
 
 import itertools
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,11 +138,6 @@ def test_vanished_terms_have_empty_normal_form():
 
 # ---------------------------------------------------------------------------
 # numeric
-
-
-def test_grid_requires_shared_real_nodes():
-    with pytest.raises(GridTieError):
-        DiscreteContour(n_fwd=24, n_bwd=20)
 
 
 def test_grid_rejects_external_on_node():
@@ -329,6 +329,32 @@ def test_branch_split_skips_orders_without_placement():
     orders = {tuple(l for l in term.steps[0] if l in "abc") for term in split}
     # the contour word a, b, c has no placement where b is earliest
     assert orders == set(itertools.permutations("abc")) - {("a", "c", "b"), ("c", "a", "b")}
+
+
+_SPLIT_TERMS = """
+import pickle, sys
+from contourcalc import catalog
+from contourcalc.oracle import branch_split_oracle
+from contourcalc.parser import parse_superindex
+eq = catalog.double_triangle()
+sys.stdout.buffer.write(pickle.dumps(branch_split_oracle(eq, parse_superindex(">", eq)).terms))
+"""
+
+
+def test_branch_split_term_order_independent_of_hash_seed():
+    # the terms hold frozensets, whose iteration order follows the string
+    # hash salt; the order of the terms themselves must not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = []
+    for seed in ("0", "2"):
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", _SPLIT_TERMS], env=env, capture_output=True, check=True
+        )
+        runs.append(pickle.loads(proc.stdout))
+    assert len(runs[0]) == 66
+    assert runs[0] == runs[1]
 
 
 def test_three_horizontal_externals_sign_flip_fails_symbolically():

@@ -1,7 +1,10 @@
 """DSL parsing, pretty-printing, and target super-index syntax."""
 
+from pathlib import Path
+
 import pytest
 
+from contourcalc import catalog
 from contourcalc.ir import Mats, Plain, Ret, to_hacek
 from contourcalc.parser import (
     ArityMismatch,
@@ -151,9 +154,13 @@ def test_parser_never_panics(text):
         assert getattr(err, "span", None) is not None
 
 
-def test_pretty_round_trip_corpus_file():
-    from pathlib import Path
+CORPUS_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "corpus.ctr"
 
-    text = (Path(__file__).resolve().parent.parent / "corpus.ctr").read_text("utf-8")
-    for eq in parse_file(text):
+
+def test_pretty_round_trip_corpus_file():
+    for eq in parse_file(CORPUS_FILE.read_text("utf-8")):
         assert parse_equation(pretty(eq)) == eq
+
+
+def test_corpus_file_is_the_catalog_corpus():
+    assert parse_file(CORPUS_FILE.read_text("utf-8")) == [f() for f in catalog.CORPUS.values()]
