@@ -6,7 +6,12 @@ strategy:
 * a symbolic one that splits every contour integral over the branches,
   reduces each branch configuration with plain component calculus, and
   cancels -- the result is a normal form over total orderings of the real
-  time labels;
+  time labels.  Both symbolic layers number the distinct plain
+  components once per call and count keys on tuples of those numbers,
+  which hash far faster than the factors; the keys become factors once,
+  at the end.  The branch split skips the orderings whose latest real
+  label is an internal, which cancel between its forward and backward
+  placements;
 * a numeric one that evaluates both sides of a rule on a shared discrete
   contour.  Forward and backward branches use the same real nodes, so all
   the cancellation lemmas hold node-by-node and agreement is limited only
@@ -19,6 +24,7 @@ same real node are excluded from both sides alike.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -115,8 +121,11 @@ def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
     ordering of the real labels, plain component factors)."""
     known = {f.name for f in eq.product}
     nf: Counter = Counter()
-    # each distinct factor expands once, into (sign, step chains, plain factor)
-    expansions: dict[Factor, list[tuple[int, tuple, Factor]]] = {}
+    # each distinct plain component gets an int once per call, so the keys
+    # hash as ints; they turn back into factors once, at the end
+    ids: dict[Factor, int] = {}
+    # each distinct factor expands once, into (sign, step chains, component id)
+    expansions: dict[Factor, list[tuple[int, tuple, int]]] = {}
     for term in expr.terms:
         m_placed: set[str] = set()
         for f in term.factors:
@@ -131,7 +140,7 @@ def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
             if f not in expansions:
                 mats = [str(l) for l in f.index.mats_labels()]
                 expansions[f] = [
-                    (s, chains, _plain_factor(f.func, mats, w))
+                    (s, chains, ids.setdefault(_plain_factor(f.func, mats, w), len(ids)))
                     for s, chains, w in expand_retarded(f.index)
                 ]
         placed = (frozenset(m_placed), frozenset(term.imag_integrals))
@@ -140,10 +149,27 @@ def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
         for combo in itertools.product(*(expansions[f] for f in term.factors)):
             sign = term.sign * math.prod(s for s, _, _ in combo)
             chains = term.steps + tuple(c for _, cs, _ in combo for c in cs)
-            factors = tuple(sorted((pf for _, _, pf in combo), key=Factor.sort_key))
+            factors = tuple(sorted(i for _, _, i in combo))
             for omega in _linear_extensions(real_labels, chains):
                 nf[placed + (omega, factors)] += sign
-    return Counter({k: v for k, v in nf.items() if v != 0})
+    factor_tuple = _numbered_factors(ids)
+    return Counter({
+        (m_placed, imag, omega, factor_tuple(factors)): v
+        for (m_placed, imag, omega, factors), v in nf.items()
+        if v != 0
+    })
+
+
+def _numbered_factors(ids: dict[Factor, int]):
+    """Turns a tuple of numbers from ``ids`` into its factors, in
+    ``Factor.sort_key`` order, sorting each distinct tuple once."""
+    plain = list(ids)
+
+    @functools.cache
+    def factor_tuple(numbers: tuple[int, ...]) -> tuple[Factor, ...]:
+        return tuple(sorted((plain[i] for i in numbers), key=Factor.sort_key))
+
+    return factor_tuple
 
 
 def normal_form_equal(x: RealTimeExpression, y: RealTimeExpression, eq: ContourEquation) -> bool:
@@ -196,13 +222,25 @@ def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpr
     :func:`placement_for_times` for their order within the total ordering;
     orders with no placement are skipped.  The output is fully expanded and
     cancelled, its terms in the order they first arise.
+
+    An ordering whose latest real label is an internal is skipped too.
+    That label is the first forward label on F and the last backward label
+    on B (the backward branch runs back towards t0), so the contour word,
+    and with it every induced component, is the same on both, while the
+    signs are opposite: the two assignments cancel.  Matsubara labels are
+    not real labels, so this holds on both contours.  Components are
+    numbered per call by ``Factor``, not by position, so equal components
+    share one number; the terms get their factors back once, at the end.
     """
     m_ext = tuple(str(l) for l in target.mats_labels())
     branch_opts = (FWD, BWD) + ((MAT,) if eq.contour == EXTENDED else ())
     nf: Counter = Counter()
+    # each distinct induced component gets an int once per call, so the
+    # keys hash as ints; they turn back into factors once, at the end
+    ids: dict[Factor, int] = {}
     # a function's component depends only on its Matsubara labels and the
     # contour order of its horizontal ones, which many orderings share
-    induced: dict[tuple[int, tuple[str, ...], tuple[str, ...]], Factor] = {}
+    induced: dict[tuple[int, tuple[str, ...], tuple[str, ...]], int] = {}
     for sign_t, chains_t, ext_word in expand_retarded(target.real_items()):
         # placement for each real-time order of the word's labels, latest first
         placements = {
@@ -222,6 +260,10 @@ def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpr
             )
             horizontal = [set(f.args).difference(m) for f, m in bfuncs]
             for omega in _linear_extensions(real_labels, chains_t):
+                # a latest internal gives the same word on F as on B, with
+                # opposite signs: the two assignments cancel
+                if omega and omega[0] in real_int:
+                    continue
                 placement = placements[tuple(filter(in_word, omega))]
                 if placement is None:
                     continue
@@ -230,16 +272,21 @@ def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpr
                 for i, (bf, own) in enumerate(zip(bfuncs, horizontal)):
                     sub = tuple(l for l in word if l in own)
                     if (i, bf[1], sub) not in induced:
-                        (induced[i, bf[1], sub],) = component_of_product((bf,), sub)
+                        (component,) = component_of_product((bf,), sub)
+                        induced[i, bf[1], sub] = ids.setdefault(component, len(ids))
                     factors.append(induced[i, bf[1], sub])
-                key = (omega, tuple(sorted(factors, key=Factor.sort_key)), real_int, imag)
-                nf[key] += sign_t * sign_b
+                nf[omega, tuple(sorted(factors)), real_int, imag] += sign_t * sign_b
+    factor_tuple = _numbered_factors(ids)
     terms = []
     for (omega, factors, real_int, imag), coeff in nf.items():
         for _ in range(abs(coeff)):
             terms.append(
                 RealTimeTerm(
-                    1 if coeff > 0 else -1, (omega,), factors, real_int, imag
+                    1 if coeff > 0 else -1,
+                    (omega,),
+                    factor_tuple(factors),
+                    real_int,
+                    imag,
                 )
             )
     return RealTimeExpression(tuple(terms))
@@ -507,6 +554,8 @@ def evaluate_realtime_side(
     side; real integrals run over the shared real nodes, imaginary ones
     over the vertical nodes with the implicit -i per integral."""
     total = 0.0 + 0.0j
+    # each distinct factor expands once per call
+    plans: dict[Factor, tuple] = {}
     for term in expr.terms:
         reals = sorted(term.real_integrals)
         imags = sorted(term.imag_integrals)
@@ -527,27 +576,39 @@ def evaluate_realtime_side(
             for x, y in zip(chain, chain[1:]):
                 value = value * (np.asarray(times[x]) > np.asarray(times[y]))
         for factor in term.factors:
-            value = value * _factor_value(factor, tables, times)
+            if factor not in plans:
+                plans[factor] = _factor_plan(factor, tables)
+            value = value * _factor_value(factor.func, *plans[factor], tables, times)
         phase = term.sign * (-1j) ** len(imags)
         total += phase * (weight * mask * value).sum()
     return total
 
 
-def _factor_value(factor: Factor, tables: ComponentTable, times: dict):
+def _factor_plan(factor: Factor, tables: ComponentTable):
+    """A factor's vertical slots and its plain components, as ``(mset,
+    [(sign, step chains, korder)])``."""
     func = factor.func
     if func.name not in tables.funcs:
         raise UnknownComponent(f"no table for {func.name}")
     mats = [str(l) for l in factor.index.mats_labels()]
     mset = frozenset(i + 1 for i, a in enumerate(func.args) if a in mats)
     pos = {a: i + 1 for i, a in enumerate(func.args)}
+    return mset, [
+        (sign, chains, tuple(pos[str(l)] for l in word))
+        for sign, chains, word in expand_retarded(factor.index)
+    ]
+
+
+def _factor_value(
+    func: SubFunction, mset: frozenset, components: list, tables: ComponentTable, times: dict
+):
     arg_times = [times[a] for a in func.args]
     total = None
-    for sign, chains, word in expand_retarded(factor.index):
+    for sign, chains, korder in components:
         val = complex(sign)
         for chain in chains:
             for x, y in zip(chain, chain[1:]):
                 val = val * (np.asarray(times[x]) > np.asarray(times[y]))
-        korder = tuple(pos[str(l)] for l in word)
         val = val * tables.component(func.name, mset, korder, arg_times)
         total = val if total is None else total + val
     if total is None:
@@ -663,12 +724,18 @@ def verify(
     def placed(expr: RealTimeExpression) -> Counter:
         # the normal form on the orders of the horizontal externals that
         # have a contour placement; the branch split leaves out the others
+        nf = normal_form(expr, eq)
+        if not blocked:
+            return nf
         return Counter({
-            key: c for key, c in normal_form(expr, eq).items()
+            key: c for key, c in nf.items()
             if tuple(l for l in key[2] if l in horizontal) not in blocked
         })
 
-    sym_ok = placed(branch_split_oracle(eq, target)) == placed(rule)
+    # normal forms hold no zero counts, so they agree as Counters exactly
+    # when they agree as dicts, which hashes each key once rather than four
+    # times
+    sym_ok = dict.__eq__(placed(branch_split_oracle(eq, target)), placed(rule))
     records = [
         VerifyRecord(eq.lhs_name, name, "symbolic", None, 0.0 if sym_ok else np.inf, sym_ok)
     ]

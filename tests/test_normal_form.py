@@ -1,9 +1,12 @@
-"""The symbolic normal form against a literal permutation-filter reference.
+"""The symbolic oracle against literal permutation-filter references.
 
 ``normal_form`` visits only the total orderings that a term's step chains
-allow, through ``_linear_extensions``.  The references below walk every
-permutation of the real labels and filter it, which is slow but plainly
-right; the optimized code must give exactly the same result.
+allow, through ``_linear_extensions``; ``branch_split_oracle`` also skips
+the orderings that cancel, and both number their factors per call.  The
+references below walk every permutation of the real labels and filter it,
+keyed by ``Factor``s, which is slow but plainly right; the optimized code
+must give exactly the same result, and the branch split its terms in the
+same order.
 """
 
 import itertools
@@ -14,10 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contourcalc import catalog
-from contourcalc.compiler import derive_rule
+from contourcalc.compiler import component_of_product, derive_rule
 from contourcalc.engine import expand_retarded
-from contourcalc.ir import ContourEquation, Factor, Mats, Plain, SuperIndex
-from contourcalc.oracle import _linear_extensions, branch_split_oracle, normal_form
+from contourcalc.ir import ContourEquation, Factor, Mats, Plain, RealTimeTerm, SuperIndex
+from contourcalc.oracle import (
+    _linear_extensions,
+    branch_split_oracle,
+    normal_form,
+    placement_for_times,
+)
 from contourcalc.parser import parse_equation, parse_superindex
 
 
@@ -160,3 +168,56 @@ def test_normal_form_matches_reference(contour):
                 )
                 checked += 1
     assert checked == {"extended": 2 * 63, "keldysh": 2 * 34}[contour]
+
+
+# ---------------------------------------------------------------------------
+# branch split
+
+
+def _reference_branch_split(eq, target):
+    """The branch split by a plain loop: every branch assignment and every
+    permutation of the real labels, each reduced to its induced components
+    and counted under a key of ``Factor``s; keys that cancel to 0 give no
+    term, the others give their terms in the order the keys first arise."""
+    m_ext = [str(l) for l in target.mats_labels()]
+    branches = ("F", "B", "M") if eq.contour == "extended" else ("F", "B")
+    nf = Counter()
+    for sign_t, chains_t, ext_word in expand_retarded(target.real_items()):
+        for assign in itertools.product(branches, repeat=len(eq.internal)):
+            branch = dict(zip(eq.internal, assign))
+            imag = frozenset(l for l, b in branch.items() if b == "M")
+            real_int = frozenset(eq.internal) - imag
+            m_labels = m_ext + [l for l in eq.internal if l in imag]
+            bfuncs = tuple((f, tuple(l for l in m_labels if l in f.args)) for f in eq.product)
+            sign = sign_t * (-1) ** assign.count("B")
+            for omega in _filtered_permutations(sorted(real_int | set(ext_word)), chains_t):
+                placement = placement_for_times(ext_word, {l: -i for i, l in enumerate(omega)})
+                if placement is None:
+                    continue
+                at = {**branch, **placement}
+                bwd = [l for l in omega if at[l] == "B"]
+                word = tuple(reversed(bwd)) + tuple(l for l in omega if at[l] == "F")
+                factors = component_of_product(bfuncs, word)
+                nf[omega, tuple(sorted(factors, key=Factor.sort_key)), real_int, imag] += sign
+    return tuple(
+        RealTimeTerm(1 if c > 0 else -1, (omega,), factors, real_int, imag)
+        for (omega, factors, real_int, imag), c in nf.items()
+        for _ in range(abs(c))
+    )
+
+
+SELF_ENERGY = "S[a,b] = int{c,d} : G[a,c]*G[c,d]*G[d,b]"
+
+
+@pytest.mark.parametrize("contour", ["extended", "keldysh"])
+def test_branch_split_matches_reference_in_order(contour):
+    # the corpus, chain4, X and a sub-function name used three times
+    structures = [*_structures(contour), ("S", parse_equation(SELF_ENERGY, contour))]
+    checked = 0
+    for name, eq in structures:
+        for tname in catalog.all_targets(eq):
+            target = parse_superindex(tname, eq)
+            reference = _reference_branch_split(eq, target)
+            assert branch_split_oracle(eq, target).terms == reference, (name, tname)
+            checked += 1
+    assert checked == {"extended": 63 + 7, "keldysh": 34 + 4}[contour]
