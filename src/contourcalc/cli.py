@@ -35,6 +35,10 @@ class RunConfig:
             raise RangeError("tolerance must be positive")
         if self.grid < 4:
             raise RangeError("grid size must be at least 4")
+        if self.seeds < 0:
+            raise RangeError("seed count must not be negative")
+        if self.jobs < 1:
+            raise RangeError("job count must be at least 1")
 
 
 def _load_equations(cfg: RunConfig) -> list[ContourEquation]:
@@ -191,7 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tables = sub.add_parser("tables", help="print the reference rule tables")
     common(p_tables, False)
-    p_tables.add_argument("--only", choices=sorted(catalog.CORPUS))
+    p_tables.add_argument(
+        "--only", choices=sorted(s for structures in _TABLES.values() for s in structures)
+    )
 
     return ap
 

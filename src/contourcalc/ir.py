@@ -256,16 +256,6 @@ class ContourEquation:
     def labels(self) -> tuple[str, ...]:
         return self.external + self.internal
 
-    def arg_order(self) -> tuple[str, ...]:
-        """Canonical argument list of the integrand: first appearance order."""
-        seen: dict[str, None] = {}
-        for f in self.product:
-            for a in f.args:
-                seen.setdefault(a, None)
-        for l in self.labels():
-            seen.setdefault(l, None)
-        return tuple(seen)
-
     def __str__(self) -> str:
         prod = " * ".join(str(f) for f in self.product)
         return f"{self.lhs_name}[{','.join(self.external)}] = int{{{','.join(self.internal)}}} : {prod}"

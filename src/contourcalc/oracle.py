@@ -15,7 +15,11 @@ strategy:
 * a numeric one that evaluates both sides of a rule on a shared discrete
   contour.  Forward and backward branches use the same real nodes, so all
   the cancellation lemmas hold node-by-node and agreement is limited only
-  by floating-point rounding, not quadrature error.
+  by floating-point rounding, not quadrature error.  Both sides take their
+  mesh from :func:`_internal_mesh` and evaluate each function with the
+  masked sum over component orders of :func:`_ordered_sum`; the contour
+  side and the sampled orderings take the live external words and their
+  placements from :func:`_placed_words`.
 
 Ties between distinct time labels would break the step-function algebra;
 grids are built tie-free and configurations placing two internals on the
@@ -41,8 +45,6 @@ from .ir import (
     ContourEquation,
     ContourError,
     Factor,
-    Mats,
-    Plain,
     RealTimeExpression,
     RealTimeTerm,
     SubFunction,
@@ -66,10 +68,6 @@ class NotFullyExpanded(ContourError):
 
 # ---------------------------------------------------------------------------
 # symbolic normal form
-
-
-def _chain_holds(chain: Sequence[str], pos: dict[str, int]) -> bool:
-    return all(pos[chain[i]] < pos[chain[i + 1]] for i in range(len(chain) - 1))
 
 
 def _linear_extensions(
@@ -108,14 +106,6 @@ def _linear_extensions(
     return out
 
 
-def _plain_factor(func: SubFunction, mats: Iterable[str], word: Iterable[str]) -> Factor:
-    items = tuple(Plain(l) for l in word)
-    mats = tuple(sorted(mats))
-    if mats:
-        items = (Mats(mats),) + items
-    return Factor(func, SuperIndex(items))
-
-
 def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
     """Expand to the common basis: one key per (Matsubara placement, total
     ordering of the real labels, plain component factors)."""
@@ -138,9 +128,9 @@ def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
         )
         for f in term.factors:
             if f not in expansions:
-                mats = [str(l) for l in f.index.mats_labels()]
+                bf = (f.func, tuple(sorted(str(l) for l in f.index.mats_labels())))
                 expansions[f] = [
-                    (s, chains, ids.setdefault(_plain_factor(f.func, mats, w), len(ids)))
+                    (s, chains, ids.setdefault(component_of_product((bf,), w)[0], len(ids)))
                     for s, chains, w in expand_retarded(f.index)
                 ]
         placed = (frozenset(m_placed), frozenset(term.imag_integrals))
@@ -233,7 +223,6 @@ def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpr
     share one number; the terms get their factors back once, at the end.
     """
     m_ext = tuple(str(l) for l in target.mats_labels())
-    branch_opts = (FWD, BWD) + ((MAT,) if eq.contour == EXTENDED else ())
     nf: Counter = Counter()
     # each distinct induced component gets an int once per call, so the
     # keys hash as ints; they turn back into factors once, at the end
@@ -248,7 +237,7 @@ def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpr
             for order in itertools.permutations(ext_word)
         }
         in_word = frozenset(ext_word).__contains__
-        for assign in itertools.product(branch_opts, repeat=len(eq.internal)):
+        for assign in itertools.product(_branches(eq), repeat=len(eq.internal)):
             internal = dict(zip(eq.internal, assign))
             m_labels = list(m_ext) + [l for l, b in internal.items() if b == MAT]
             sign_b = (-1) ** assign.count(BWD)
@@ -292,10 +281,15 @@ def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpr
     return RealTimeExpression(tuple(terms))
 
 
+def _branches(eq: ContourEquation) -> tuple[str, ...]:
+    """The branches an internal label runs over: F and B, and M on the
+    extended contour."""
+    return (FWD, BWD, MAT) if eq.contour == EXTENDED else (FWD, BWD)
+
+
 def branch_count(eq: ContourEquation) -> int:
     """Integration-domain terms before cancellation: 2**I or 3**I."""
-    base = 3 if eq.contour == EXTENDED else 2
-    return base ** len(eq.internal)
+    return len(_branches(eq)) ** len(eq.internal)
 
 
 # ---------------------------------------------------------------------------
@@ -427,31 +421,54 @@ class ComponentTable:
 # numeric evaluation
 
 
-def _func_value(
-    table: ComponentTable,
+def _ordered_sum(
+    tables: ComponentTable,
     func: SubFunction,
-    kinds: dict[str, str],
+    mset: frozenset,
+    orders: Iterable[tuple[int, tuple, tuple[int, ...]]],
     times: dict[str, object],
     keys: dict[str, object],
 ):
-    """Keldysh-sum lookup of one sub-function on (arrays of) contour points."""
-    mset = frozenset(i + 1 for i, a in enumerate(func.args) if kinds[a] == MAT)
-    k_idx = [i + 1 for i, a in enumerate(func.args) if kinds[a] != MAT]
+    """Sum of sign * theta(chains) * component(korder) over the ``(sign, step
+    chains, korder)`` entries of ``orders``, on (arrays of) points.  A chain
+    lists labels latest first and holds where their ``keys`` decrease
+    strictly along it."""
     arg_times = [times[a] for a in func.args]
-    if not k_idx:
-        return table.component(func.name, mset, (), arg_times)
-    total = None
-    for perm in itertools.permutations(k_idx):
-        mask = 1.0
-        for x, y in zip(perm, perm[1:]):
-            kx = keys[func.args[x - 1]]
-            ky = keys[func.args[y - 1]]
-            mask = mask * (np.asarray(kx) > np.asarray(ky))
-        if len(perm) == 1:
-            mask = np.asarray(1.0)
-        val = mask * table.component(func.name, mset, perm, arg_times)
-        total = val if total is None else total + val
+    total = 0
+    for sign, chains, korder in orders:
+        val = complex(sign)
+        for chain in chains:
+            for x, y in zip(chain, chain[1:]):
+                val = val * (keys[x] > keys[y])
+        total = total + val * tables.component(func.name, mset, korder, arg_times)
     return total
+
+
+def _internal_mesh(grid: DiscreteContour, on_mats: Sequence[bool]):
+    """Sparse axes over a run of internal labels (the vertical nodes where
+    ``on_mats`` holds, the shared real nodes elsewhere), the weight of one
+    mesh point, and the mask that leaves out every point placing two real
+    labels on one node."""
+    nodes = [grid.mats_nodes if m else grid.real_nodes for m in on_mats]
+    axes = np.meshgrid(*nodes, indexing="ij", sparse=True)
+    weight = math.prod(grid.mats_weights[0] if m else grid.real_weights[0] for m in on_mats)
+    mask = np.ones(tuple(len(n) for n in nodes) or (1,), dtype=bool)
+    reals = [t for t, m in zip(axes, on_mats) if not m]
+    for x, y in itertools.combinations(reals, 2):
+        mask &= x != y
+    return axes, weight, mask
+
+
+def _placed_words(target: SuperIndex, times: dict[str, float]) -> list:
+    """The external words of ``target`` whose step chains hold at ``times``,
+    as ``(sign, word, placement)``; the placement is the one of
+    :func:`placement_for_times`, None where the word has none."""
+    out = []
+    for sign, chains, word in expand_retarded(target.real_items()):
+        if all(times[x] > times[y] for c in chains for x, y in zip(c, c[1:])):
+            word = tuple(str(l) for l in word)
+            out.append((sign, word, placement_for_times(word, times)))
+    return out
 
 
 def evaluate_contour_side(
@@ -474,22 +491,10 @@ def evaluate_contour_side(
     m_ext = [str(l) for l in target.mats_labels()]
     for l in set(eq.external) - set(m_ext):
         grid.check_external(external_times[l])
-    branch_opts = [FWD, BWD] + ([MAT] if eq.contour == EXTENDED else [])
     total = 0.0 + 0.0j
     scale = 0.0
     by_kinds: dict = {}
-    for sign_t, chains_t, ext_word in expand_retarded(target.real_items()):
-        ok = all(
-            all(
-                external_times[c[i]] > external_times[c[i + 1]]
-                for i in range(len(c) - 1)
-            )
-            for c in chains_t
-        )
-        if not ok:
-            continue
-        word = tuple(str(l) for l in ext_word)
-        placement = placement_for_times(word, external_times)
+    for sign_t, word, placement in _placed_words(target, external_times):
         if placement is None:
             raise GridTieError(
                 f"contour order {word} is not realisable at these external times"
@@ -502,39 +507,33 @@ def evaluate_contour_side(
         keys = {
             l: grid.contour_key(kinds[l], external_times[l]) for l in eq.external
         }
-        for assign in itertools.product(branch_opts, repeat=len(eq.internal)):
+        for assign in itertools.product(_branches(eq), repeat=len(eq.internal)):
             # sparse axes: each function runs on its own arguments' axes and
             # broadcasts into the full product
-            axes = np.meshgrid(
-                *[grid.mats_nodes if b == MAT else grid.real_nodes for b in assign],
-                indexing="ij",
-                sparse=True,
-            )
-            shape = tuple(grid.n_mats if b == MAT else grid.n_fwd for b in assign) or (1,)
-            weight = 1.0
-            sign = 1
+            axes, weight, mask = _internal_mesh(grid, [b == MAT for b in assign])
             for l, b, t in zip(eq.internal, assign, axes):
                 kinds[l] = b
                 times[l] = t
                 keys[l] = grid.contour_key(b, t)
-                weight *= grid.mats_weights[0] if b == MAT else grid.real_weights[0]
-                if b == BWD:
-                    sign = -sign
-            phase = (-1j) ** sum(1 for b in assign if b == MAT)
-            mask = np.ones(shape, dtype=bool)
-            reals = [l for l, b in zip(eq.internal, assign) if b != MAT]
-            for x, y in itertools.combinations(reals, 2):
-                mask &= times[x] != times[y]
-            if truncate_at is not None:
-                for l in reals:
-                    mask &= times[l] <= truncate_at
-            value = np.ones(shape, dtype=complex)
+                if truncate_at is not None and b != MAT:
+                    mask &= t <= truncate_at
+            sign = (-1) ** assign.count(BWD)
+            phase = (-1j) ** assign.count(MAT)
+            value = np.ones(mask.shape, dtype=complex)
             for f in eq.product:
-                # a function's value depends only on its own arguments' kinds
-                fkey = (f, tuple(kinds[a] for a in f.args))
-                if fkey not in by_kinds:
-                    by_kinds[fkey] = _func_value(tables, f, kinds, times, keys)
-                value = value * by_kinds[fkey]
+                # a function's value depends only on its own arguments' kinds;
+                # it sums one full chain per contour order of its horizontal
+                # arguments, compared on contour keys
+                fkinds = tuple(kinds[a] for a in f.args)
+                if (f, fkinds) not in by_kinds:
+                    horizontal = [i + 1 for i, k in enumerate(fkinds) if k != MAT]
+                    orders = [
+                        (1, ([f.args[i - 1] for i in perm],), perm)
+                        for perm in itertools.permutations(horizontal)
+                    ]
+                    mset = frozenset(i + 1 for i, k in enumerate(fkinds) if k == MAT)
+                    by_kinds[f, fkinds] = _ordered_sum(tables, f, mset, orders, times, keys)
+                value = value * by_kinds[f, fkinds]
             contrib = sign_t * sign * phase * (weight * mask * value).sum()
             total += contrib
             scale += float((weight * mask * np.abs(value)).sum())
@@ -559,37 +558,26 @@ def evaluate_realtime_side(
     for term in expr.terms:
         reals = sorted(term.real_integrals)
         imags = sorted(term.imag_integrals)
-        axes = [grid.real_nodes] * len(reals) + [grid.mats_nodes] * len(imags)
-        mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-        shape = tuple(len(a) for a in axes) or (1,)
+        axes, weight, mask = _internal_mesh(grid, [False] * len(reals) + [True] * len(imags))
         times: dict[str, object] = dict(external_times)
-        for l, t in zip(reals + imags, mesh):
-            times[l] = t
-        weight = math.prod(
-            [grid.real_weights[0]] * len(reals) + [grid.mats_weights[0]] * len(imags)
-        )
-        mask = np.ones(shape, dtype=bool)
-        for x, y in itertools.combinations(reals, 2):
-            mask &= np.asarray(times[x]) != np.asarray(times[y])
-        value = np.ones(shape, dtype=complex)
+        times.update(zip(reals + imags, axes))
+        value = np.ones(mask.shape, dtype=complex)
         for chain in term.steps:
             for x, y in zip(chain, chain[1:]):
-                value = value * (np.asarray(times[x]) > np.asarray(times[y]))
+                value = value * (times[x] > times[y])
         for factor in term.factors:
             if factor not in plans:
-                plans[factor] = _factor_plan(factor, tables)
-            value = value * _factor_value(factor.func, *plans[factor], tables, times)
+                plans[factor] = _factor_plan(factor)
+            value = value * _ordered_sum(tables, factor.func, *plans[factor], times, times)
         phase = term.sign * (-1j) ** len(imags)
         total += phase * (weight * mask * value).sum()
     return total
 
 
-def _factor_plan(factor: Factor, tables: ComponentTable):
+def _factor_plan(factor: Factor):
     """A factor's vertical slots and its plain components, as ``(mset,
     [(sign, step chains, korder)])``."""
     func = factor.func
-    if func.name not in tables.funcs:
-        raise UnknownComponent(f"no table for {func.name}")
     mats = [str(l) for l in factor.index.mats_labels()]
     mset = frozenset(i + 1 for i, a in enumerate(func.args) if a in mats)
     pos = {a: i + 1 for i, a in enumerate(func.args)}
@@ -597,23 +585,6 @@ def _factor_plan(factor: Factor, tables: ComponentTable):
         (sign, chains, tuple(pos[str(l)] for l in word))
         for sign, chains, word in expand_retarded(factor.index)
     ]
-
-
-def _factor_value(
-    func: SubFunction, mset: frozenset, components: list, tables: ComponentTable, times: dict
-):
-    arg_times = [times[a] for a in func.args]
-    total = None
-    for sign, chains, korder in components:
-        val = complex(sign)
-        for chain in chains:
-            for x, y in zip(chain, chain[1:]):
-                val = val * (np.asarray(times[x]) > np.asarray(times[y]))
-        val = val * tables.component(func.name, mset, korder, arg_times)
-        total = val if total is None else total + val
-    if total is None:
-        total = tables.component(func.name, mset, (), arg_times)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -652,17 +623,11 @@ def _ordering_classes(
     non-zero, which the numeric oracle samples."""
     m_ext = set(str(l) for l in target.mats_labels())
     k_ext = [l for l in eq.external if l not in m_ext]
-    words = expand_retarded(target.real_items())
     classes, blocked = [], set()
     for omega in itertools.permutations(k_ext):
-        pos = {l: i for i, l in enumerate(omega)}
         times = {l: float(len(omega) - i) for i, l in enumerate(omega)}
-        live = [
-            tuple(str(l) for l in word)
-            for _, chains, word in words
-            if all(_chain_holds(c, pos) for c in chains)
-        ]
-        if any(placement_for_times(w, times) is None for w in live):
+        live = _placed_words(target, times)
+        if any(placement is None for _, _, placement in live):
             blocked.add(omega)
         elif live:
             classes.append(omega)

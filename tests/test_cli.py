@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from contourcalc.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,6 +123,21 @@ def test_verify_bad_grid_or_tolerance_exit_1(capsys):
         assert captured.err == f"error: {message}\n"
 
 
+def test_verify_negative_seeds_or_jobs_exit_1(capsys):
+    # a negative count would run no numeric check, or silently run serially
+    for option, value, message in (
+        ("--seeds", "-1", "seed count must not be negative"),
+        ("--jobs", "-2", "job count must be at least 1"),
+    ):
+        assert main(["verify", "--input", "convolution", option, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    # no seeds is legal: the symbolic check alone
+    assert main(["verify", "--input", "convolution", "--target", ">", "--seeds", "0"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 1
+
+
 def test_verify_oracle_error_is_fail_record_exit_2(tmp_path, capsys):
     # G has two arities, which the component tables refuse: every numeric
     # record fails with the cause, and the run ends with exit 2
@@ -160,6 +177,15 @@ def test_tables_only_filter(capsys):
     assert main(["tables", "--only", "convolution"]) == 0
     out = capsys.readouterr().out
     assert "convolution" in out and "vertex" not in out
+
+
+def test_tables_only_rejects_structure_without_table(capsys):
+    # chain3 is a corpus structure but in no table: a usage error, not an
+    # empty listing
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "--only", "chain3"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'chain3'" in capsys.readouterr().err
 
 
 def test_entry_point_subprocess():

@@ -12,6 +12,7 @@ import pytest
 
 from contourcalc import catalog
 from contourcalc.compiler import derive_rule
+from contourcalc.engine import expand_retarded
 from contourcalc.ir import (
     ContourEquation,
     RealTimeExpression,
@@ -478,3 +479,73 @@ def test_contour_side_matches_literal_point_sum(case):
     assert want_scale > 0
     assert abs(got - want) <= 1e-12 * want_scale
     assert got_scale == pytest.approx(want_scale, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# real-time side against a literal per-point sum
+
+
+def _literal_realtime_sum(expr, tables, grid, ext_times):
+    """Sum every term over every node of its integrals, one point at a time,
+    leaving out the points where two real integrals share a node; returns
+    (value, scale)."""
+
+    def holds(chains, times):
+        return all(times[x] > times[y] for c in chains for x, y in zip(c, c[1:]))
+
+    total, scale = 0j, 0.0
+    for term in expr.terms:
+        reals, imags = sorted(term.real_integrals), sorted(term.imag_integrals)
+        nodes = (
+            [list(zip(grid.real_nodes, grid.real_weights))] * len(reals)
+            + [list(zip(grid.mats_nodes, grid.mats_weights))] * len(imags)
+        )
+        for point in itertools.product(*nodes):
+            times, weight = dict(ext_times), 1.0
+            for label, (t, w) in zip(reals + imags, point):
+                times[label] = float(t)
+                weight *= w
+            if len({times[l] for l in reals}) < len(reals):
+                continue  # two real internals on one node
+            value = term.sign * (-1j) ** len(imags) * holds(term.steps, times)
+            for f in term.factors:
+                mats = {str(l) for l in f.index.mats_labels()}
+                mset = frozenset(i + 1 for i, a in enumerate(f.func.args) if a in mats)
+                arg_times = [times[a] for a in f.func.args]
+                value *= sum(
+                    sign * tables.component(
+                        f.func.name, mset,
+                        tuple(f.func.args.index(str(l)) + 1 for l in word), arg_times,
+                    )
+                    for sign, chains, word in expand_retarded(f.index)
+                    if holds(chains, times)
+                )
+            total += weight * value
+            scale += weight * abs(value)
+    return total, scale
+
+
+# (equation, target, external times); the double-triangle R and A rules
+# have terms with step chains, the R(...) factors carry their own chains,
+# the rc and lc targets have imaginary integrals, and every real term has
+# two real internals, so the tie exclusion matters
+REALTIME_CASES = [
+    (catalog.double_triangle(), "R", {"a": 1.31, "b": 0.52}),
+    (catalog.double_triangle(), "A", {"a": 0.52, "b": 1.31}),
+    (catalog.double_triangle(), "lc", {"a": 0.4, "b": 1.13}),
+    (catalog.chain3(), "rc", {"a": 0.77, "b": 0.35}),
+    (catalog.chain3(), ">", {"a": 1.7321, "b": 0.61}),
+    (_keldysh(catalog.chain3()), "<", {"a": 0.61, "b": 1.7321}),
+]
+
+
+@pytest.mark.parametrize("case", range(len(REALTIME_CASES)))
+def test_realtime_side_matches_literal_point_sum(case):
+    eq, tname, ext_times = REALTIME_CASES[case]
+    grid = DiscreteContour(n_fwd=3)
+    tables = ComponentTable(eq, seed=7)
+    rule = derive_rule(eq, parse_superindex(tname, eq))
+    got = evaluate_realtime_side(rule, eq, tables, grid, ext_times)
+    want, scale = _literal_realtime_sum(rule, tables, grid, ext_times)
+    assert scale > 0
+    assert abs(got - want) <= 1e-12 * scale
