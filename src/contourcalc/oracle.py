@@ -9,9 +9,10 @@ strategy:
   time labels.  Both symbolic layers number the distinct plain
   components once per call and count keys on tuples of those numbers,
   which hash far faster than the factors; the keys become factors once,
-  at the end.  The branch split skips the orderings whose latest real
-  label is an internal, which cancel between its forward and backward
-  placements;
+  at the end.  They enumerate the total orderings of each distinct (real
+  labels, step chains) pair once per call.  The branch split skips the
+  orderings whose latest real label is an internal, which cancel between
+  its forward and backward placements;
 * a numeric one that evaluates both sides of a rule on a shared discrete
   contour.  Forward and backward branches use the same real nodes, so all
   the cancellation lemmas hold node-by-node and agreement is limited only
@@ -19,7 +20,11 @@ strategy:
   mesh from :func:`_internal_mesh` and evaluate each function with the
   masked sum over component orders of :func:`_ordered_sum`; the contour
   side and the sampled orderings take the live external words and their
-  placements from :func:`_placed_words`.
+  placements from :func:`_placed_words`.  The real-time side builds one
+  mesh per layout of a term's integrals and computes each distinct
+  factor's value and each step comparison on it once per call.
+
+Every such memo lives in one call only; nothing is cached across calls.
 
 Ties between distinct time labels would break the step-function algebra;
 grids are built tie-free and configurations placing two internals on the
@@ -116,6 +121,8 @@ def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
     ids: dict[Factor, int] = {}
     # each distinct factor expands once, into (sign, step chains, component id)
     expansions: dict[Factor, list[tuple[int, tuple, int]]] = {}
+    # the linear extensions of each distinct (real labels, chains), once per call
+    linear_extensions = functools.cache(_linear_extensions)
     for term in expr.terms:
         m_placed: set[str] = set()
         for f in term.factors:
@@ -123,9 +130,9 @@ def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
                 raise NotFullyExpanded(f"factor {f} does not belong to {eq.lhs_name}")
             m_placed.update(str(l) for l in f.index.mats_labels())
         m_placed |= set(term.imag_integrals)
-        real_labels = sorted(
+        real_labels = tuple(sorted(
             (set(eq.labels()) - m_placed - set(eq.internal)) | set(term.real_integrals)
-        )
+        ))
         for f in term.factors:
             if f not in expansions:
                 bf = (f.func, tuple(sorted(str(l) for l in f.index.mats_labels())))
@@ -135,12 +142,13 @@ def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
                 ]
         placed = (frozenset(m_placed), frozenset(term.imag_integrals))
         # a combination of expansion entries holds on the orderings where
-        # the term's chains and all of the entries' chains hold
+        # the term's chains and all of the entries' chains hold; many
+        # combinations share their labels and chains
         for combo in itertools.product(*(expansions[f] for f in term.factors)):
             sign = term.sign * math.prod(s for s, _, _ in combo)
             chains = term.steps + tuple(c for _, cs, _ in combo for c in cs)
             factors = tuple(sorted(i for _, _, i in combo))
-            for omega in _linear_extensions(real_labels, chains):
+            for omega in linear_extensions(real_labels, chains):
                 nf[placed + (omega, factors)] += sign
     factor_tuple = _numbered_factors(ids)
     return Counter({
@@ -230,6 +238,8 @@ def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpr
     # a function's component depends only on its Matsubara labels and the
     # contour order of its horizontal ones, which many orderings share
     induced: dict[tuple[int, tuple[str, ...], tuple[str, ...]], int] = {}
+    # the assignments with the same real internals share their orderings
+    linear_extensions = functools.cache(_linear_extensions)
     for sign_t, chains_t, ext_word in expand_retarded(target.real_items()):
         # placement for each real-time order of the word's labels, latest first
         placements = {
@@ -243,12 +253,12 @@ def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpr
             sign_b = (-1) ** assign.count(BWD)
             imag = frozenset(l for l, b in internal.items() if b == MAT)
             real_int = frozenset(eq.internal) - imag
-            real_labels = sorted(real_int.union(ext_word))
+            real_labels = tuple(sorted(real_int.union(ext_word)))
             bfuncs: tuple[BFunc, ...] = tuple(
                 (f, tuple(l for l in m_labels if l in f.args)) for f in eq.product
             )
             horizontal = [set(f.args).difference(m) for f, m in bfuncs]
-            for omega in _linear_extensions(real_labels, chains_t):
+            for omega in linear_extensions(real_labels, chains_t):
                 # a latest internal gives the same word on F as on B, with
                 # opposite signs: the two assignments cancel
                 if omega and omega[0] in real_int:
@@ -551,24 +561,39 @@ def evaluate_realtime_side(
 ):
     """Evaluate a compiled rule on the same grid and weights as the contour
     side; real integrals run over the shared real nodes, imaginary ones
-    over the vertical nodes with the implicit -i per integral."""
+    over the vertical nodes with the implicit -i per integral.
+
+    Terms sharing a layout -- their sorted real and sorted imaginary
+    integrals -- share one mesh, and on it each distinct factor's value and
+    each step comparison is computed once per call.  Each term still
+    multiplies its own values in its own order and sums its own points, so
+    the result is that of evaluating the terms one by one."""
     total = 0.0 + 0.0j
     # each distinct factor expands once per call
     plans: dict[Factor, tuple] = {}
+    # layout -> (times, weight, mask, step values, factor values)
+    layouts: dict[tuple, tuple] = {}
     for term in expr.terms:
-        reals = sorted(term.real_integrals)
-        imags = sorted(term.imag_integrals)
-        axes, weight, mask = _internal_mesh(grid, [False] * len(reals) + [True] * len(imags))
-        times: dict[str, object] = dict(external_times)
-        times.update(zip(reals + imags, axes))
+        reals = tuple(sorted(term.real_integrals))
+        imags = tuple(sorted(term.imag_integrals))
+        if (reals, imags) not in layouts:
+            axes, weight, mask = _internal_mesh(grid, [False] * len(reals) + [True] * len(imags))
+            times: dict[str, object] = dict(external_times)
+            times.update(zip(reals + imags, axes))
+            layouts[reals, imags] = (times, weight, mask, {}, {})
+        times, weight, mask, steps, values = layouts[reals, imags]
         value = np.ones(mask.shape, dtype=complex)
         for chain in term.steps:
             for x, y in zip(chain, chain[1:]):
-                value = value * (times[x] > times[y])
+                if (x, y) not in steps:
+                    steps[x, y] = times[x] > times[y]
+                value = value * steps[x, y]
         for factor in term.factors:
-            if factor not in plans:
-                plans[factor] = _factor_plan(factor)
-            value = value * _ordered_sum(tables, factor.func, *plans[factor], times, times)
+            if factor not in values:
+                if factor not in plans:
+                    plans[factor] = _factor_plan(factor)
+                values[factor] = _ordered_sum(tables, factor.func, *plans[factor], times, times)
+            value = value * values[factor]
         phase = term.sign * (-1j) ** len(imags)
         total += phase * (weight * mask * value).sum()
     return total

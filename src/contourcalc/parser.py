@@ -116,8 +116,9 @@ class _Scanner:
                 self.pos += 1
                 return labels
             if labels:
-                if self.peek() == ",":
-                    self.pos += 1
+                if self.peek() != ",":
+                    self.error(f"expected ',' or {close!r} after a label")
+                self.pos += 1
             labels.append(self.ident())
 
 

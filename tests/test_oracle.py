@@ -549,3 +549,35 @@ def test_realtime_side_matches_literal_point_sum(case):
     want, scale = _literal_realtime_sum(rule, tables, grid, ext_times)
     assert scale > 0
     assert abs(got - want) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# real-time side: terms sharing a mesh
+
+LADDER = "G[a,b] = int{c,d,e,f} : A[a,c]*B[a,d]*C[c,d]*D[c,e]*E[d,f]*F[e,f]*H[e,b]*K[f,b]"
+
+
+def test_realtime_side_is_the_sum_of_its_terms_over_many_layouts():
+    # the extended ladder > rule integrates over 16 different layouts of
+    # real and imaginary integrals, and shares factors between them
+    eq = parse_equation(LADDER)
+    rule = derive_rule(eq, parse_superindex(">", eq))
+    layouts = {(frozenset(t.real_integrals), frozenset(t.imag_integrals)) for t in rule}
+    assert len(layouts) == 16
+    grid = DiscreteContour(n_fwd=3)
+    ext_times = {"a": 1.31, "b": 0.52}
+
+    def evaluate(seed):
+        return evaluate_realtime_side(rule, eq, ComponentTable(eq, seed), grid, ext_times)
+
+    tables = ComponentTable(eq, 0)
+    by_term = 0j
+    for term in rule:
+        by_term += evaluate_realtime_side(
+            RealTimeExpression((term,)), eq, tables, grid, ext_times
+        )
+    first = evaluate(0)
+    assert first == by_term
+    # values computed for one table are not reused for another
+    assert evaluate(1) != first
+    assert evaluate(0) == first

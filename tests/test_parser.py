@@ -9,6 +9,7 @@ from contourcalc.ir import Mats, Plain, Ret, to_hacek
 from contourcalc.parser import (
     ArityMismatch,
     EquationSyntaxError,
+    SourceSpan,
     parse_equation,
     parse_file,
     parse_superindex,
@@ -74,6 +75,20 @@ def test_validation_error_carries_span():
         parse_equation("D[a,b] = int{a} : A[a,b]")
     assert "Overlapping" in str(err.value)
     assert err.value.span.end >= err.value.span.start
+
+
+@pytest.mark.parametrize(
+    "text, at",
+    [
+        ("G[a b] = int{c} : A[a,c]*B[c,b]", 4),  # lhs
+        ("G[a,b] = int{c d} : A[a,c]*B[c,d]*C[d,b]", 15),  # int{}
+        ("G[a,b] = int{c} : A[a c]*B[c,b]", 22),  # a factor
+    ],
+)
+def test_labels_need_commas(text, at):
+    with pytest.raises(EquationSyntaxError, match="expected ','") as err:
+        parse_equation(text)
+    assert err.value.span == SourceSpan(at, at)
 
 
 def test_dangling_internal_rejected():
