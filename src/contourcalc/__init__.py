@@ -61,6 +61,6 @@ from .oracle import (
     normal_form_equal,
     verify,
 )
-from .parser import ArityMismatch, EquationSyntaxError, parse_equation, parse_file, parse_superindex, pretty
+from .parser import ArityMismatch, EquationSyntaxError, parse_equation, parse_file, parse_superindex
 
 __all__ = [name for name in dir() if not name.startswith("_")]

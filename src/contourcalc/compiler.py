@@ -40,6 +40,8 @@ from .ir import (
     SubFunction,
     SuperIndex,
     TWO_POINT,
+    _index_text,
+    _signed_sum,
     canonicalize,
     connected,
     item_labels,
@@ -598,18 +600,6 @@ def langreth_name(factor: Factor) -> Optional[str]:
     return None
 
 
-def _latex_item(item: Item, hacek: bool) -> str:
-    if isinstance(item, Plain):
-        return str(item.label) if hacek else r"\check{%s}" % item.label
-    if isinstance(item, Mats):
-        inner = "".join(
-            str(l) if hacek else r"\check{%s}" % l for l in item.labels
-        )
-        return "M(%s)" % inner
-    rest = "".join(_latex_item(e, hacek) for e in item.rest)
-    return "R(%s,%s)" % (_latex_item(item.top, hacek), rest)
-
-
 def _render_factor(factor: Factor, fmt: str, naming: str) -> str:
     if naming == "langreth":
         key = langreth_name(factor)
@@ -618,12 +608,9 @@ def _render_factor(factor: Factor, fmt: str, naming: str) -> str:
                 f"factor {factor} is not a two-point component; use hacek naming"
             )
         sup = TWO_POINT[key].latex if fmt == "latex" else TWO_POINT[key].text
-        return f"{factor.func.name}^{{{sup}}}"
-    index = factor.hacek() if naming == "hacek" else factor.index
-    if fmt == "latex":
-        sup = "".join(_latex_item(i, naming == "hacek") for i in index.items)
-        return f"{factor.func.name}^{{{sup}}}"
-    return f"{factor.func.name}^{{{index}}}"
+    else:
+        sup = _index_text(factor, naming == "hacek", fmt == "latex")
+    return f"{factor.func.name}^{{{sup}}}"
 
 
 def _render_term(term: RealTimeTerm, fmt: str, naming: str) -> str:
@@ -663,17 +650,7 @@ def emit(
         raise ValueError(f"unknown format {format!r}")
     if naming not in ("langreth", "hacek", "labeled"):
         raise ValueError(f"unknown naming {naming!r}")
-    if not expr.terms:
-        body = "0"
-    else:
-        parts = []
-        for i, term in enumerate(expr.terms):
-            rendered = _render_term(term, format, naming)
-            if i == 0:
-                parts.append(rendered if term.sign > 0 else "- " + rendered)
-            else:
-                parts.append(("+ " if term.sign > 0 else "- ") + rendered)
-        body = " ".join(parts)
+    body = _signed_sum((t.sign, _render_term(t, format, naming)) for t in expr.terms)
     if lhs is None:
         return body
     return f"{lhs} = {body}"

@@ -14,7 +14,6 @@ threads.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
@@ -107,13 +106,15 @@ def top_label(item: Item) -> LabelLike:
     raise CoverError("a Matsubara set has no top label")
 
 
-def render_item(item: Item, sep: str = "") -> str:
+def render_item(item: Item, sep: str = "", label: Callable[[LabelLike], str] = str) -> str:
+    """An item's text, with ``sep`` between entries and each label written
+    by ``label``."""
     if isinstance(item, Plain):
-        return str(item.label)
+        return label(item.label)
     if isinstance(item, Mats):
-        return "M(%s)" % sep.join(str(l) for l in item.labels)
-    rest = sep.join(render_item(e, sep) for e in item.rest)
-    return "R(%s,%s)" % (render_item(item.top, sep), rest)
+        return "M(%s)" % sep.join(label(l) for l in item.labels)
+    rest = sep.join(render_item(e, sep, label) for e in item.rest)
+    return "R(%s,%s)" % (render_item(item.top, sep, label), rest)
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +345,16 @@ class LinearCombination:
         return cls(tuple((sign, plain_index(word, mode)) for sign, word in words))
 
     def __str__(self) -> str:
-        bits = []
-        for i, (sign, si) in enumerate(self.terms):
-            prefix = ("" if i == 0 else "+ ") if sign > 0 else "- "
-            bits.append(prefix + str(si))
-        return " ".join(bits) or "0"
+        return _signed_sum((sign, str(si)) for sign, si in self.terms)
+
+
+def _signed_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """``a - b + c``: no ``+`` before the first term, ``- `` before every
+    negative one, and ``0`` for no terms."""
+    bits = []
+    for i, (sign, text) in enumerate(terms):
+        bits.append((("+ " if i else "") if sign > 0 else "- ") + text)
+    return " ".join(bits) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -369,22 +375,31 @@ class Factor:
         if len(cover) != len(self.func.args):
             raise CoverError(f"index {self.index} does not cover the arity of {self.func}")
 
-    def hacek(self) -> SuperIndex:
-        return to_hacek(self.index, self.func.args)
-
     def __str__(self) -> str:
         return f"{self.func.name}^{{{self.index}}}"
 
     def sort_key(self):
-        return _factor_sort_key(self)
+        # the arguments only break ties between factors of one name
+        return (self.func.name, _index_text(self, True, False), self.func.args)
 
 
-# the oracles sort the same factors many times; a bounded memo keeps the key
-# from being rebuilt through to_hacek on every comparison
-@functools.lru_cache(maxsize=4096)
-def _factor_sort_key(factor: Factor):
-    # the arguments only break ties between factors of one name
-    return (factor.func.name, str(factor.hacek()), factor.func.args)
+def _index_text(factor: Factor, hacek: bool, latex: bool) -> str:
+    """A factor's super-index by argument position (``hacek``) or by label,
+    as text or as LaTeX (labels in ``\\check``, no separator).
+
+    The hacek text is ``str(to_hacek(factor.index, factor.func.args))``: the
+    index covers every argument once, so positions reach two digits, and
+    are then separated by ``,``, from the tenth argument on.
+    """
+    args = factor.func.args
+    if hacek:
+        label = {a: str(i) for i, a in enumerate(args, 1)}.__getitem__
+    elif latex:
+        label = lambda l: r"\check{%s}" % l
+    else:
+        return str(factor.index)
+    sep = "," if hacek and not latex and len(args) >= 10 else ""
+    return sep.join(render_item(i, sep, label) for i in factor.index.items)
 
 
 @dataclass(frozen=True)

@@ -662,6 +662,8 @@ def _ordering_classes(
 # draws of external times before _sample_times gives up; a tie has
 # probability zero, so only a broken generator exhausts them
 SAMPLE_ATTEMPTS = 100
+# numeric samples per order class of the external times, per seed
+SAMPLES_PER_CLASS = 2
 
 
 def _sample_times(
@@ -701,7 +703,6 @@ def verify(
     seeds: Sequence[int] = (0, 1, 2),
     grid_size: int = 24,
     tol: float = 1e-8,
-    samples_per_class: int = 2,
     rule: Optional[RealTimeExpression] = None,
 ) -> list[VerifyRecord]:
     """Check one rule symbolically and numerically; failures are records,
@@ -737,7 +738,7 @@ def verify(
         try:
             tables = ComponentTable(eq, seed)
             for omega in classes:
-                for _ in range(samples_per_class):
+                for _ in range(SAMPLES_PER_CLASS):
                     times = _sample_times(eq, target, omega, grid, rng)
                     lhs = evaluate_contour_side(eq, target, tables, grid, times)
                     rhs = evaluate_realtime_side(rule, eq, tables, grid, times)

@@ -204,12 +204,6 @@ def _revalidate(eq: ContourEquation, spans: dict[str, SourceSpan], text: str):
         raise EquationSyntaxError(str(first), span, text)
 
 
-def pretty(eq: ContourEquation) -> str:
-    """Canonical text form; ``parse_equation(pretty(eq))`` is the identity."""
-    prod = "*".join(f"{f.name}[{','.join(f.args)}]" for f in eq.product)
-    return f"{eq.lhs_name}[{','.join(eq.external)}] = int{{{','.join(eq.internal)}}} : {prod}"
-
-
 # ---------------------------------------------------------------------------
 # target super-indices
 
@@ -271,20 +265,29 @@ def _parse_items(raw: str, target: ContourEquation):
             letters_seen = True
         return name
 
+    def set_entries(start: int, read, empty: str) -> list:
+        # the entries of a set opened at ``start``, up to and past its ')'
+        entries = []
+        while sc.peek() != ")":
+            if sc.eof():
+                sc.error("expected ')'")
+            entries.append(read())
+            if sc.peek() == ",":
+                sc.pos += 1
+        if not entries:
+            raise EquationSyntaxError(empty, SourceSpan(start, sc.pos), raw)
+        sc.pos += 1
+        return entries
+
     def entry() -> Item:
         c = sc.peek()
         if c == "R" and sc.text[sc.pos + 1 : sc.pos + 2] == "(":
+            start = sc.pos
             sc.pos += 2
             top = entry()
             if sc.peek() == ",":
                 sc.pos += 1
-            rest: list[Item] = []
-            while sc.peek() != ")":
-                rest.append(entry())
-                if sc.peek() == ",":
-                    sc.pos += 1
-            sc.pos += 1
-            return Ret(top, tuple(rest))
+            return Ret(top, tuple(set_entries(start, entry, "a retarded set needs a retarded entry")))
         return Plain(label())
 
     items: list[Item] = []
@@ -292,14 +295,9 @@ def _parse_items(raw: str, target: ContourEquation):
     while not sc.eof():
         c = sc.peek()
         if first and c == "M" and sc.text[sc.pos + 1 : sc.pos + 2] == "(":
+            start = sc.pos
             sc.pos += 2
-            labels = []
-            while sc.peek() != ")":
-                labels.append(label())
-                if sc.peek() == ",":
-                    sc.pos += 1
-            sc.pos += 1
-            items.append(Mats(tuple(labels)))
+            items.append(Mats(tuple(set_entries(start, label, "a Matsubara set needs a label"))))
         else:
             items.append(entry())
         first = False

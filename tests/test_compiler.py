@@ -21,6 +21,7 @@ from contourcalc.ir import (
     SuperIndex,
     canonicalize,
     direct_edges,
+    to_hacek,
 )
 from contourcalc.oracle import normal_form_equal
 from contourcalc.parser import parse_equation, parse_superindex
@@ -278,3 +279,83 @@ def test_three_external_composition_consistency():
     # mixed vertical placement at E = 3 reduces to a single chain term
     r3 = derive_rule(eq, parse_superindex("M(b)R(a,c)", eq))
     assert len(r3.terms) == 1
+
+
+# the structures whose factors pin the writer: the corpus, the chain of four
+# convolutions, the ladder, three horizontal externals and a repeated name
+WRITER_STRUCTURES = [f() for f in catalog.CORPUS.values()] + [
+    parse_equation(text)
+    for text in (
+        "G[a,b] = int{c,d,e,f} : A[a,c]*B[c,d]*C[d,e]*D[e,f]*E[f,b]",
+        "G[a,b] = int{c,d,e,f} : A[a,c]*B[a,d]*C[c,d]*D[c,e]*E[d,f]*F[e,f]*H[e,b]*K[f,b]",
+        "X[a,b,c] = int{u,v} : A[a,u]*B[u,b]*C[u,v]*D[v,c]",
+        "S[a,b] = int{c,d} : G[a,c]*G[c,d]*G[d,b]",
+    )
+]
+
+TEN = parse_equation("W[a,b,c,d,e,f,g,h,i,j] = int{k} : A[a,k]*K[k,b,c,d,e,f,g,h,i,j]")
+
+
+def test_factor_sort_key_is_the_positional_index():
+    checked = 0
+    for eq in WRITER_STRUCTURES:
+        for contour_eq in (eq, _keldysh(eq)):
+            for name in catalog.all_targets(contour_eq):
+                rule = derive_rule(contour_eq, parse_superindex(name, contour_eq))
+                for term in rule:
+                    for f in term.factors:
+                        expected = (f.func.name, str(to_hacek(f.index, f.func.args)), f.func.args)
+                        assert f.sort_key() == expected
+                        checked += 1
+    assert checked > 1000
+
+
+def test_emit_ten_argument_factor():
+    # positions reach two digits: the text form separates them with ',',
+    # LaTeX never does
+    rule = derive_rule(TEN, parse_superindex("R(a,bc)defghij", TEN))
+    assert emit(rule, "text", "hacek") == (
+        "∫{k} Θ(bc) A^{R(1,2)} K^{R(R(1,2),3),4,5,6,7,8,9,10}"
+        " + ∫{k} Θ(cb) A^{R(1,2)} K^{R(R(1,3),2),4,5,6,7,8,9,10}"
+    )
+    assert emit(rule, "latex", "hacek") == (
+        r"\int_{k} \Theta_{bc} A^{R(1,2)} K^{R(R(1,2),3)45678910}"
+        r" + \int_{k} \Theta_{cb} A^{R(1,2)} K^{R(R(1,3),2)45678910}"
+    )
+    assert emit(rule, "latex", "labeled") == (
+        r"\int_{k} \Theta_{bc} A^{R(\check{a},\check{k})} K^{R(R(\check{k},\check{b}),\check{c})"
+        r"\check{d}\check{e}\check{f}\check{g}\check{h}\check{i}\check{j}}"
+        r" + \int_{k} \Theta_{cb} A^{R(\check{a},\check{k})} K^{R(R(\check{k},\check{c}),\check{b})"
+        r"\check{d}\check{e}\check{f}\check{g}\check{h}\check{i}\check{j}}"
+    )
+    # a Matsubara set holding the tenth argument
+    rule = derive_rule(TEN, parse_superindex("M(j)abcdefghi", TEN))
+    tail = RealTimeExpression(rule.terms[-2:])
+    assert emit(tail, "text", "hacek") == (
+        "∫{k} A^{R(1,2)} K^{M(10),1,2,3,4,5,6,7,8,9}"
+        " + ⋆{k} A^{M(2)1} K^{M(10,1),2,3,4,5,6,7,8,9}"
+    )
+    assert emit(tail, "latex", "hacek") == (
+        r"\int_{k} A^{R(1,2)} K^{M(10)123456789} + \star_{k} A^{M(2)1} K^{M(101)23456789}"
+    )
+    assert emit(tail, "latex", "labeled") == (
+        r"\int_{k} A^{R(\check{a},\check{k})} K^{M(\check{j})\check{k}\check{b}\check{c}"
+        r"\check{d}\check{e}\check{f}\check{g}\check{h}\check{i}}"
+        r" + \star_{k} A^{M(\check{k})\check{a}} K^{M(\check{j}\check{k})\check{b}\check{c}"
+        r"\check{d}\check{e}\check{f}\check{g}\check{h}\check{i}}"
+    )
+
+
+def test_compiler_never_rebuilds_indices_through_to_hacek(monkeypatch):
+    import contourcalc.ir
+
+    def refuse(*args):
+        raise AssertionError("to_hacek called")
+
+    monkeypatch.setattr(contourcalc.ir, "to_hacek", refuse)
+    for eq, name in ((catalog.vertex(), "lc"), (TEN, "R(a,bc)defghij")):
+        rule = derive_rule(eq, parse_superindex(name, eq))
+        assert canonicalize(rule) == rule
+        for fmt in ("text", "latex"):
+            for naming in ("hacek", "labeled"):
+                assert emit(rule, fmt, naming)

@@ -205,3 +205,22 @@ def test_linear_combination_from_words():
     lc = LinearCombination.from_words([(1, ("e", "i")), (-1, ("i", "e"))])
     assert str(lc) == "ei - ie"
     assert lc.terms[0][1].items == (Plain("e"), Plain("i"))
+
+
+@given(st.integers(1, 12), st.data())
+@settings(max_examples=120, deadline=None)
+def test_factor_sort_key_writes_the_hacek_index(arity, data):
+    # the positional text is written straight from the labeled index; ten
+    # or more arguments give two-digit positions, separated by ','
+    args = tuple(f"x{i}" for i in range(arity))
+    si = data.draw(_index_over(args))
+    f = Factor(SubFunction("F", args), si)
+    assert f.sort_key() == ("F", str(to_hacek(si, args)), args)
+
+
+def test_linear_combination_signs():
+    from contourcalc.ir import LinearCombination
+
+    assert str(LinearCombination(())) == "0"
+    lc = LinearCombination.from_words([(-1, ("a", "b")), (1, ("b", "a")), (-1, ("a",))])
+    assert str(lc) == "- ab + ba - a"

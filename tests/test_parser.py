@@ -13,7 +13,6 @@ from contourcalc.parser import (
     parse_equation,
     parse_file,
     parse_superindex,
-    pretty,
 )
 
 
@@ -61,7 +60,7 @@ def test_pretty_parse_round_trip():
         "F[a] = int{b,c} : A[a,b]*B[a,c]*C[b,c]",
     ):
         eq = parse_equation(text)
-        assert parse_equation(pretty(eq)) == eq
+        assert parse_equation(str(eq)) == eq
 
 
 def test_syntax_error_has_span():
@@ -174,8 +173,32 @@ CORPUS_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / 
 
 def test_pretty_round_trip_corpus_file():
     for eq in parse_file(CORPUS_FILE.read_text("utf-8")):
-        assert parse_equation(pretty(eq)) == eq
+        assert parse_equation(str(eq)) == eq
 
 
 def test_corpus_file_is_the_catalog_corpus():
     assert parse_file(CORPUS_FILE.read_text("utf-8")) == [f() for f in catalog.CORPUS.values()]
+
+
+@pytest.mark.parametrize(
+    "text, message, span",
+    [
+        ("R(1)2", "a retarded set needs a retarded entry", (0, 3)),
+        ("R(1,)2", "a retarded set needs a retarded entry", (0, 4)),
+        ("R(R(1,2),)3", "a retarded set needs a retarded entry", (0, 9)),
+        ("M()12", "a Matsubara set needs a label", (0, 2)),
+    ],
+)
+def test_empty_set_rejected(text, message, span):
+    eq = parse_equation("X[a,b,c] = int{} : A[a,b]*B[b,c]")
+    with pytest.raises(EquationSyntaxError, match=message) as err:
+        parse_superindex(text, eq)
+    assert (err.value.span.start, err.value.span.end) == span
+
+
+@pytest.mark.parametrize("text", ["R(1,2", "M(1", "R(1,R(2,3)", "M(12)R(3"])
+def test_unclosed_set_reports_missing_paren(text):
+    eq = parse_equation("X[a,b,c] = int{} : A[a,b]*B[b,c]")
+    with pytest.raises(EquationSyntaxError, match="expected '\\)'") as err:
+        parse_superindex(text, eq)
+    assert err.value.span.end == len(text) - 1
