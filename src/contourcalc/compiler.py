@@ -591,13 +591,20 @@ def langreth_name(factor: Factor) -> Optional[str]:
     """Two-point shorthand key for a factor, or None if it has none."""
     if len(factor.func.args) != 2:
         return None
-    x, y = factor.func.args
-    items = factor.index.items
+    return _two_point_kinds(*factor.func.args).get(factor.index.items)
+
+
+@functools.lru_cache(maxsize=1024)
+def _two_point_kinds(x: str, y: str) -> dict:
+    """The shorthand key of each two-point item tuple on arguments (x, y),
+    the first in ``TWO_POINT`` order where two keys share one tuple."""
+    kinds: dict = {}
     for kind, tp in TWO_POINT.items():
-        # the Matsubara component is M(xy) and M(yx) alike
-        if items == tp.items(x, y) or (kind == "M" and items == tp.items(y, x)):
-            return kind
-    return None
+        kinds.setdefault(tp.items(x, y), kind)
+        if kind == "M":
+            # the Matsubara component is M(xy) and M(yx) alike
+            kinds.setdefault(tp.items(y, x), kind)
+    return kinds
 
 
 def _render_factor(factor: Factor, fmt: str, naming: str) -> str:

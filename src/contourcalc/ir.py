@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 LabelLike = Union[str, int]
@@ -425,24 +426,6 @@ class RealTimeTerm:
         """Identity of the term up to sign."""
         return (self.steps, self.factors, self.real_integrals, self.imag_integrals)
 
-    def sort_key(self):
-        return (
-            tuple(sorted(self.imag_integrals)),
-            tuple(sorted(self.real_integrals)),
-            tuple(f.sort_key() for f in self.factors),
-            self.steps,
-            -self.sign,
-        )
-
-    def sorted(self) -> "RealTimeTerm":
-        return RealTimeTerm(
-            self.sign,
-            tuple(sorted(self.steps)),
-            tuple(sorted(self.factors, key=Factor.sort_key)),
-            self.real_integrals,
-            self.imag_integrals,
-        )
-
 
 @dataclass(frozen=True)
 class RealTimeExpression:
@@ -455,6 +438,9 @@ class RealTimeExpression:
         return len(self.terms)
 
 
+_first = itemgetter(0)
+
+
 def canonicalize(expr: RealTimeExpression) -> RealTimeExpression:
     """Deterministic form: sorted factors and terms, cancelled term pairs.
 
@@ -462,17 +448,25 @@ def canonicalize(expr: RealTimeExpression) -> RealTimeExpression:
     the calculus never produces other scalars, so such a merge is a bug in
     the caller.
     """
+    # each factor's sort key is computed once per occurrence; a term's
+    # factor keys also place it in the output order
     merged: dict = {}
     for term in expr.terms:
-        t = term.sorted()
-        merged[t.key()] = merged.get(t.key(), 0) + t.sign
+        keyed = sorted(((f.sort_key(), f) for f in term.factors), key=_first)
+        factors = tuple(f for _, f in keyed)
+        key = (tuple(sorted(term.steps)), factors, term.real_integrals, term.imag_integrals)
+        entry = merged.get(key)
+        if entry is None:
+            entry = merged[key] = [0, tuple(k for k, _ in keyed)]
+        entry[0] += term.sign
     out = []
-    for key, coeff in merged.items():
+    for key, (coeff, factor_keys) in merged.items():
         if coeff == 0:
             continue
         if coeff not in (1, -1):
             raise ValueError(f"non-unit coefficient {coeff} for term {key}")
         steps, factors, real, imag = key
-        out.append(RealTimeTerm(coeff, steps, factors, real, imag))
-    out.sort(key=RealTimeTerm.sort_key)
-    return RealTimeExpression(tuple(out))
+        order = (tuple(sorted(imag)), tuple(sorted(real)), factor_keys, steps, -coeff)
+        out.append((order, RealTimeTerm(coeff, steps, factors, real, imag)))
+    out.sort(key=_first)
+    return RealTimeExpression(tuple(t for _, t in out))

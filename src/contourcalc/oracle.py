@@ -16,15 +16,30 @@ strategy:
 * a numeric one that evaluates both sides of a rule on a shared discrete
   contour.  Forward and backward branches use the same real nodes, so all
   the cancellation lemmas hold node-by-node and agreement is limited only
-  by floating-point rounding, not quadrature error.  Both sides take their
-  mesh from :func:`_internal_mesh` and evaluate each function with the
-  masked sum over component orders of :func:`_ordered_sum`; the contour
-  side and the sampled orderings take the live external words and their
-  placements from :func:`_placed_words`.  The real-time side builds one
-  mesh per layout of a term's integrals and computes each distinct
-  factor's value and each step comparison on it once per call.
+  by floating-point rounding, not quadrature error.  Both sides evaluate
+  each function with the masked sum over component orders of
+  :func:`_ordered_sum`; the contour side and the sampled orderings take
+  the live external words and their placements from :func:`_placed_words`.
+  The real-time side takes one mesh per layout of a term's integrals from
+  :func:`_internal_mesh` and computes each distinct factor's value and
+  each step comparison on it once per call.  The contour side gives each
+  internal label a branch axis (2 or 3 branches) and a node axis (N
+  nodes), so there is no loop over branch assignments: each function is
+  one tensor over the (branch, node) axes of its internal arguments, and
+  each label's weight (+dt, -dt or -i*dm) is folded into the first tensor
+  that carries it.  Its sum leaves out the points where two labels sit on
+  real branches at one node.  Up to :data:`DENSE_POINTS_MAX` points of the
+  dense (branch, node) mesh it is one broadcast product times a tie mask;
+  above it, a Moebius sum over the set partitions of the internal labels,
+  one contraction per partition, in which the labels of one block share a
+  node axis and keep only their real branches.
 
-Every such memo lives in one call only; nothing is cached across calls.
+Per-call memos aside, three bounded caches live as long as the process:
+the component table of each (equation, seed), 64 entries; the tie mask of
+each (branches, nodes, labels), 16; and the partition plan (branch slices
+and contraction path) of each (operand labels, internal labels, mesh
+shape), 256.  Each holds values that are never changed after they are
+built.
 
 Ties between distinct time labels would break the step-function algebra;
 grids are built tie-free and configurations placing two internals on the
@@ -427,6 +442,13 @@ class ComponentTable:
         return total
 
 
+@functools.lru_cache(maxsize=64)
+def _component_table(eq: ContourEquation, seed: int) -> ComponentTable:
+    """The table of ``(eq, seed)``, built once per process while it stays
+    among the 64 most recently used; tables are immutable once built."""
+    return ComponentTable(eq, seed)
+
+
 # ---------------------------------------------------------------------------
 # numeric evaluation
 
@@ -452,6 +474,207 @@ def _ordered_sum(
                 val = val * (keys[x] > keys[y])
         total = total + val * tables.component(func.name, mset, korder, arg_times)
     return total
+
+
+def _branch_weights(eq: ContourEquation, grid: DiscreteContour, truncate_at: Optional[float]):
+    """The weight ``w[branch, node]`` of one internal label: +dt on F, -dt on
+    B and -i*dm on M, zero on the real nodes past ``truncate_at``."""
+    real = grid.real_weights.astype(complex)
+    if truncate_at is not None:
+        real[grid.real_nodes > truncate_at] = 0
+    rows = [real, -real] + ([-1j * grid.mats_weights] if eq.contour == EXTENDED else [])
+    return np.array(rows)
+
+
+def _contour_operands(
+    eq: ContourEquation,
+    tables: ComponentTable,
+    grid: DiscreteContour,
+    kinds: dict[str, str],
+    external_times: dict[str, float],
+    weight: np.ndarray,
+) -> list[tuple[tuple[str, ...], np.ndarray]]:
+    """One tensor per function, as ``(internal labels, tensor)``, over a
+    (branch, node) axis pair per internal argument, in ``eq.internal`` order.
+
+    Each block of a tensor (one branch per label) is the masked sum over the
+    contour orders of the function's horizontal arguments, compared on
+    contour keys, written straight into its slot.  Each label's weight is
+    folded into the first tensor that carries it."""
+    branches = _branches(eq)
+    nodes = {FWD: grid.real_nodes, BWD: grid.real_nodes, MAT: grid.mats_nodes}
+    kinds = dict(kinds)
+    times: dict[str, object] = {l: external_times[l] for l in eq.external}
+    keys = {l: grid.contour_key(kinds[l], times[l]) for l in eq.external}
+    unweighted = list(eq.internal)
+    operands = []
+    for f in eq.product:
+        labels = tuple(l for l in eq.internal if l in f.args)
+        tensor = np.empty(weight.shape * len(labels), dtype=complex)
+        for pattern in itertools.product(range(len(branches)), repeat=len(labels)):
+            axes = np.meshgrid(*(nodes[branches[b]] for b in pattern), indexing="ij", sparse=True)
+            for l, b, t in zip(labels, pattern, axes):
+                kinds[l] = branches[b]
+                times[l] = t
+                keys[l] = grid.contour_key(branches[b], t)
+            fkinds = [kinds[a] for a in f.args]
+            horizontal = [i + 1 for i, k in enumerate(fkinds) if k != MAT]
+            orders = [
+                (1, ([f.args[i - 1] for i in perm],), perm)
+                for perm in itertools.permutations(horizontal)
+            ]
+            mset = frozenset(i + 1 for i, k in enumerate(fkinds) if k == MAT)
+            slot = tuple(x for b in pattern for x in (b, slice(None)))
+            tensor[slot] = _ordered_sum(tables, f, mset, orders, times, keys)
+        for i, l in enumerate(labels):
+            if l in unweighted:
+                unweighted.remove(l)
+                shape = [1] * tensor.ndim
+                shape[2 * i: 2 * i + 2] = weight.shape
+                tensor *= weight.reshape(shape)
+        operands.append((labels, tensor))
+    # a label no function carries integrates its weight alone
+    operands.extend(((l,), weight) for l in unweighted)
+    return operands
+
+
+# the contour side sums over the dense (branch, node) mesh of the internal
+# labels, (B*N)**I points, by one broadcast product up to this many points,
+# and by a Moebius sum of contractions above it.  The two cost the same
+# between about 2e4 and 5e4 points for two to four labels: below, the
+# contractions' fixed cost per partition dominates; above, the product's
+# flops do.
+DENSE_POINTS_MAX = 40_000
+
+
+def _tie_free_sum(
+    eq: ContourEquation, operands: list[tuple[tuple[str, ...], np.ndarray]], n: int
+):
+    """Sum of the product of ``operands`` over every (branch, node) point of
+    the internal labels at which no two labels sit on real branches at one
+    node."""
+    branches = len(_branches(eq))
+    if (branches * n) ** len(eq.internal) <= DENSE_POINTS_MAX:
+        full = len(eq.internal) * 2
+        value = np.ones(())
+        for labels, tensor in operands:
+            shape = [1] * full
+            for i, l in enumerate(labels):
+                at = 2 * eq.internal.index(l)
+                shape[at: at + 2] = tensor.shape[2 * i: 2 * i + 2]
+            value = value * tensor.reshape(shape)
+        return (value * _tie_mask(branches, n, len(eq.internal))).sum()
+    plan = _partition_plan(
+        tuple(labels for labels, _ in operands), eq.internal, (branches, n)
+    )
+    total = 0
+    for mu, slices, steps in plan:
+        views = [t if s is None else t[s] for (_, t), s in zip(operands, slices)]
+        total += mu * _contract(views, steps)
+    return total
+
+
+@functools.lru_cache(maxsize=16)
+def _tie_mask(branches: int, n: int, count: int) -> np.ndarray:
+    """Read-only mask over the dense (branch, node) mesh of ``count`` labels:
+    False where two labels sit on real branches at one node."""
+    real = np.array([b != MAT for b in (FWD, BWD, MAT)[:branches]])
+    # each label's node on a real branch, and -1 - its position on M
+    codes = []
+    for i in range(count):
+        shape = [1] * 2 * count
+        shape[2 * i: 2 * i + 2] = branches, n
+        codes.append(np.where(real[:, None], np.arange(n), -1 - i).reshape(shape))
+    mask = np.ones((branches, n) * count, dtype=bool)
+    for x, y in itertools.combinations(codes, 2):
+        mask &= x != y
+    mask.flags.writeable = False
+    return mask
+
+
+def _set_partitions(n: int) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
+    """The set partitions of ``range(n)``, each with its Moebius weight
+    mu = prod over blocks B of (-1)**(|B|-1) * (|B|-1)!, as ``(blocks, mu)``."""
+    parts: list[list[list[int]]] = [[]]
+    for i in range(n):
+        parts = [
+            p[:k] + [p[k] + [i]] + p[k + 1:] for p in parts for k in range(len(p))
+        ] + [p + [[i]] for p in parts]
+    return tuple(
+        (
+            tuple(tuple(b) for b in p),
+            math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in p),
+        )
+        for p in parts
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _partition_plan(
+    labelsets: tuple[tuple[str, ...], ...],
+    internal: tuple[str, ...],
+    shape: tuple[int, int],
+):
+    """The Moebius sum over set partitions of ``internal`` that excludes
+    ties: per partition, its weight, a branch slice per operand and the
+    pairwise steps of a greedy contraction path, as ``(mu, slices, steps)``.
+
+    Labels in one block share one node letter; a block of two or more
+    labels keeps only the real branches of its labels."""
+    branches, n = shape
+    plan = []
+    for blocks, mu in _set_partitions(len(internal)):
+        node, merged = {}, set()
+        for k, block in enumerate(blocks):
+            for i in block:
+                node[internal[i]] = chr(ord("A") + k)
+                if len(block) > 1 and branches > 2:
+                    merged.add(internal[i])
+        slices, subscripts, shapes = [], [], []
+        for labels in labelsets:
+            cut = tuple(
+                x for l in labels for x in (slice(2) if l in merged else slice(None), slice(None))
+            )
+            slices.append(cut if any(l in merged for l in labels) else None)
+            subscripts.append("".join(chr(ord("a") + internal.index(l)) + node[l] for l in labels))
+            shapes.append(
+                tuple(x for l in labels for x in (2 if l in merged else branches, n))
+            )
+        path = np.einsum_path(
+            ",".join(subscripts) + "->",
+            *(np.broadcast_to(0.0, s) for s in shapes),
+            optimize="greedy",
+        )[0]
+        plan.append((mu, tuple(slices), _path_steps(subscripts, path[1:])))
+    return tuple(plan)
+
+
+def _path_steps(subscripts: list[str], path) -> tuple:
+    """The pairwise einsum subscripts along a contraction path (each step
+    appends its result to the operands), as ``(positions, subscripts)``."""
+    subscripts = list(subscripts)
+    steps = []
+    for positions in path:
+        picked = [subscripts[i] for i in positions]
+        for i in sorted(positions, reverse=True):
+            del subscripts[i]
+        rest = set("".join(subscripts))
+        kept = "".join(sorted(set("".join(picked)) & rest))
+        steps.append((tuple(positions), ",".join(picked) + "->" + kept))
+        subscripts.append(kept)
+    return tuple(steps)
+
+
+def _contract(operands: list, steps) -> complex:
+    """Runs the ``steps`` of :func:`_path_steps` on ``operands``."""
+    operands = list(operands)
+    for positions, subscripts in steps:
+        picked = [operands[i] for i in positions]
+        for i in sorted(positions, reverse=True):
+            del operands[i]
+        operands.append(np.einsum(subscripts, *picked))
+    (result,) = operands
+    return result[()]
 
 
 def _internal_mesh(grid: DiscreteContour, on_mats: Sequence[bool]):
@@ -501,9 +724,9 @@ def evaluate_contour_side(
     m_ext = [str(l) for l in target.mats_labels()]
     for l in set(eq.external) - set(m_ext):
         grid.check_external(external_times[l])
+    weight = _branch_weights(eq, grid, truncate_at)
     total = 0.0 + 0.0j
     scale = 0.0
-    by_kinds: dict = {}
     for sign_t, word, placement in _placed_words(target, external_times):
         if placement is None:
             raise GridTieError(
@@ -513,40 +736,11 @@ def evaluate_contour_side(
             placement.update(branch_override)
         kinds = {l: MAT for l in m_ext}
         kinds.update(placement)
-        times: dict[str, object] = {l: external_times[l] for l in eq.external}
-        keys = {
-            l: grid.contour_key(kinds[l], external_times[l]) for l in eq.external
-        }
-        for assign in itertools.product(_branches(eq), repeat=len(eq.internal)):
-            # sparse axes: each function runs on its own arguments' axes and
-            # broadcasts into the full product
-            axes, weight, mask = _internal_mesh(grid, [b == MAT for b in assign])
-            for l, b, t in zip(eq.internal, assign, axes):
-                kinds[l] = b
-                times[l] = t
-                keys[l] = grid.contour_key(b, t)
-                if truncate_at is not None and b != MAT:
-                    mask &= t <= truncate_at
-            sign = (-1) ** assign.count(BWD)
-            phase = (-1j) ** assign.count(MAT)
-            value = np.ones(mask.shape, dtype=complex)
-            for f in eq.product:
-                # a function's value depends only on its own arguments' kinds;
-                # it sums one full chain per contour order of its horizontal
-                # arguments, compared on contour keys
-                fkinds = tuple(kinds[a] for a in f.args)
-                if (f, fkinds) not in by_kinds:
-                    horizontal = [i + 1 for i, k in enumerate(fkinds) if k != MAT]
-                    orders = [
-                        (1, ([f.args[i - 1] for i in perm],), perm)
-                        for perm in itertools.permutations(horizontal)
-                    ]
-                    mset = frozenset(i + 1 for i, k in enumerate(fkinds) if k == MAT)
-                    by_kinds[f, fkinds] = _ordered_sum(tables, f, mset, orders, times, keys)
-                value = value * by_kinds[f, fkinds]
-            contrib = sign_t * sign * phase * (weight * mask * value).sum()
-            total += contrib
-            scale += float((weight * mask * np.abs(value)).sum())
+        operands = _contour_operands(eq, tables, grid, kinds, external_times, weight)
+        total += sign_t * _tie_free_sum(eq, operands, grid.n_fwd)
+        if with_scale:
+            magnitudes = [(labels, np.abs(t)) for labels, t in operands]
+            scale += float(_tie_free_sum(eq, magnitudes, grid.n_fwd).real)
     if with_scale:
         return total, scale
     return total
@@ -736,7 +930,7 @@ def verify(
         worst = 0.0
         detail = ""
         try:
-            tables = ComponentTable(eq, seed)
+            tables = _component_table(eq, seed)
             for omega in classes:
                 for _ in range(SAMPLES_PER_CLASS):
                     times = _sample_times(eq, target, omega, grid, rng)

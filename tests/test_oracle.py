@@ -1,6 +1,7 @@
 """Branch-splitting oracle, normal forms, and the discrete-contour evaluators."""
 
 import itertools
+import math
 import os
 import pickle
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contourcalc import catalog
+from contourcalc import catalog, oracle
 from contourcalc.compiler import derive_rule
 from contourcalc.engine import expand_retarded
 from contourcalc.ir import (
@@ -283,6 +284,8 @@ def test_nonzero_origin_grid():
 # repeated sub-function names
 
 SELF_ENERGY = "S[a,b] = int{c,d} : G[a,c]*G[c,d]*G[d,b]"
+CHAIN4 = "G[a,b] = int{c,d,e,f} : A[a,c]*B[c,d]*C[d,e]*D[e,f]*E[f,b]"
+LADDER = "G[a,b] = int{c,d,e,f} : A[a,c]*B[a,d]*C[c,d]*D[c,e]*E[d,f]*F[e,f]*H[e,b]*K[f,b]"
 
 
 @pytest.mark.parametrize("contour", ["extended", "keldysh"])
@@ -462,13 +465,63 @@ LITERAL_CASES = [
     (catalog.double_triangle(), ">", {"a": "B", "b": "F"}, {"a": 1.31, "b": 0.52}, {}),
     (catalog.double_triangle(), "lc", {"a": "M", "b": "F"}, {"a": 0.4, "b": 1.13}, {}),
     (parse_equation(SELF_ENERGY), ">", {"a": "B", "b": "F"}, {"a": 0.52, "b": 1.31}, {}),
+    # three and four internals, so that ties join up to four labels; a
+    # "grid" entry sets the nodes per branch (3 otherwise), and four real
+    # internals need at least four nodes to leave any point tie-free
+    (parse_equation(CHAIN4), ">", {"a": "B", "b": "F"}, {"a": 1.31, "b": 0.52}, {}),
+    (
+        parse_equation(CHAIN4), ">", {"a": "B", "b": "F"}, {"a": 0.52, "b": 1.31},
+        {"truncate_at": 1.0},
+    ),
+    (parse_equation(CHAIN4), "rc", {"a": "F", "b": "M"}, {"a": 0.77, "b": 0.35}, {}),
+    (
+        parse_equation(CHAIN4, contour="keldysh"), ">", {"a": "F", "b": "F"},
+        {"a": 1.7321, "b": 0.61}, {"branch_override": {"a": "F"}, "grid": 4},
+    ),
+    (
+        parse_equation(CHAIN4, contour="keldysh"), "<", {"a": "F", "b": "B"},
+        {"a": 0.61, "b": 1.7321}, {"truncate_at": 1.5, "grid": 5},
+    ),
+    (
+        parse_equation(LADDER, contour="keldysh"), ">", {"a": "B", "b": "F"},
+        {"a": 1.31, "b": 0.52}, {"grid": 4},
+    ),
+    (
+        parse_equation(LADDER, contour="keldysh"), ">", {"a": "B", "b": "B"},
+        {"a": 1.31, "b": 0.52}, {"branch_override": {"b": "B"}, "grid": 4},
+    ),
+    (
+        parse_equation(THREE_EXTERNAL), "123", {"a": "B", "b": "B", "c": "F"},
+        {"a": 0.5, "b": 1.2, "c": 0.3}, {},
+    ),
+    (
+        parse_equation(THREE_EXTERNAL), "M(1)23", {"a": "M", "b": "B", "c": "F"},
+        {"a": 0.4, "b": 1.2, "c": 0.3}, {"truncate_at": 1.0},
+    ),
+    (
+        parse_equation(THREE_EXTERNAL, contour="keldysh"), "312",
+        {"a": "B", "b": "F", "c": "B"}, {"a": 1.4, "b": 0.9, "c": 0.35}, {"truncate_at": 1.0},
+    ),
+    (
+        parse_equation(THREE_EXTERNAL, contour="keldysh"), "123",
+        {"a": "F", "b": "B", "c": "F"}, {"a": 0.5, "b": 1.2, "c": 0.3},
+        {"branch_override": {"a": "F"}},
+    ),
+    (
+        parse_equation(SELF_ENERGY, contour="keldysh"), ">", {"a": "B", "b": "B"},
+        {"a": 1.31, "b": 0.52}, {"branch_override": {"b": "B"}},
+    ),
+    (
+        parse_equation(SELF_ENERGY), "lc", {"a": "M", "b": "F"}, {"a": 0.4, "b": 1.13},
+        {"truncate_at": 0.9},
+    ),
 ]
 
 
-@pytest.mark.parametrize("case", range(len(LITERAL_CASES)))
-def test_contour_side_matches_literal_point_sum(case):
+def _check_literal_case(case):
     eq, tname, ext_kinds, ext_times, options = LITERAL_CASES[case]
-    grid = DiscreteContour(n_fwd=3)
+    options = dict(options)
+    grid = DiscreteContour(n_fwd=options.pop("grid", 3))
     tables = ComponentTable(eq, seed=7)
     got, got_scale = evaluate_contour_side(
         eq, parse_superindex(tname, eq), tables, grid, ext_times, with_scale=True, **options
@@ -479,6 +532,62 @@ def test_contour_side_matches_literal_point_sum(case):
     assert want_scale > 0
     assert abs(got - want) <= 1e-12 * want_scale
     assert got_scale == pytest.approx(want_scale, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", range(len(LITERAL_CASES)))
+def test_contour_side_matches_literal_point_sum(case):
+    # every case's mesh is below oracle.DENSE_POINTS_MAX: one dense product
+    _check_literal_case(case)
+
+
+@pytest.mark.parametrize("case", range(len(LITERAL_CASES)))
+def test_contour_side_contraction_matches_literal_point_sum(case, monkeypatch):
+    # the Moebius sum of contractions over the set partitions of the internals
+    monkeypatch.setattr(oracle, "DENSE_POINTS_MAX", 0)
+    _check_literal_case(case)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_partition_weights_give_the_falling_factorial(n):
+    # labels placed on N nodes with no two on one node: N (N-1) ... (N-n+1)
+    partitions = oracle._set_partitions(n)
+    assert len(partitions) == [1, 1, 2, 5, 15, 52][n]
+    for nodes in range(1, 7):
+        assert sum(mu * nodes ** len(blocks) for blocks, mu in partitions) == math.perm(nodes, n)
+
+
+# (equation, target, external times); nodes per branch on either side of
+# oracle.DENSE_POINTS_MAX, (B*N)**I points
+REDUCTION_CASES = [
+    (parse_equation(CHAIN4), "rc", {"a": 0.77, "b": 0.35}, (4, 5)),  # 20736, 50625
+    (parse_equation(LADDER, contour="keldysh"), ">", {"a": 1.31, "b": 0.52}, (7, 8)),
+    (parse_equation(THREE_EXTERNAL), "R(1,23)", {"a": 1.4, "b": 0.9, "c": 0.35}, (64, 72)),
+    (catalog.triangle_one(), "1", {"a": 0.83}, (64, 72)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(REDUCTION_CASES)))
+def test_dense_and_contracted_reductions_agree(case, monkeypatch):
+    eq, tname, ext_times, sizes = REDUCTION_CASES[case]
+    target = parse_superindex(tname, eq)
+    branches = 3 if eq.contour == "extended" else 2
+    points = [(branches * n) ** len(eq.internal) for n in sizes]
+    assert points[0] <= oracle.DENSE_POINTS_MAX < points[1]
+    for n in sizes:
+        grid = DiscreteContour(n_fwd=n)
+        tables = ComponentTable(eq, seed=3)
+        values = []
+        for limit in (0, 10**12):
+            monkeypatch.setattr(oracle, "DENSE_POINTS_MAX", limit)
+            values.append(
+                evaluate_contour_side(
+                    eq, target, tables, grid, ext_times, truncate_at=1.5, with_scale=True
+                )
+            )
+        (contracted, c_scale), (dense, d_scale) = values
+        assert d_scale > 0
+        assert abs(contracted - dense) <= 1e-12 * d_scale
+        assert c_scale == pytest.approx(d_scale, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +662,6 @@ def test_realtime_side_matches_literal_point_sum(case):
 
 # ---------------------------------------------------------------------------
 # real-time side: terms sharing a mesh
-
-LADDER = "G[a,b] = int{c,d,e,f} : A[a,c]*B[a,d]*C[c,d]*D[c,e]*E[d,f]*F[e,f]*H[e,b]*K[f,b]"
 
 
 def test_realtime_side_is_the_sum_of_its_terms_over_many_layouts():
