@@ -27,19 +27,18 @@ strategy:
   nodes), so there is no loop over branch assignments: each function is
   one tensor over the (branch, node) axes of its internal arguments, and
   each label's weight (+dt, -dt or -i*dm) is folded into the first tensor
-  that carries it.  Its sum leaves out the points where two labels sit on
-  real branches at one node.  Up to :data:`DENSE_POINTS_MAX` points of the
-  dense (branch, node) mesh it is one broadcast product times a tie mask;
-  above it, a Moebius sum over the set partitions of the internal labels,
-  one contraction per partition, in which the labels of one block share a
-  node axis and keep only their real branches.
+  that carries it; the external words of one call share a function's
+  tensor wherever its external arguments sit on the same branches.
+  Its sum leaves out the points where two labels sit on real branches at
+  one node by a Moebius sum over the set partitions of the internal
+  labels, one contraction per partition, in which the labels of one block
+  share a node axis and keep only their real branches.
 
-Per-call memos aside, three bounded caches live as long as the process:
-the component table of each (equation, seed), 64 entries; the tie mask of
-each (branches, nodes, labels), 16; and the partition plan (branch slices
-and contraction path) of each (operand labels, internal labels, mesh
-shape), 256.  Each holds values that are never changed after they are
-built.
+Per-call memos aside, two bounded caches live as long as the process: the
+component table of each (equation, seed), 64 entries, and the partition
+plan (branch slices and contraction path) of each (operand labels,
+internal labels, mesh shape), 256.  Each holds values that are never
+changed after they are built.
 
 Ties between distinct time labels would break the step-function algebra;
 grids are built tie-free and configurations placing two internals on the
@@ -493,6 +492,7 @@ def _contour_operands(
     kinds: dict[str, str],
     external_times: dict[str, float],
     weight: np.ndarray,
+    filled: dict,
 ) -> list[tuple[tuple[str, ...], np.ndarray]]:
     """One tensor per function, as ``(internal labels, tensor)``, over a
     (branch, node) axis pair per internal argument, in ``eq.internal`` order.
@@ -500,51 +500,50 @@ def _contour_operands(
     Each block of a tensor (one branch per label) is the masked sum over the
     contour orders of the function's horizontal arguments, compared on
     contour keys, written straight into its slot.  Each label's weight is
-    folded into the first tensor that carries it."""
+    folded into the first tensor that carries it.  A tensor depends on the
+    word only through the branches of the function's external arguments, so
+    ``filled`` keeps each one under (position in the product, those
+    branches) for the other words of the call."""
     branches = _branches(eq)
     nodes = {FWD: grid.real_nodes, BWD: grid.real_nodes, MAT: grid.mats_nodes}
     kinds = dict(kinds)
     times: dict[str, object] = {l: external_times[l] for l in eq.external}
     keys = {l: grid.contour_key(kinds[l], times[l]) for l in eq.external}
-    unweighted = list(eq.internal)
+    weighted: set[str] = set()
     operands = []
-    for f in eq.product:
+    for j, f in enumerate(eq.product):
         labels = tuple(l for l in eq.internal if l in f.args)
-        tensor = np.empty(weight.shape * len(labels), dtype=complex)
-        for pattern in itertools.product(range(len(branches)), repeat=len(labels)):
-            axes = np.meshgrid(*(nodes[branches[b]] for b in pattern), indexing="ij", sparse=True)
-            for l, b, t in zip(labels, pattern, axes):
-                kinds[l] = branches[b]
-                times[l] = t
-                keys[l] = grid.contour_key(branches[b], t)
-            fkinds = [kinds[a] for a in f.args]
-            horizontal = [i + 1 for i, k in enumerate(fkinds) if k != MAT]
-            orders = [
-                (1, ([f.args[i - 1] for i in perm],), perm)
-                for perm in itertools.permutations(horizontal)
-            ]
-            mset = frozenset(i + 1 for i, k in enumerate(fkinds) if k == MAT)
-            slot = tuple(x for b in pattern for x in (b, slice(None)))
-            tensor[slot] = _ordered_sum(tables, f, mset, orders, times, keys)
-        for i, l in enumerate(labels):
-            if l in unweighted:
-                unweighted.remove(l)
-                shape = [1] * tensor.ndim
-                shape[2 * i: 2 * i + 2] = weight.shape
-                tensor *= weight.reshape(shape)
-        operands.append((labels, tensor))
+        key = (j, tuple(kinds[a] for a in f.args if a not in labels))
+        if key not in filled:
+            tensor = np.empty(weight.shape * len(labels), dtype=complex)
+            for pattern in itertools.product(range(len(branches)), repeat=len(labels)):
+                axes = np.meshgrid(
+                    *(nodes[branches[b]] for b in pattern), indexing="ij", sparse=True
+                )
+                for l, b, t in zip(labels, pattern, axes):
+                    kinds[l] = branches[b]
+                    times[l] = t
+                    keys[l] = grid.contour_key(branches[b], t)
+                fkinds = [kinds[a] for a in f.args]
+                horizontal = [i + 1 for i, k in enumerate(fkinds) if k != MAT]
+                orders = [
+                    (1, ([f.args[i - 1] for i in perm],), perm)
+                    for perm in itertools.permutations(horizontal)
+                ]
+                mset = frozenset(i + 1 for i, k in enumerate(fkinds) if k == MAT)
+                slot = tuple(x for b in pattern for x in (b, slice(None)))
+                tensor[slot] = _ordered_sum(tables, f, mset, orders, times, keys)
+            for i, l in enumerate(labels):
+                if l not in weighted:
+                    shape = [1] * tensor.ndim
+                    shape[2 * i: 2 * i + 2] = weight.shape
+                    tensor *= weight.reshape(shape)
+            filled[key] = tensor
+        weighted.update(labels)
+        operands.append((labels, filled[key]))
     # a label no function carries integrates its weight alone
-    operands.extend(((l,), weight) for l in unweighted)
+    operands.extend(((l,), weight) for l in eq.internal if l not in weighted)
     return operands
-
-
-# the contour side sums over the dense (branch, node) mesh of the internal
-# labels, (B*N)**I points, by one broadcast product up to this many points,
-# and by a Moebius sum of contractions above it.  The two cost the same
-# between about 2e4 and 5e4 points for two to four labels: below, the
-# contractions' fixed cost per partition dominates; above, the product's
-# flops do.
-DENSE_POINTS_MAX = 40_000
 
 
 def _tie_free_sum(
@@ -552,44 +551,16 @@ def _tie_free_sum(
 ):
     """Sum of the product of ``operands`` over every (branch, node) point of
     the internal labels at which no two labels sit on real branches at one
-    node."""
-    branches = len(_branches(eq))
-    if (branches * n) ** len(eq.internal) <= DENSE_POINTS_MAX:
-        full = len(eq.internal) * 2
-        value = np.ones(())
-        for labels, tensor in operands:
-            shape = [1] * full
-            for i, l in enumerate(labels):
-                at = 2 * eq.internal.index(l)
-                shape[at: at + 2] = tensor.shape[2 * i: 2 * i + 2]
-            value = value * tensor.reshape(shape)
-        return (value * _tie_mask(branches, n, len(eq.internal))).sum()
+    node: a Moebius sum over the set partitions of the internal labels, one
+    contraction per partition."""
     plan = _partition_plan(
-        tuple(labels for labels, _ in operands), eq.internal, (branches, n)
+        tuple(labels for labels, _ in operands), eq.internal, (len(_branches(eq)), n)
     )
     total = 0
     for mu, slices, steps in plan:
         views = [t if s is None else t[s] for (_, t), s in zip(operands, slices)]
         total += mu * _contract(views, steps)
     return total
-
-
-@functools.lru_cache(maxsize=16)
-def _tie_mask(branches: int, n: int, count: int) -> np.ndarray:
-    """Read-only mask over the dense (branch, node) mesh of ``count`` labels:
-    False where two labels sit on real branches at one node."""
-    real = np.array([b != MAT for b in (FWD, BWD, MAT)[:branches]])
-    # each label's node on a real branch, and -1 - its position on M
-    codes = []
-    for i in range(count):
-        shape = [1] * 2 * count
-        shape[2 * i: 2 * i + 2] = branches, n
-        codes.append(np.where(real[:, None], np.arange(n), -1 - i).reshape(shape))
-    mask = np.ones((branches, n) * count, dtype=bool)
-    for x, y in itertools.combinations(codes, 2):
-        mask &= x != y
-    mask.flags.writeable = False
-    return mask
 
 
 def _set_partitions(n: int) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
@@ -725,6 +696,7 @@ def evaluate_contour_side(
     for l in set(eq.external) - set(m_ext):
         grid.check_external(external_times[l])
     weight = _branch_weights(eq, grid, truncate_at)
+    filled: dict = {}
     total = 0.0 + 0.0j
     scale = 0.0
     for sign_t, word, placement in _placed_words(target, external_times):
@@ -736,7 +708,7 @@ def evaluate_contour_side(
             placement.update(branch_override)
         kinds = {l: MAT for l in m_ext}
         kinds.update(placement)
-        operands = _contour_operands(eq, tables, grid, kinds, external_times, weight)
+        operands = _contour_operands(eq, tables, grid, kinds, external_times, weight, filled)
         total += sign_t * _tie_free_sum(eq, operands, grid.n_fwd)
         if with_scale:
             magnitudes = [(labels, np.abs(t)) for labels, t in operands]

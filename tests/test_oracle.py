@@ -518,7 +518,8 @@ LITERAL_CASES = [
 ]
 
 
-def _check_literal_case(case):
+@pytest.mark.parametrize("case", range(len(LITERAL_CASES)))
+def test_contour_side_matches_literal_point_sum(case):
     eq, tname, ext_kinds, ext_times, options = LITERAL_CASES[case]
     options = dict(options)
     grid = DiscreteContour(n_fwd=options.pop("grid", 3))
@@ -534,19 +535,6 @@ def _check_literal_case(case):
     assert got_scale == pytest.approx(want_scale, rel=1e-12)
 
 
-@pytest.mark.parametrize("case", range(len(LITERAL_CASES)))
-def test_contour_side_matches_literal_point_sum(case):
-    # every case's mesh is below oracle.DENSE_POINTS_MAX: one dense product
-    _check_literal_case(case)
-
-
-@pytest.mark.parametrize("case", range(len(LITERAL_CASES)))
-def test_contour_side_contraction_matches_literal_point_sum(case, monkeypatch):
-    # the Moebius sum of contractions over the set partitions of the internals
-    monkeypatch.setattr(oracle, "DENSE_POINTS_MAX", 0)
-    _check_literal_case(case)
-
-
 @pytest.mark.parametrize("n", range(6))
 def test_partition_weights_give_the_falling_factorial(n):
     # labels placed on N nodes with no two on one node: N (N-1) ... (N-n+1)
@@ -554,40 +542,6 @@ def test_partition_weights_give_the_falling_factorial(n):
     assert len(partitions) == [1, 1, 2, 5, 15, 52][n]
     for nodes in range(1, 7):
         assert sum(mu * nodes ** len(blocks) for blocks, mu in partitions) == math.perm(nodes, n)
-
-
-# (equation, target, external times); nodes per branch on either side of
-# oracle.DENSE_POINTS_MAX, (B*N)**I points
-REDUCTION_CASES = [
-    (parse_equation(CHAIN4), "rc", {"a": 0.77, "b": 0.35}, (4, 5)),  # 20736, 50625
-    (parse_equation(LADDER, contour="keldysh"), ">", {"a": 1.31, "b": 0.52}, (7, 8)),
-    (parse_equation(THREE_EXTERNAL), "R(1,23)", {"a": 1.4, "b": 0.9, "c": 0.35}, (64, 72)),
-    (catalog.triangle_one(), "1", {"a": 0.83}, (64, 72)),
-]
-
-
-@pytest.mark.parametrize("case", range(len(REDUCTION_CASES)))
-def test_dense_and_contracted_reductions_agree(case, monkeypatch):
-    eq, tname, ext_times, sizes = REDUCTION_CASES[case]
-    target = parse_superindex(tname, eq)
-    branches = 3 if eq.contour == "extended" else 2
-    points = [(branches * n) ** len(eq.internal) for n in sizes]
-    assert points[0] <= oracle.DENSE_POINTS_MAX < points[1]
-    for n in sizes:
-        grid = DiscreteContour(n_fwd=n)
-        tables = ComponentTable(eq, seed=3)
-        values = []
-        for limit in (0, 10**12):
-            monkeypatch.setattr(oracle, "DENSE_POINTS_MAX", limit)
-            values.append(
-                evaluate_contour_side(
-                    eq, target, tables, grid, ext_times, truncate_at=1.5, with_scale=True
-                )
-            )
-        (contracted, c_scale), (dense, d_scale) = values
-        assert d_scale > 0
-        assert abs(contracted - dense) <= 1e-12 * d_scale
-        assert c_scale == pytest.approx(d_scale, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
