@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +32,8 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        if not math.isfinite(self.tol):
+            raise RangeError("tolerance must be finite")
         if self.tol <= 0:
             raise RangeError("tolerance must be positive")
         if self.grid < 4:
@@ -81,20 +84,24 @@ def cmd_derive(cfg: RunConfig) -> int:
 
 
 def _verify_one(job):
-    eq, name, target, seeds, grid, tol = job
-    return verify(eq, target, target_name=name, seeds=range(seeds), grid_size=grid, tol=tol)
+    eq, name, target, rule, seeds, grid, tol = job
+    return verify(
+        eq, target, target_name=name, seeds=range(seeds), grid_size=grid, tol=tol, rule=rule
+    )
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     failed = False
     try:
         equations = _load_equations(cfg)
-        # targets are parsed here, so a bad name is a usage error
-        jobs = [
-            (eq, name, parse_superindex(name, eq), cfg.seeds, cfg.grid, cfg.tol)
-            for eq in equations
-            for name in _targets_for(eq, cfg)
-        ]
+        # targets are parsed and their rules derived here, so a target that
+        # does not fit is a usage error, as in derive
+        jobs = []
+        for eq in equations:
+            for name in _targets_for(eq, cfg):
+                target = parse_superindex(name, eq)
+                rule = derive_rule(eq, target)
+                jobs.append((eq, name, target, rule, cfg.seeds, cfg.grid, cfg.tol))
     except ContourError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -390,7 +390,7 @@ def _index_text(factor: Factor, hacek: bool, latex: bool) -> str:
 
     The hacek text is ``str(to_hacek(factor.index, factor.func.args))``: the
     index covers every argument once, so positions reach two digits, and
-    are then separated by ``,``, from the tenth argument on.
+    are then separated by ``,``, from the tenth argument on, in LaTeX too.
     """
     args = factor.func.args
     if hacek:
@@ -399,7 +399,7 @@ def _index_text(factor: Factor, hacek: bool, latex: bool) -> str:
         label = lambda l: r"\check{%s}" % l
     else:
         return str(factor.index)
-    sep = "," if hacek and not latex and len(args) >= 10 else ""
+    sep = "," if hacek and len(args) >= 10 else ""
     return sep.join(render_item(i, sep, label) for i in factor.index.items)
 
 

@@ -18,27 +18,39 @@ strategy:
   the cancellation lemmas hold node-by-node and agreement is limited only
   by floating-point rounding, not quadrature error.  Both sides evaluate
   each function with the masked sum over component orders of
-  :func:`_ordered_sum`; the contour side and the sampled orderings take
-  the live external words and their placements from :func:`_placed_words`.
-  The real-time side takes one mesh per layout of a term's integrals from
-  :func:`_internal_mesh` and computes each distinct factor's value and
-  each step comparison on it once per call.  The contour side gives each
-  internal label a branch axis (2 or 3 branches) and a node axis (N
-  nodes), so there is no loop over branch assignments: each function is
-  one tensor over the (branch, node) axes of its internal arguments, and
-  each label's weight (+dt, -dt or -i*dm) is folded into the first tensor
-  that carries it; the external words of one call share a function's
-  tensor wherever its external arguments sit on the same branches.
-  Its sum leaves out the points where two labels sit on real branches at
-  one node by a Moebius sum over the set partitions of the internal
-  labels, one contraction per partition, in which the labels of one block
-  share a node axis and keep only their real branches.
+  :func:`_ordered_sum`, which takes every component value from one
+  per-sample table (:class:`_SampleValues`): each component is evaluated
+  once per sample, keyed by (function name, Matsubara slots, order,
+  arguments) with an internal argument standing for its node set, on a
+  sparse mesh over the function's own node arguments, and each caller
+  puts it onto its own mesh by a transpose and a reshape.  The contour
+  side and the sampled orderings take the live external words and their
+  placements from :func:`_placed_words`.  The real-time side takes one
+  mesh per layout of a term's integrals from :func:`_internal_mesh` and
+  computes each distinct factor's value and each step comparison on it
+  once per call.  The contour side gives each internal label a branch
+  axis (2 or 3 branches) and a node axis (N nodes), so there is no loop
+  over branch assignments: each function is one tensor over the (branch,
+  node) axes of its internal arguments, and each label's weight (+dt, -dt
+  or -i*dm) is folded into the first tensor that carries it; the external
+  words of one call share a function's tensor wherever its external
+  arguments sit on the same branches.  A block sums only the contour
+  orders that can hold on its branches: none puts a forward argument
+  later than a backward one.  Its sum leaves out the points where two
+  labels sit on real branches at one node by a Moebius sum over the set
+  partitions of the internal labels, one contraction per partition, in
+  which the labels of one block share a node axis and keep only their
+  real branches.
 
-Per-call memos aside, two bounded caches live as long as the process: the
-component table of each (equation, seed), 64 entries, and the partition
-plan (branch slices and contraction path) of each (operand labels,
-internal labels, mesh shape), 256.  Each holds values that are never
-changed after they are built.
+Per-call memos aside, bounded caches live as long as the process: the
+component table of each (equation, seed), 64 entries; the partition plan
+(branch slices and contraction path) of each (operand labels, internal
+labels, mesh shape), 256; the contour orders of each tuple of argument
+branches, 256; and the plan of each factor, 4096.  Each holds values that
+are never changed after they are built.  The per-sample value table has a
+one-entry cache keyed by (component table, grid, external times): the two
+sides of one sample share it, and a new sample replaces it, so only one
+sample's values are ever held.
 
 Ties between distinct time labels would break the step-function algebra;
 grids are built tie-free and configurations placing two internals on the
@@ -452,27 +464,93 @@ def _component_table(eq: ContourEquation, seed: int) -> ComponentTable:
 # numeric evaluation
 
 
+# the node set of an internal argument, in the keys of the per-sample table
+REAL_NODES, MATS_NODES = "real nodes", "vertical nodes"
+
+
+class _SampleValues:
+    """The component values of one sample, each evaluated once.
+
+    A value is keyed by ``(function name, mset, korder, args)``; each entry
+    of ``args`` is an external time or the node set (:data:`REAL_NODES` or
+    :data:`MATS_NODES`) of an internal argument.  The value lives on a
+    sparse mesh over the function's own node arguments, in argument order,
+    so every caller whose labels sit on those node sets shares it."""
+
+    def __init__(self, tables: ComponentTable, grid: DiscreteContour):
+        self.tables = tables
+        self.nodes = {REAL_NODES: grid.real_nodes, MATS_NODES: grid.mats_nodes}
+        self.values: dict[tuple, object] = {}
+
+    def __call__(self, fname: str, mset: frozenset, korder: tuple, args: tuple):
+        key = (fname, mset, korder, args)
+        if key not in self.values:
+            axes = iter(np.meshgrid(
+                *(self.nodes[a] for a in args if isinstance(a, str)),
+                indexing="ij", sparse=True,
+            ))
+            times = [next(axes) if isinstance(a, str) else a for a in args]
+            self.values[key] = self.tables.component(fname, mset, korder, times)
+        return self.values[key]
+
+
+@functools.lru_cache(maxsize=1)
+def _sample_values(
+    tables: ComponentTable, grid: DiscreteContour, external_times: tuple
+) -> _SampleValues:
+    """The value table of one sample, ``external_times`` as sorted items.
+    One entry: the two sides of a sample share it, and only the latest
+    sample's values are held."""
+    return _SampleValues(tables, grid)
+
+
 def _ordered_sum(
-    tables: ComponentTable,
+    values: _SampleValues,
     func: SubFunction,
     mset: frozenset,
     orders: Iterable[tuple[int, tuple, tuple[int, ...]]],
-    times: dict[str, object],
+    args: tuple,
+    layout: Sequence[str],
     keys: dict[str, object],
 ):
     """Sum of sign * theta(chains) * component(korder) over the ``(sign, step
-    chains, korder)`` entries of ``orders``, on (arrays of) points.  A chain
-    lists labels latest first and holds where their ``keys`` decrease
-    strictly along it."""
-    arg_times = [times[a] for a in func.args]
+    chains, korder)`` entries of ``orders``, on the caller's mesh, whose
+    axes carry the labels of ``layout``.  ``args`` is the key entry of each
+    argument of ``func`` (see :class:`_SampleValues`); each value is put
+    onto the mesh by a transpose and a reshape.  A chain lists labels
+    latest first and holds where their ``keys`` decrease strictly along it."""
+    sizes = {a: len(values.nodes[x]) for a, x in zip(func.args, args) if isinstance(x, str)}
+    own = list(sizes)
+    perm = sorted(range(len(own)), key=lambda i: layout.index(own[i]))
+    shape = [sizes.get(l, 1) for l in layout]
     total = 0
     for sign, chains, korder in orders:
         val = complex(sign)
         for chain in chains:
             for x, y in zip(chain, chain[1:]):
                 val = val * (keys[x] > keys[y])
-        total = total + val * tables.component(func.name, mset, korder, arg_times)
+        value = values(func.name, mset, korder, args)
+        if own:
+            value = value.transpose(perm).reshape(shape)
+        total = total + val * value
     return total
+
+
+@functools.lru_cache(maxsize=256)
+def _contour_orders(kinds: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
+    """The contour orders, latest first, of the horizontal positions (from
+    1) of a function whose arguments sit on ``kinds``, leaving out every
+    order that puts a forward position later than a backward one: the
+    backward branch is later than the forward one, so those never hold."""
+    horizontal = [i + 1 for i, k in enumerate(kinds) if k != MAT]
+    return tuple(
+        perm
+        for perm in itertools.permutations(horizontal)
+        if not any(
+            kinds[x - 1] == FWD and kinds[y - 1] == BWD
+            for x, y in itertools.combinations(perm, 2)
+        )
+    )
 
 
 def _branch_weights(eq: ContourEquation, grid: DiscreteContour, truncate_at: Optional[float]):
@@ -487,7 +565,7 @@ def _branch_weights(eq: ContourEquation, grid: DiscreteContour, truncate_at: Opt
 
 def _contour_operands(
     eq: ContourEquation,
-    tables: ComponentTable,
+    values: _SampleValues,
     grid: DiscreteContour,
     kinds: dict[str, str],
     external_times: dict[str, float],
@@ -498,17 +576,17 @@ def _contour_operands(
     (branch, node) axis pair per internal argument, in ``eq.internal`` order.
 
     Each block of a tensor (one branch per label) is the masked sum over the
-    contour orders of the function's horizontal arguments, compared on
-    contour keys, written straight into its slot.  Each label's weight is
-    folded into the first tensor that carries it.  A tensor depends on the
-    word only through the branches of the function's external arguments, so
-    ``filled`` keeps each one under (position in the product, those
-    branches) for the other words of the call."""
+    contour orders of the function's horizontal arguments that can hold
+    there (:func:`_contour_orders`), compared on contour keys, written
+    straight into its slot.  Each label's weight is folded into the first
+    tensor that carries it.  A tensor depends on the word only through the
+    branches of the function's external arguments, so ``filled`` keeps each
+    one under (position in the product, those branches) for the other words
+    of the call."""
     branches = _branches(eq)
     nodes = {FWD: grid.real_nodes, BWD: grid.real_nodes, MAT: grid.mats_nodes}
     kinds = dict(kinds)
-    times: dict[str, object] = {l: external_times[l] for l in eq.external}
-    keys = {l: grid.contour_key(kinds[l], times[l]) for l in eq.external}
+    keys = {l: grid.contour_key(kinds[l], external_times[l]) for l in eq.external}
     weighted: set[str] = set()
     operands = []
     for j, f in enumerate(eq.product):
@@ -522,17 +600,19 @@ def _contour_operands(
                 )
                 for l, b, t in zip(labels, pattern, axes):
                     kinds[l] = branches[b]
-                    times[l] = t
                     keys[l] = grid.contour_key(branches[b], t)
-                fkinds = [kinds[a] for a in f.args]
-                horizontal = [i + 1 for i, k in enumerate(fkinds) if k != MAT]
+                fkinds = tuple(kinds[a] for a in f.args)
                 orders = [
                     (1, ([f.args[i - 1] for i in perm],), perm)
-                    for perm in itertools.permutations(horizontal)
+                    for perm in _contour_orders(fkinds)
                 ]
                 mset = frozenset(i + 1 for i, k in enumerate(fkinds) if k == MAT)
+                args = tuple(
+                    (MATS_NODES if k == MAT else REAL_NODES) if a in labels else external_times[a]
+                    for a, k in zip(f.args, fkinds)
+                )
                 slot = tuple(x for b in pattern for x in (b, slice(None)))
-                tensor[slot] = _ordered_sum(tables, f, mset, orders, times, keys)
+                tensor[slot] = _ordered_sum(values, f, mset, orders, args, labels, keys)
             for i, l in enumerate(labels):
                 if l not in weighted:
                     shape = [1] * tensor.ndim
@@ -696,6 +776,7 @@ def evaluate_contour_side(
     for l in set(eq.external) - set(m_ext):
         grid.check_external(external_times[l])
     weight = _branch_weights(eq, grid, truncate_at)
+    values = _sample_values(tables, grid, tuple(sorted(external_times.items())))
     filled: dict = {}
     total = 0.0 + 0.0j
     scale = 0.0
@@ -708,7 +789,7 @@ def evaluate_contour_side(
             placement.update(branch_override)
         kinds = {l: MAT for l in m_ext}
         kinds.update(placement)
-        operands = _contour_operands(eq, tables, grid, kinds, external_times, weight, filled)
+        operands = _contour_operands(eq, values, grid, kinds, external_times, weight, filled)
         total += sign_t * _tie_free_sum(eq, operands, grid.n_fwd)
         if with_scale:
             magnitudes = [(labels, np.abs(t)) for labels, t in operands]
@@ -734,9 +815,8 @@ def evaluate_realtime_side(
     each step comparison is computed once per call.  Each term still
     multiplies its own values in its own order and sums its own points, so
     the result is that of evaluating the terms one by one."""
+    values = _sample_values(tables, grid, tuple(sorted(external_times.items())))
     total = 0.0 + 0.0j
-    # each distinct factor expands once per call
-    plans: dict[Factor, tuple] = {}
     # layout -> (times, weight, mask, step values, factor values)
     layouts: dict[tuple, tuple] = {}
     for term in expr.terms:
@@ -747,7 +827,7 @@ def evaluate_realtime_side(
             times: dict[str, object] = dict(external_times)
             times.update(zip(reals + imags, axes))
             layouts[reals, imags] = (times, weight, mask, {}, {})
-        times, weight, mask, steps, values = layouts[reals, imags]
+        times, weight, mask, steps, factor_values = layouts[reals, imags]
         value = np.ones(mask.shape, dtype=complex)
         for chain in term.steps:
             for x, y in zip(chain, chain[1:]):
@@ -755,27 +835,34 @@ def evaluate_realtime_side(
                     steps[x, y] = times[x] > times[y]
                 value = value * steps[x, y]
         for factor in term.factors:
-            if factor not in values:
-                if factor not in plans:
-                    plans[factor] = _factor_plan(factor)
-                values[factor] = _ordered_sum(tables, factor.func, *plans[factor], times, times)
-            value = value * values[factor]
+            if factor not in factor_values:
+                mset, orders = _factor_plan(factor)
+                args = tuple(
+                    REAL_NODES if a in reals else MATS_NODES if a in imags else times[a]
+                    for a in factor.func.args
+                )
+                factor_values[factor] = _ordered_sum(
+                    values, factor.func, mset, orders, args, reals + imags, times
+                )
+            value = value * factor_values[factor]
         phase = term.sign * (-1j) ** len(imags)
         total += phase * (weight * mask * value).sum()
     return total
 
 
+@functools.lru_cache(maxsize=4096)
 def _factor_plan(factor: Factor):
     """A factor's vertical slots and its plain components, as ``(mset,
-    [(sign, step chains, korder)])``."""
+    ((sign, step chains, korder), ...))``; built once per process while it
+    stays among the 4096 most recently used."""
     func = factor.func
     mats = [str(l) for l in factor.index.mats_labels()]
     mset = frozenset(i + 1 for i, a in enumerate(func.args) if a in mats)
     pos = {a: i + 1 for i, a in enumerate(func.args)}
-    return mset, [
+    return mset, tuple(
         (sign, chains, tuple(pos[str(l)] for l in word))
         for sign, chains, word in expand_retarded(factor.index)
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------

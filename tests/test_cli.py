@@ -104,6 +104,19 @@ def test_verify_bad_target_exit_1(capsys):
     assert captured.err.startswith("error: positions [3] out of range")
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_nested_target_exit_1(tmp_path, capsys, jobs):
+    # a composition target with a nested retarded set does not fit
+    src = tmp_path / "x.ctr"
+    src.write_text("X[a,b,c] = int{u,v} : A[a,u]*B[u,b]*C[u,v]*D[v,c]\n", encoding="utf-8")
+    assert main([
+        "verify", "--input", str(src), "--target", "R(1,R(2,3))", "--jobs", jobs,
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: composition targets must use flat retarded sets\n"
+
+
 def test_derive_five_externals_default_targets_exit_1(tmp_path, capsys):
     # the default target list stops at four externals: a usage error
     src = tmp_path / "e.ctr"
@@ -116,6 +129,9 @@ def test_verify_bad_grid_or_tolerance_exit_1(capsys):
     for option, value, message in (
         ("--grid", "2", "grid size must be at least 4"),
         ("--tol", "0", "tolerance must be positive"),
+        # nan would fail a correct rule, inf pass any
+        ("--tol", "nan", "tolerance must be finite"),
+        ("--tol", "inf", "tolerance must be finite"),
     ):
         assert main(["verify", "--input", "convolution", option, value]) == 1
         captured = capsys.readouterr()

@@ -311,16 +311,16 @@ def test_factor_sort_key_is_the_positional_index():
 
 
 def test_emit_ten_argument_factor():
-    # positions reach two digits: the text form separates them with ',',
-    # LaTeX never does
+    # positions reach two digits: the hacek forms, text and LaTeX, separate
+    # them with ','; labels never need it
     rule = derive_rule(TEN, parse_superindex("R(a,bc)defghij", TEN))
     assert emit(rule, "text", "hacek") == (
         "∫{k} Θ(bc) A^{R(1,2)} K^{R(R(1,2),3),4,5,6,7,8,9,10}"
         " + ∫{k} Θ(cb) A^{R(1,2)} K^{R(R(1,3),2),4,5,6,7,8,9,10}"
     )
     assert emit(rule, "latex", "hacek") == (
-        r"\int_{k} \Theta_{bc} A^{R(1,2)} K^{R(R(1,2),3)45678910}"
-        r" + \int_{k} \Theta_{cb} A^{R(1,2)} K^{R(R(1,3),2)45678910}"
+        r"\int_{k} \Theta_{bc} A^{R(1,2)} K^{R(R(1,2),3),4,5,6,7,8,9,10}"
+        r" + \int_{k} \Theta_{cb} A^{R(1,2)} K^{R(R(1,3),2),4,5,6,7,8,9,10}"
     )
     assert emit(rule, "latex", "labeled") == (
         r"\int_{k} \Theta_{bc} A^{R(\check{a},\check{k})} K^{R(R(\check{k},\check{b}),\check{c})"
@@ -336,7 +336,8 @@ def test_emit_ten_argument_factor():
         " + ⋆{k} A^{M(2)1} K^{M(10,1),2,3,4,5,6,7,8,9}"
     )
     assert emit(tail, "latex", "hacek") == (
-        r"\int_{k} A^{R(1,2)} K^{M(10)123456789} + \star_{k} A^{M(2)1} K^{M(101)23456789}"
+        r"\int_{k} A^{R(1,2)} K^{M(10),1,2,3,4,5,6,7,8,9}"
+        r" + \star_{k} A^{M(2)1} K^{M(10,1),2,3,4,5,6,7,8,9}"
     )
     assert emit(tail, "latex", "labeled") == (
         r"\int_{k} A^{R(\check{a},\check{k})} K^{M(\check{j})\check{k}\check{b}\check{c}"

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -642,3 +643,111 @@ def test_realtime_side_is_the_sum_of_its_terms_over_many_layouts():
     # values computed for one table are not reused for another
     assert evaluate(1) != first
     assert evaluate(0) == first
+
+
+# ---------------------------------------------------------------------------
+# one component table per sample, shared by both sides
+
+
+def _component_keys(monkeypatch):
+    """Records each ``ComponentTable.component`` call as ``(name, mset,
+    korder, args)``, an argument being its time or the tuple of its nodes."""
+    calls = []
+    component = ComponentTable.component
+
+    def recording(self, fname, mset, korder, times):
+        args = tuple(
+            float(t) if np.ndim(t) == 0 else tuple(np.ravel(t).tolist()) for t in times
+        )
+        calls.append((fname, mset, korder, args))
+        return component(self, fname, mset, korder, times)
+
+    monkeypatch.setattr(ComponentTable, "component", recording)
+    return calls
+
+
+SHARED_CASES = [
+    (catalog.double_triangle(), ">", {"a": 1.31, "b": 0.52}),
+    (catalog.double_triangle(), "lc", {"a": 0.4, "b": 1.13}),
+    (_keldysh(catalog.chain3()), "R", {"a": 1.7321, "b": 0.61}),
+    (parse_equation(SELF_ENERGY), ">", {"a": 0.52, "b": 1.31}),
+    (parse_equation(THREE_EXTERNAL), "R(1,23)", {"a": 1.4, "b": 0.9, "c": 0.35}),
+    (parse_equation(THREE_EXTERNAL), "M(1)23", {"a": 0.4, "b": 1.2, "c": 0.3}),
+]
+
+
+@pytest.mark.parametrize("case", range(len(SHARED_CASES)))
+def test_each_component_is_evaluated_once_per_sample(case, monkeypatch):
+    eq, tname, times = SHARED_CASES[case]
+    target = parse_superindex(tname, eq)
+    rule = derive_rule(eq, target)
+    grid = DiscreteContour(n_fwd=5)
+    tables = ComponentTable(eq, seed=4)
+    calls = _component_keys(monkeypatch)
+    lhs = evaluate_contour_side(eq, target, tables, grid, times)
+    contour_calls = len(calls)
+    rhs = evaluate_realtime_side(rule, eq, tables, grid, times)
+    assert contour_calls > 0
+    # across both sides, no (function, mset, korder, args) is evaluated twice
+    assert len(set(calls)) == len(calls)
+    assert abs(lhs - rhs) <= 1e-8 * (1 + max(abs(lhs), abs(rhs)))
+
+
+def test_component_table_holds_one_sample(monkeypatch):
+    eq = catalog.double_triangle()
+    target = parse_superindex(">", eq)
+    grid = DiscreteContour(n_fwd=5)
+    tables = ComponentTable(eq, seed=4)
+    first, second = {"a": 1.31, "b": 0.52}, {"a": 1.13, "b": 0.4}
+    calls = _component_keys(monkeypatch)
+    value = evaluate_contour_side(eq, target, tables, grid, first)
+    n_first = len(calls)
+    assert evaluate_contour_side(eq, target, tables, grid, first) == value
+    assert len(calls) == n_first  # the same sample reads its table
+    evaluate_contour_side(eq, target, tables, grid, second)
+    assert oracle._sample_values.cache_info().currsize <= 1
+    # the second sample replaced the first, whose values are made again
+    before = len(calls)
+    assert evaluate_contour_side(eq, target, tables, grid, first) == value
+    assert len(calls) - before == n_first
+
+
+def test_contour_side_evaluates_no_order_with_forward_before_backward(monkeypatch):
+    grid = DiscreteContour(n_fwd=4)
+    span = grid.t_max
+    seen = Counter()
+    ordered_sum = oracle._ordered_sum
+
+    def checking(values, func, mset, orders, args, layout, keys):
+        orders = list(orders)
+        for _, chains, _ in orders:
+            for chain in chains:
+                # contour keys: F within [t0, t_max], B within (t_max, 3 t_max)
+                branches = [FWD if np.max(keys[l]) <= span else BWD for l in chain]
+                assert FWD + BWD not in "".join(branches), (func, chain, branches)
+                seen[BWD + FWD if FWD in branches and BWD in branches else "one"] += 1
+        return ordered_sum(values, func, mset, orders, args, layout, keys)
+
+    monkeypatch.setattr(oracle, "_ordered_sum", checking)
+    for eq, tname, times in SHARED_CASES:
+        evaluate_contour_side(eq, parse_superindex(tname, eq), ComponentTable(eq, 4), grid, times)
+    assert seen[BWD + FWD] > 0 and seen["one"] > 0
+
+
+def test_corpus_verify_pass_component_calls(monkeypatch):
+    # every corpus target on both contours at the CLI grid, three seeds; the
+    # sides used to make 18216 calls here, three in four of them repeats
+    jobs = []
+    for contour in ("extended", "keldysh"):
+        for make in catalog.CORPUS.values():
+            e = make()
+            eq = ContourEquation(e.lhs_name, e.external, e.internal, e.product, contour)
+            for tname in catalog.all_targets(eq):
+                target = parse_superindex(tname, eq)
+                jobs.append((eq, tname, target, derive_rule(eq, target)))
+    calls = _component_keys(monkeypatch)
+    for eq, tname, target, rule in jobs:
+        records = verify(eq, target, tname, seeds=(10, 11, 12), grid_size=24, rule=rule)
+        assert all(r.passed for r in records)
+    assert len(jobs) == 58
+    assert len(calls) <= 4200
