@@ -289,7 +289,7 @@ def build_rule(eq: ContourEquation, row: Sequence[tuple[int, Sequence[Frag]]]) -
         for sign, chains, factors in _cross([expand_fragment(eq, f) for f in frags]):
             m_placed = set()
             for f in factors:
-                m_placed.update(str(l) for l in f.index.mats_labels())
+                m_placed.update(f.index.mats_labels())
             imag = frozenset(l for l in eq.internal if l in m_placed)
             real = frozenset(eq.internal) - imag
             sgn = coeff * sign

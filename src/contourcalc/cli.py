@@ -50,8 +50,16 @@ def _load_equations(cfg: RunConfig) -> list[ContourEquation]:
     if cfg.input in catalog.CORPUS:
         eq = catalog.CORPUS[cfg.input]()
         return [ContourEquation(eq.lhs_name, eq.external, eq.internal, eq.product, cfg.contour)]
-    text = Path(cfg.input).read_text(encoding="utf-8")
-    return parse_file(text, cfg.contour)
+    try:
+        text = Path(cfg.input).read_text(encoding="utf-8")
+    except OSError as err:
+        raise ContourError(f"cannot read {cfg.input}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise ContourError(f"cannot read {cfg.input}: {err}") from None
+    equations = parse_file(text, cfg.contour)
+    if not equations:
+        raise ContourError(f"no equation in {cfg.input}")
+    return equations
 
 
 def _targets_for(eq: ContourEquation, cfg: RunConfig) -> list[str]:

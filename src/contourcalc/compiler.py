@@ -537,7 +537,7 @@ def _reduce_block(funcs: tuple[BFunc, ...], items: tuple[Item, ...], dropped=Non
         )
         if kills == 0:
             continue
-        key = (-kills, str(top_label(_entry_at(items, path))), path)
+        key = (-kills, top_label(_entry_at(items, path)), path)
         if best is None or key < best[0]:
             best = (key, children)
     if best is not None:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .combinatorics import RangeError, commutator_words
 from .ir import (
     EXTENDED,
-    LABELED,
     ContourEquation,
     CoverError,
     Item,
@@ -68,8 +67,6 @@ def _is_flat_slot(item: Item) -> bool:
 
 
 def _validate_target(eq: ContourEquation, target: SuperIndex, allow_sets: bool) -> None:
-    if target.mode != LABELED:
-        raise CoverError("targets must be in labeled mode")
     covered = target.labels()
     if sorted(covered) != sorted(eq.external):
         raise CoverError(

@@ -21,9 +21,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 LabelLike = Union[str, int]
 
-LABELED = "labeled"
-HACEK = "hacek"
-
 KELDYSH = "keldysh"
 EXTENDED = "extended"
 
@@ -128,12 +125,11 @@ class SuperIndex:
 
     Items are ordered by contour time, latest first.  A Matsubara item may
     appear only at the head (its arguments are always latest on the
-    contour).  ``mode`` is ``"labeled"`` (labels are strings) or ``"hacek"``
-    (labels are 1-based argument positions).
+    contour).  Labels are the label strings of an equation; only
+    :func:`to_hacek` returns 1-based int argument positions instead.
     """
 
     items: tuple[Item, ...]
-    mode: str = LABELED
 
     def __post_init__(self):
         for i, item in enumerate(self.items):
@@ -172,35 +168,31 @@ def _map_item(item: Item, f) -> Item:
     return Ret(_map_item(item.top, f), tuple(_map_item(e, f) for e in item.rest))
 
 
-def map_labels(si: SuperIndex, f, mode: str) -> SuperIndex:
-    return SuperIndex(tuple(_map_item(i, f) for i in si.items), mode)
+def map_labels(si: SuperIndex, f) -> SuperIndex:
+    return SuperIndex(tuple(_map_item(i, f) for i in si.items))
 
 
 def to_hacek(si: SuperIndex, args: Iterable[str]) -> SuperIndex:
     """Convert a labeled super-index to positions in ``args`` (1-based)."""
     pos = {a: i + 1 for i, a in enumerate(args)}
-    if si.mode == HACEK:
-        return si
     missing = [l for l in si.labels() if l not in pos]
     if missing:
         raise CoverError(f"labels {missing} are not arguments of the target function")
-    return map_labels(si, lambda l: pos[l], HACEK)
+    return map_labels(si, pos.__getitem__)
 
 
 def to_labeled(si: SuperIndex, args: Iterable[str]) -> SuperIndex:
     """Inverse of :func:`to_hacek` for the same argument list."""
     args = list(args)
-    if si.mode == LABELED:
-        return si
     n = len(args)
-    bad = [p for p in si.labels() if not (1 <= int(p) <= n)]
+    bad = [p for p in si.labels() if not (isinstance(p, int) and 1 <= p <= n)]
     if bad:
         raise CoverError(f"positions {bad} out of range for arity {n}")
-    return map_labels(si, lambda p: args[int(p) - 1], LABELED)
+    return map_labels(si, lambda p: args[p - 1])
 
 
-def plain_index(labels: Iterable[LabelLike], mode: str = LABELED) -> SuperIndex:
-    return SuperIndex(tuple(Plain(l) for l in labels), mode)
+def plain_index(labels: Iterable[LabelLike]) -> SuperIndex:
+    return SuperIndex(tuple(Plain(l) for l in labels))
 
 
 class TwoPoint(NamedTuple):
@@ -342,8 +334,8 @@ class LinearCombination:
     terms: tuple[tuple[int, SuperIndex], ...]
 
     @classmethod
-    def from_words(cls, words: Iterable[tuple[int, tuple[LabelLike, ...]]], mode: str = LABELED):
-        return cls(tuple((sign, plain_index(word, mode)) for sign, word in words))
+    def from_words(cls, words: Iterable[tuple[int, tuple[LabelLike, ...]]]):
+        return cls(tuple((sign, plain_index(word)) for sign, word in words))
 
     def __str__(self) -> str:
         return _signed_sum((sign, str(si)) for sign, si in self.terms)
@@ -421,10 +413,6 @@ class RealTimeTerm:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError("term sign must be +-1")
-
-    def key(self):
-        """Identity of the term up to sign."""
-        return (self.steps, self.factors, self.real_integrals, self.imag_integrals)
 
 
 @dataclass(frozen=True)

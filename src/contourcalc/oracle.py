@@ -154,14 +154,14 @@ def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
         for f in term.factors:
             if f.func.name not in known:
                 raise NotFullyExpanded(f"factor {f} does not belong to {eq.lhs_name}")
-            m_placed.update(str(l) for l in f.index.mats_labels())
+            m_placed.update(f.index.mats_labels())
         m_placed |= set(term.imag_integrals)
         real_labels = tuple(sorted(
             (set(eq.labels()) - m_placed - set(eq.internal)) | set(term.real_integrals)
         ))
         for f in term.factors:
             if f not in expansions:
-                bf = (f.func, tuple(sorted(str(l) for l in f.index.mats_labels())))
+                bf = (f.func, tuple(sorted(f.index.mats_labels())))
                 expansions[f] = [
                     (s, chains, ids.setdefault(component_of_product((bf,), w)[0], len(ids)))
                     for s, chains, w in expand_retarded(f.index)
@@ -256,7 +256,7 @@ def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpr
     numbered per call by ``Factor``, not by position, so equal components
     share one number; the terms get their factors back once, at the end.
     """
-    m_ext = tuple(str(l) for l in target.mats_labels())
+    m_ext = target.mats_labels()
     nf: Counter = Counter()
     # each distinct induced component gets an int once per call, so the
     # keys hash as ints; they turn back into factors once, at the end
@@ -750,7 +750,6 @@ def _placed_words(target: SuperIndex, times: dict[str, float]) -> list:
     out = []
     for sign, chains, word in expand_retarded(target.real_items()):
         if all(times[x] > times[y] for c in chains for x, y in zip(c, c[1:])):
-            word = tuple(str(l) for l in word)
             out.append((sign, word, placement_for_times(word, times)))
     return out
 
@@ -772,7 +771,7 @@ def evaluate_contour_side(
     placement :func:`placement_for_times` gives at these times.  Returns a
     complex value (and an absolute-magnitude scale when requested).
     """
-    m_ext = [str(l) for l in target.mats_labels()]
+    m_ext = target.mats_labels()
     for l in set(eq.external) - set(m_ext):
         grid.check_external(external_times[l])
     weight = _branch_weights(eq, grid, truncate_at)
@@ -856,11 +855,11 @@ def _factor_plan(factor: Factor):
     ((sign, step chains, korder), ...))``; built once per process while it
     stays among the 4096 most recently used."""
     func = factor.func
-    mats = [str(l) for l in factor.index.mats_labels()]
+    mats = factor.index.mats_labels()
     mset = frozenset(i + 1 for i, a in enumerate(func.args) if a in mats)
     pos = {a: i + 1 for i, a in enumerate(func.args)}
     return mset, tuple(
-        (sign, chains, tuple(pos[str(l)] for l in word))
+        (sign, chains, tuple(pos[l] for l in word))
         for sign, chains, word in expand_retarded(factor.index)
     )
 
@@ -899,7 +898,7 @@ def _ordering_classes(
     whose step prefactor can be non-zero there has no contour placement;
     the classes are the other orders on which some prefactor can be
     non-zero, which the numeric oracle samples."""
-    m_ext = set(str(l) for l in target.mats_labels())
+    m_ext = target.mats_labels()
     k_ext = [l for l in eq.external if l not in m_ext]
     classes, blocked = [], set()
     for omega in itertools.permutations(k_ext):
@@ -926,7 +925,6 @@ def _sample_times(
     grid: DiscreteContour,
     rng: np.random.Generator,
 ) -> dict[str, float]:
-    m_ext = [str(l) for l in target.mats_labels()]
     span = grid.t_max - grid.t0
     lo, hi = grid.t0 + 0.05 * span, grid.t_max - 0.05 * span
     times: dict[str, float] = {}
@@ -944,7 +942,7 @@ def _sample_times(
         )
     for l, t in zip(omega, draws):
         times[l] = float(t)
-    for l in m_ext:
+    for l in target.mats_labels():
         times[l] = float(rng.uniform(0.05, 0.95))
     return times
 
@@ -963,7 +961,7 @@ def verify(
     name = target_name or str(target)
     rule = derive_rule(eq, target) if rule is None else rule
     classes, blocked = _ordering_classes(eq, target)
-    horizontal = set(eq.external) - {str(l) for l in target.mats_labels()}
+    horizontal = set(eq.external) - set(target.mats_labels())
 
     def placed(expr: RealTimeExpression) -> Counter:
         # the normal form on the orders of the horizontal externals that

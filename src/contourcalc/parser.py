@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 from .ir import (
     EXTENDED,
-    HACEK,
     TWO_POINT,
     ContourEquation,
     ContourError,
+    CoverError,
     Item,
     Mats,
     Plain,
@@ -30,7 +30,6 @@ from .ir import (
     SubFunction,
     SuperIndex,
     map_labels,
-    to_labeled,
     validate_equation,
 )
 
@@ -233,7 +232,10 @@ def parse_superindex(text: str, target: ContourEquation) -> SuperIndex:
     items, used_digits = _parse_items(raw, target)
     si = SuperIndex(tuple(items))
     if used_digits:
-        si = to_labeled(map_labels(si, int, HACEK), ext)
+        bad = [int(p) for p in si.labels() if not 1 <= int(p) <= len(ext)]
+        if bad:
+            raise CoverError(f"positions {bad} out of range for arity {len(ext)}")
+        si = map_labels(si, lambda p: ext[int(p) - 1])
     covered = sorted(si.labels())
     if covered != sorted(ext):
         raise ArityMismatch(
@@ -259,7 +261,7 @@ def _parse_items(raw: str, target: ContourEquation):
                 sc.error("expected a label")
             sc.pos += 1
             name = c
-        if name.isdigit():
+        if name.isdecimal():
             digits_seen = True
         else:
             letters_seen = True

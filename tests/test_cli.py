@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, determinism, golden tables."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,11 +14,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(args, **kw):
+    # the child finds this checkout's package whether or not PYTHONPATH names it
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "contourcalc.cli", *args],
         capture_output=True,
         text=True,
         cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
         **kw,
     )
 
@@ -45,6 +49,33 @@ def test_derive_parse_error_exit_1(tmp_path, capsys):
     src.write_text("P[a,b] = int{a} : A[a,b]\n", encoding="utf-8")
     assert main(["derive", "--input", str(src)]) == 1
     assert "Overlapping" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["derive", "verify"])
+def test_unreadable_input_exit_1(tmp_path, capsys, command):
+    binary = tmp_path / "latin1.ctr"
+    binary.write_bytes(b"P[a,b] = int{} : A[a,b] # \xe9\n")
+    cases = (
+        (tmp_path / "missing.ctr", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+        (binary, "can't decode byte 0xe9"),
+    )
+    for path, reason in cases:
+        assert main([command, "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: ")
+        assert reason in captured.err
+
+
+@pytest.mark.parametrize("command", ["derive", "verify"])
+def test_input_without_equation_exit_1(tmp_path, capsys, command):
+    src = tmp_path / "comments.ctr"
+    src.write_text("# only a comment\n\n# and another\n", encoding="utf-8")
+    assert main([command, "--input", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no equation in {src}\n"
 
 
 def test_derive_corpus_file(capsys):

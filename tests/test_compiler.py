@@ -13,6 +13,7 @@ from contourcalc.compiler import (
 from contourcalc.engine import expand_retarded
 from contourcalc.ir import (
     ContourEquation,
+    CoverError,
     Mats,
     Plain,
     RealTimeExpression,
@@ -360,3 +361,14 @@ def test_compiler_never_rebuilds_indices_through_to_hacek(monkeypatch):
         for fmt in ("text", "latex"):
             for naming in ("hacek", "labeled"):
                 assert emit(rule, fmt, naming)
+
+
+@pytest.mark.parametrize("name", sorted(catalog.CORPUS))
+def test_position_labelled_targets_are_refused(name):
+    # a target holds label strings; the int positions to_hacek returns
+    # cover no external and fail the cover check
+    eq = catalog.CORPUS[name]()
+    for tname in catalog.all_targets(eq):
+        target = to_hacek(parse_superindex(tname, eq), eq.external)
+        with pytest.raises(CoverError):
+            derive_rule(eq, target)

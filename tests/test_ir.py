@@ -91,6 +91,19 @@ def test_hacek_round_trip_simple():
     assert to_labeled(h, args) == si
 
 
+def test_hacek_conversions_refuse_the_other_label_kind():
+    # production indices carry label strings; positions are the ints that
+    # to_hacek returns, and neither conversion passes the other kind through
+    args = ("a", "b")
+    labeled = SuperIndex((Plain("a"), Plain("b")))
+    with pytest.raises(CoverError):
+        to_labeled(labeled, args)
+    with pytest.raises(CoverError):
+        to_hacek(to_hacek(labeled, args), args)
+    with pytest.raises(CoverError):
+        to_labeled(SuperIndex((Plain(1), Plain(3))), args)
+
+
 @st.composite
 def _index_over(draw, args):
     labels = list(args)
@@ -195,7 +208,7 @@ def test_factor_sort_key_and_repr():
     assert f.sort_key() == ("A", "M(1)2", ("a", "b"))
     assert repr(f) == (
         "Factor(func=SubFunction(name='A', args=('a', 'b')), index=SuperIndex("
-        "items=(Mats(labels=('a',)), Plain(label='b')), mode='labeled'))"
+        "items=(Mats(labels=('a',)), Plain(label='b'))))"
     )
 
 

@@ -17,9 +17,11 @@ from contourcalc.compiler import derive_rule
 from contourcalc.engine import expand_retarded
 from contourcalc.ir import (
     ContourEquation,
+    CoverError,
     RealTimeExpression,
     RealTimeTerm,
     SuperIndex,
+    to_hacek,
 )
 from contourcalc.oracle import (
     BWD,
@@ -233,6 +235,12 @@ def test_verify_passes_and_fails():
     zero_tol = verify(CONV, target, seeds=(0,), grid_size=12, tol=0.0)
     numeric = [r for r in zero_tol if r.mode == "numeric"]
     assert numeric and not all(r.passed for r in numeric)
+
+
+def test_verify_refuses_a_position_labelled_target():
+    target = to_hacek(parse_superindex("R", CONV), CONV.external)
+    with pytest.raises(CoverError):
+        verify(CONV, target, seeds=(0,), grid_size=8)
 
 
 def test_unknown_component_raises():

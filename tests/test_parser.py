@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from contourcalc import catalog
-from contourcalc.ir import Mats, Plain, Ret, to_hacek
+from contourcalc.ir import ContourError, Mats, Plain, Ret, to_hacek
 from contourcalc.parser import (
     ArityMismatch,
     EquationSyntaxError,
@@ -130,6 +130,15 @@ def test_digit_targets_are_positions():
     assert si.items == (Plain("b"), Plain("a"), Plain("c"))
     si = parse_superindex("R(1,23)", eq)
     assert si.items == (Ret(Plain("a"), (Plain("b"), Plain("c"))),)
+
+
+def test_superscript_digits_are_labels_not_positions():
+    # '²' is a digit to str.isdigit but no int; as a label it parses, and
+    # beside a position it is refused, never a traceback
+    eq = parse_equation("P[²,b] = int{} : A[²,b]")
+    assert parse_superindex("²b", eq).items == (Plain("²"), Plain("b"))
+    with pytest.raises(ContourError):
+        parse_superindex("²1", CONV)
 
 
 def test_nested_target_syntax():
