@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,6 +16,10 @@ from .compiler import NamingUnavailable, derive_rule, emit
 from .ir import EXTENDED, KELDYSH, ContourEquation, ContourError
 from .oracle import verify
 from .parser import parse_file, parse_superindex
+
+
+# the exit code when the reader of standard output closes it early: 128 + SIGPIPE
+BROKEN_PIPE = 141
 
 
 @dataclass
@@ -51,7 +56,8 @@ def _load_equations(cfg: RunConfig) -> list[ContourEquation]:
         eq = catalog.CORPUS[cfg.input]()
         return [ContourEquation(eq.lhs_name, eq.external, eq.internal, eq.product, cfg.contour)]
     try:
-        text = Path(cfg.input).read_text(encoding="utf-8")
+        # utf-8-sig: a leading byte-order mark is not part of the text
+        text = Path(cfg.input).read_text(encoding="utf-8-sig")
     except OSError as err:
         raise ContourError(f"cannot read {cfg.input}: {err.strerror or err}") from None
     except UnicodeDecodeError as err:
@@ -226,7 +232,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     handler = {"derive": cmd_derive, "verify": cmd_verify, "tables": cmd_tables}[cfg.command]
-    return handler(cfg)
+    try:
+        code = handler(cfg)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (as in `| head`): the rest of the output goes
+        # nowhere, so that the exit flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -25,10 +25,8 @@ strategy:
   sparse mesh over the function's own node arguments, and each caller
   puts it onto its own mesh by a transpose and a reshape.  The contour
   side and the sampled orderings take the live external words and their
-  placements from :func:`_placed_words`.  The real-time side takes one
-  mesh per layout of a term's integrals from :func:`_internal_mesh` and
-  computes each distinct factor's value and each step comparison on it
-  once per call.  The contour side gives each internal label a branch
+  placements from :func:`_placed_words`.  The contour side gives each
+  internal label a branch
   axis (2 or 3 branches) and a node axis (N nodes), so there is no loop
   over branch assignments: each function is one tensor over the (branch,
   node) axes of its internal arguments, and each label's weight (+dt, -dt
@@ -40,14 +38,28 @@ strategy:
   labels sit on real branches at one node by a Moebius sum over the set
   partitions of the internal labels, one contraction per partition, in
   which the labels of one block share a node axis and keep only their
-  real branches.
+  real branches.  The real-time side is planned once per rule
+  (:func:`_rule_plan`, found by identity).  Each factor is one piece, an
+  array over its own internal labels keyed by the factor and the kind
+  (real or imaginary) of each of those labels, so the layouts of a rule
+  share it; a term's step comparisons among one set of internal labels
+  are another piece.  A layout (a term's sorted real and sorted imaginary
+  integrals) stacks the pieces of its terms along a term axis, one
+  operand per function and per set of step labels, multiplies each
+  operand into one that holds its labels, and contracts what is left
+  once per set partition of its real labels, by the same Moebius sum;
+  imaginary labels never tie.  A partition leaves out the terms that
+  vanish on it, where a step that every component of a piece holds joins
+  two labels of one block.
 
 Per-call memos aside, bounded caches live as long as the process: the
 component table of each (equation, seed), 64 entries; the partition plan
 (branch slices and contraction path) of each (operand labels, internal
 labels, mesh shape), 256; the contour orders of each tuple of argument
-branches, 256; and the plan of each factor, 4096.  Each holds values that
-are never changed after they are built.  The per-sample value table has a
+branches, 256; the plan of each factor, 4096; and the real-time plan of
+each rule, 64.  Each holds values that are never changed after they are
+built, but for the contraction paths a rule plan adds as it meets new
+operand shapes.  The per-sample value table has a
 one-entry cache keyed by (component table, grid, external times): the two
 sides of one sample share it, and a new sample replaces it, so only one
 sample's values are ever held.
@@ -65,7 +77,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -691,13 +703,26 @@ def _partition_plan(
             shapes.append(
                 tuple(x for l in labels for x in (2 if l in merged else branches, n))
             )
-        path = np.einsum_path(
-            ",".join(subscripts) + "->",
-            *(np.broadcast_to(0.0, s) for s in shapes),
-            optimize="greedy",
-        )[0]
-        plan.append((mu, tuple(slices), _path_steps(subscripts, path[1:])))
+        plan.append((mu, tuple(slices), _greedy_steps(subscripts, shapes)))
     return tuple(plan)
+
+
+def _greedy_steps(
+    subscripts: Sequence[str], shapes: Sequence[tuple[int, ...]], grow: int = 1
+) -> tuple:
+    """The pairwise steps (:func:`_path_steps`) of a greedy path that
+    contracts operands of ``shapes`` with ``subscripts`` to a number.
+
+    No intermediate is larger than the largest operand times ``grow``; a
+    path that needs a larger one finishes in one step over the operands
+    left."""
+    limit = max(math.prod(s) for s in shapes) * grow
+    path = np.einsum_path(
+        ",".join(subscripts) + "->",
+        *(np.broadcast_to(0.0, s) for s in shapes),
+        optimize=("greedy", limit),
+    )[0]
+    return _path_steps(subscripts, path[1:])
 
 
 def _path_steps(subscripts: list[str], path) -> tuple:
@@ -726,21 +751,6 @@ def _contract(operands: list, steps) -> complex:
         operands.append(np.einsum(subscripts, *picked))
     (result,) = operands
     return result[()]
-
-
-def _internal_mesh(grid: DiscreteContour, on_mats: Sequence[bool]):
-    """Sparse axes over a run of internal labels (the vertical nodes where
-    ``on_mats`` holds, the shared real nodes elsewhere), the weight of one
-    mesh point, and the mask that leaves out every point placing two real
-    labels on one node."""
-    nodes = [grid.mats_nodes if m else grid.real_nodes for m in on_mats]
-    axes = np.meshgrid(*nodes, indexing="ij", sparse=True)
-    weight = math.prod(grid.mats_weights[0] if m else grid.real_weights[0] for m in on_mats)
-    mask = np.ones(tuple(len(n) for n in nodes) or (1,), dtype=bool)
-    reals = [t for t, m in zip(axes, on_mats) if not m]
-    for x, y in itertools.combinations(reals, 2):
-        mask &= x != y
-    return axes, weight, mask
 
 
 def _placed_words(target: SuperIndex, times: dict[str, float]) -> list:
@@ -809,44 +819,262 @@ def evaluate_realtime_side(
     side; real integrals run over the shared real nodes, imaginary ones
     over the vertical nodes with the implicit -i per integral.
 
-    Terms sharing a layout -- their sorted real and sorted imaginary
-    integrals -- share one mesh, and on it each distinct factor's value and
-    each step comparison is computed once per call.  Each term still
-    multiplies its own values in its own order and sums its own points, so
-    the result is that of evaluating the terms one by one."""
+    Each piece of the rule's plan (:func:`_rule_plan`) is computed once per
+    call, on its own labels' axes.  The terms of one layout are summed by
+    one contraction per set partition of its real labels, their stacked
+    pieces carrying a term axis, and the partitions' Moebius sum leaves out
+    the points where two real labels share a node."""
+    pieces, layouts = _rule_plan(expr)
     values = _sample_values(tables, grid, tuple(sorted(external_times.items())))
+    nodes = {REAL_NODES: grid.real_nodes, MATS_NODES: grid.mats_nodes}
+    meshes: dict[tuple[str, ...], list] = {}
+    arrays = []
+    for piece in pieces:
+        if piece.kinds not in meshes:
+            meshes[piece.kinds] = np.meshgrid(
+                *(nodes[k] for k in piece.kinds), indexing="ij", sparse=True
+            )
+        times: dict[str, object] = dict(external_times)
+        times.update(zip(piece.labels, meshes[piece.kinds]))
+        if piece.func is None:
+            value = np.ones(tuple(len(nodes[k]) for k in piece.kinds))
+            for x, y in piece.pairs:
+                value = value * (times[x] > times[y])
+        else:
+            args = tuple(
+                piece.kinds[piece.labels.index(a)] if a in piece.labels else times[a]
+                for a in piece.func.args
+            )
+            value = _ordered_sum(
+                values, piece.func, piece.mset, piece.orders, args, piece.labels, times
+            )
+        arrays.append(value)
+    nodes_max = max(grid.n_fwd, grid.n_mats)
     total = 0.0 + 0.0j
-    # layout -> (times, weight, mask, step values, factor values)
-    layouts: dict[tuple, tuple] = {}
+    for layout in layouts:
+        operands = []
+        for product, members in layout.operands:
+            factors = [
+                layout.phases if member is None
+                else arrays[member[0][0]] if member[1] is None
+                else np.stack([arrays[i] for i in member[0]])[member[1]]
+                for member in members
+            ]
+            operands.append(np.einsum(product, *factors) if product else factors[0])
+        weight = grid.real_weights[0] ** len(layout.reals) * grid.mats_weights[0] ** len(
+            layout.imags
+        )
+        # the terms go through a contraction in runs whose intermediates,
+        # each at most the largest operand times one node axis, stay within
+        # CONTRACTION_ELEMENTS
+        n_terms = len(layout.phases)
+        per_term = max(
+            o.size // n_terms if s else o.size for o, s in zip(operands, layout.stacked)
+        )
+        run_length = max(1, CONTRACTION_ELEMENTS // (per_term * nodes_max))
+        for i, (mu, subscripts, live) in enumerate(layout.partitions):
+            if live is None and n_terms <= run_length:
+                runs = [None]
+            else:
+                terms = np.arange(n_terms) if live is None else live
+                runs = np.array_split(terms, -(-len(terms) // run_length))
+            for run in runs:
+                views = [
+                    o if run is None or not s else o[run] for o, s in zip(operands, layout.stacked)
+                ]
+                shapes = tuple(v.shape for v in views)
+                if (i, shapes) not in layout.paths:
+                    layout.paths[i, shapes] = _greedy_steps(subscripts, shapes, nodes_max)
+                total += mu * weight * _contract(views, layout.paths[i, shapes])
+    return total
+
+
+# the largest intermediate, in elements, of a real-time side contraction
+CONTRACTION_ELEMENTS = 2**18
+
+
+class _Piece(NamedTuple):
+    """A factor, or a product of step comparisons (``func`` None), on the
+    axes of its internal ``labels``, which sit on the node sets ``kinds``."""
+
+    labels: tuple[str, ...]
+    kinds: tuple[str, ...]
+    func: Optional[SubFunction] = None
+    mset: frozenset = frozenset()
+    orders: tuple = ()
+    pairs: tuple[tuple[str, str], ...] = ()
+
+
+# the term axis letter sorts before the label letters, so that it stays the
+# first axis of every intermediate
+TERM_AXIS = "A"
+
+
+class _Layout(NamedTuple):
+    """The terms of a rule with one layout: sorted real and sorted imaginary
+    integrals, and one piece in each slot (a function, or the step
+    comparisons among one set of internal labels).
+
+    ``phases`` holds each term's sign times (-i) per imaginary integral.  A
+    slot is a member, as (distinct piece numbers, the term's place among
+    them): the index is None where all terms share the piece, which then
+    has no term axis; None stands for the phases.  Each of ``operands``
+    multiplies members, by the einsum ``product`` ("" for one member taken
+    as it is), onto the labels of the first, which holds the labels of the
+    others; ``stacked`` tells which operands have the term axis.
+    ``partitions`` are the set partitions of ``reals`` on which some term
+    can be non-zero, as (mu, einsum subscripts of the operands, the terms
+    that can be non-zero there, None for all); ``paths`` keeps the
+    contraction steps of each (partition number, operand shapes)."""
+
+    reals: tuple[str, ...]
+    imags: tuple[str, ...]
+    phases: np.ndarray
+    operands: tuple[tuple[str, tuple], ...]
+    stacked: tuple[bool, ...]
+    partitions: tuple[tuple[int, tuple[str, ...], Optional[np.ndarray]], ...]
+    paths: dict
+
+
+def _plan_rule(expr: RealTimeExpression):
+    """The pieces of ``expr``, numbered, and its layouts (:class:`_Layout`),
+    as ``(pieces, layouts)``."""
+    # (reals, imags) -> per term: its sign and its piece in each of its slots;
+    # a slot is ("f", function name, arguments, repeat) or ("s", labels)
+    groups: dict[tuple, list[tuple[int, dict]]] = {}
     for term in expr.terms:
         reals = tuple(sorted(term.real_integrals))
         imags = tuple(sorted(term.imag_integrals))
-        if (reals, imags) not in layouts:
-            axes, weight, mask = _internal_mesh(grid, [False] * len(reals) + [True] * len(imags))
-            times: dict[str, object] = dict(external_times)
-            times.update(zip(reals + imags, axes))
-            layouts[reals, imags] = (times, weight, mask, {}, {})
-        times, weight, mask, steps, factor_values = layouts[reals, imags]
-        value = np.ones(mask.shape, dtype=complex)
+        kind = dict.fromkeys(reals, REAL_NODES) | dict.fromkeys(imags, MATS_NODES)
+        slots: dict[tuple, _Piece] = {}
+        for factor in term.factors:
+            mset, orders = _factor_plan(factor)
+            func = factor.func
+            labels = tuple(a for a in func.args if a in kind)
+            repeat = sum(s[1:3] == (func.name, func.args) for s in slots)
+            slots["f", func.name, func.args, repeat] = _Piece(
+                labels, tuple(kind[l] for l in labels), func, mset, orders
+            )
+        pairs: dict[tuple[str, ...], set] = {}
         for chain in term.steps:
             for x, y in zip(chain, chain[1:]):
-                if (x, y) not in steps:
-                    steps[x, y] = times[x] > times[y]
-                value = value * steps[x, y]
-        for factor in term.factors:
-            if factor not in factor_values:
-                mset, orders = _factor_plan(factor)
-                args = tuple(
-                    REAL_NODES if a in reals else MATS_NODES if a in imags else times[a]
-                    for a in factor.func.args
-                )
-                factor_values[factor] = _ordered_sum(
-                    values, factor.func, mset, orders, args, reals + imags, times
-                )
-            value = value * factor_values[factor]
-        phase = term.sign * (-1j) ** len(imags)
-        total += phase * (weight * mask * value).sum()
-    return total
+                pairs.setdefault(tuple(l for l in reals if l in (x, y)), set()).add((x, y))
+        for labels, ps in pairs.items():
+            slots["s", labels] = _Piece(
+                labels, (REAL_NODES,) * len(labels), pairs=tuple(sorted(ps))
+            )
+        groups.setdefault((reals, imags), []).append((term.sign, slots))
+    pieces: dict[_Piece, int] = {}
+    layouts = []
+    for (reals, imags), terms in groups.items():
+        kind = dict.fromkeys(reals, REAL_NODES) | dict.fromkeys(imags, MATS_NODES)
+        labels_of = {slot: p.labels for _, slots in terms for slot, p in slots.items()}
+        # a label no slot carries integrates alone, on a piece of ones
+        carried = set().union(*labels_of.values())
+        labels_of.update((("s", (l,)), (l,)) for l in reals + imags if l not in carried)
+        # a term without a slot has a piece of ones there
+        ones = {s: _Piece(ls, tuple(kind[l] for l in ls)) for s, ls in labels_of.items()}
+        ids = np.array([
+            [pieces.setdefault(slots.get(s, ones[s]), len(pieces)) for s in sorted(ones)]
+            for _, slots in terms
+        ])
+        members = [(None, (TERM_AXIS,))]
+        for column, slot in zip(ids.T, sorted(ones)):
+            distinct, index = np.unique(column, return_inverse=True)
+            shared = len(distinct) == 1
+            members.append((
+                (tuple(distinct.tolist()), None if shared else index),
+                labels_of[slot] if shared else (TERM_AXIS,) + labels_of[slot],
+            ))
+        # a member goes into the first operand that holds its labels, widest
+        # first, so each partition contracts few operands
+        hosts: list[list] = []
+        for member in sorted(members, key=lambda m: -len(set(m[1]) - {TERM_AXIS})):
+            own = set(member[1]) - {TERM_AXIS}
+            home = next((h for h in hosts if own <= set(h[0][1])), None)
+            if home is None:
+                hosts.append([member])
+            else:
+                home.append(member)
+        letter = {l: chr(ord("B") + i) for i, l in enumerate(reals + imags)}
+        letter[TERM_AXIS] = TERM_AXIS
+        operands, labelsets = [], []
+        for host in hosts:
+            labels = tuple(l for l in host[0][1] if l != TERM_AXIS)
+            if any(TERM_AXIS in m[1] for m in host):
+                labels = (TERM_AXIS,) + labels
+            inputs = ["".join(letter[l] for l in m[1]) for m in host]
+            output = "".join(letter[l] for l in labels)
+            product = "" if inputs == [output] else ",".join(inputs) + "->" + output
+            operands.append((product, tuple(m[0] for m in host)))
+            labelsets.append(labels)
+        partitions = []
+        numbered = list(pieces)
+        for blocks, mu in _set_partitions(len(reals)):
+            live = [
+                t for t, row in enumerate(ids)
+                if not _zero_on(blocks, reals, [numbered[i] for i in row])
+            ]
+            if not live:
+                continue
+            letter = {reals[i]: chr(ord("B") + k) for k, b in enumerate(blocks) for i in b}
+            letter.update((l, chr(ord("a") + i)) for i, l in enumerate(imags))
+            letter[TERM_AXIS] = TERM_AXIS
+            partitions.append((
+                mu,
+                tuple("".join(letter[l] for l in ls) for ls in labelsets),
+                None if len(live) == len(ids) else np.array(live),
+            ))
+        layouts.append(_Layout(
+            reals,
+            imags,
+            (-1j) ** len(imags) * np.array([sign for sign, _ in terms]),
+            tuple(operands),
+            tuple(ls[:1] == (TERM_AXIS,) for ls in labelsets),
+            tuple(partitions),
+            {},
+        ))
+    return list(pieces), layouts
+
+
+def _zero_on(blocks, reals: tuple[str, ...], pieces: list[_Piece]) -> bool:
+    """Whether a term with ``pieces`` is zero wherever the real labels of
+    each block share a node: a piece is, where two of its labels joined by
+    a strict step tie -- for a factor, a step held by every component."""
+    block = {reals[i]: k for k, b in enumerate(blocks) for i in b}
+
+    def tied(pairs):
+        return any(x in block and y in block and block[x] == block[y] for x, y in pairs)
+
+    for piece in pieces:
+        if piece.func is None:
+            if tied(piece.pairs):
+                return True
+        elif piece.orders and all(
+            tied([p for chain in chains for p in zip(chain, chain[1:])])
+            for _, chains, _ in piece.orders
+        ):
+            return True
+    return False
+
+
+# the plans of the rules evaluated last, keyed by id: an entry holds its
+# rule, so no other rule can take that id while it is kept
+_RULE_PLANS: dict[int, tuple[RealTimeExpression, tuple]] = {}
+RULE_PLANS_KEPT = 64
+
+
+def _rule_plan(expr: RealTimeExpression):
+    """:func:`_plan_rule` of ``expr``, built once while it stays among the
+    most recently evaluated rules; found by identity, so a rule is not
+    hashed per call."""
+    entry = _RULE_PLANS.pop(id(expr), None)
+    if entry is None:
+        entry = (expr, _plan_rule(expr))
+        if len(_RULE_PLANS) >= RULE_PLANS_KEPT:
+            del _RULE_PLANS[next(iter(_RULE_PLANS))]
+    _RULE_PLANS[id(expr)] = entry
+    return entry[1]
 
 
 @functools.lru_cache(maxsize=4096)

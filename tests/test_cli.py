@@ -18,11 +18,10 @@ def run_cli(args, **kw):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "contourcalc.cli", *args],
-        capture_output=True,
         text=True,
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": path},
-        **kw,
+        **{"capture_output": True, **kw},
     )
 
 
@@ -76,6 +75,33 @@ def test_input_without_equation_exit_1(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: no equation in {src}\n"
+
+
+def test_derive_input_with_byte_order_mark(tmp_path, capsys):
+    text = "D[a,b] = int{c} : A[a,c]*B[c,b]\n"
+    plain, marked = tmp_path / "plain.ctr", tmp_path / "marked.ctr"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert main(["derive", "--input", str(plain)]) == 0
+    want = capsys.readouterr()
+    assert main(["derive", "--input", str(marked)]) == 0
+    got = capsys.readouterr()
+    assert got.out == want.out and got.err == want.err == ""
+    assert got.out.splitlines()[0] == "# D[a,b] = int{c} : A[a,c] * B[c,b]"
+    assert len(got.out.splitlines()) == 8
+
+
+@pytest.mark.parametrize("args", [["derive", "--input", "vertex"], ["tables"]])
+def test_closed_output_ends_quietly(args):
+    # the reader closes the pipe before the first line is written
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_cli(args, capture_output=False, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 def test_derive_corpus_file(capsys):

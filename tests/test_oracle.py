@@ -597,24 +597,36 @@ def _literal_realtime_sum(expr, tables, grid, ext_times):
     return total, scale
 
 
-# (equation, target, external times); the double-triangle R and A rules
-# have terms with step chains, the R(...) factors carry their own chains,
-# the rc and lc targets have imaginary integrals, and every real term has
-# two real internals, so the tie exclusion matters
+# (equation, target, external times, nodes per branch); the double-triangle
+# R and A rules have terms with step chains, the R(...) factors carry their
+# own chains, the rc and lc targets have imaginary integrals, and every real
+# term has two real internals, so the tie exclusion matters.  chain4 has
+# terms with four, three, ... real internals, several layouts of one rule
+# on the extended contour; the Keldysh ladder has 104 terms, most with step
+# chains among its four real internals; X has three externals and, on the
+# extended contour, four layouts
 REALTIME_CASES = [
-    (catalog.double_triangle(), "R", {"a": 1.31, "b": 0.52}),
-    (catalog.double_triangle(), "A", {"a": 0.52, "b": 1.31}),
-    (catalog.double_triangle(), "lc", {"a": 0.4, "b": 1.13}),
-    (catalog.chain3(), "rc", {"a": 0.77, "b": 0.35}),
-    (catalog.chain3(), ">", {"a": 1.7321, "b": 0.61}),
-    (_keldysh(catalog.chain3()), "<", {"a": 0.61, "b": 1.7321}),
+    (catalog.double_triangle(), "R", {"a": 1.31, "b": 0.52}, 3),
+    (catalog.double_triangle(), "A", {"a": 0.52, "b": 1.31}, 3),
+    (catalog.double_triangle(), "lc", {"a": 0.4, "b": 1.13}, 3),
+    (catalog.chain3(), "rc", {"a": 0.77, "b": 0.35}, 3),
+    (catalog.chain3(), ">", {"a": 1.7321, "b": 0.61}, 3),
+    (_keldysh(catalog.chain3()), "<", {"a": 0.61, "b": 1.7321}, 3),
+    (parse_equation(CHAIN4), ">", {"a": 1.31, "b": 0.52}, 4),
+    (parse_equation(CHAIN4, contour="keldysh"), ">", {"a": 1.7321, "b": 0.61}, 5),
+    (parse_equation(LADDER, contour="keldysh"), ">", {"a": 1.95, "b": 0.52}, 4),
+    (parse_equation(THREE_EXTERNAL), "123", {"a": 0.5, "b": 1.2, "c": 0.3}, 4),
+    (
+        parse_equation(THREE_EXTERNAL, contour="keldysh"), "123",
+        {"a": 1.4, "b": 0.9, "c": 0.35}, 5,
+    ),
 ]
 
 
 @pytest.mark.parametrize("case", range(len(REALTIME_CASES)))
 def test_realtime_side_matches_literal_point_sum(case):
-    eq, tname, ext_times = REALTIME_CASES[case]
-    grid = DiscreteContour(n_fwd=3)
+    eq, tname, ext_times, nodes = REALTIME_CASES[case]
+    grid = DiscreteContour(n_fwd=nodes)
     tables = ComponentTable(eq, seed=7)
     rule = derive_rule(eq, parse_superindex(tname, eq))
     got = evaluate_realtime_side(rule, eq, tables, grid, ext_times)
@@ -641,13 +653,13 @@ def test_realtime_side_is_the_sum_of_its_terms_over_many_layouts():
         return evaluate_realtime_side(rule, eq, ComponentTable(eq, seed), grid, ext_times)
 
     tables = ComponentTable(eq, 0)
-    by_term = 0j
-    for term in rule:
-        by_term += evaluate_realtime_side(
-            RealTimeExpression((term,)), eq, tables, grid, ext_times
-        )
+    per_term = [
+        evaluate_realtime_side(RealTimeExpression((term,)), eq, tables, grid, ext_times)
+        for term in rule
+    ]
     first = evaluate(0)
-    assert first == by_term
+    # the layouts sum their terms in another order than one term at a time
+    assert abs(first - sum(per_term)) <= 1e-12 * sum(abs(v) for v in per_term)
     # values computed for one table are not reused for another
     assert evaluate(1) != first
     assert evaluate(0) == first
@@ -759,3 +771,43 @@ def test_corpus_verify_pass_component_calls(monkeypatch):
         assert all(r.passed for r in records)
     assert len(jobs) == 58
     assert len(calls) <= 4200
+
+
+# ---------------------------------------------------------------------------
+# real-time side: one plan per rule, contractions in runs of terms
+
+
+def test_realtime_plan_is_built_once_per_rule(monkeypatch):
+    eq = parse_equation(LADDER, contour="keldysh")
+    rule = derive_rule(eq, parse_superindex(">", eq))
+    grid = DiscreteContour(n_fwd=4)
+    tables = ComponentTable(eq, 0)
+    times = {"a": 1.95, "b": 0.52}
+    first = evaluate_realtime_side(rule, eq, tables, grid, times)
+    plans = []
+    monkeypatch.setattr(oracle, "_plan_rule", lambda expr: plans.append(expr))
+    hashes = Counter()
+    factor_hash = oracle.Factor.__hash__
+    monkeypatch.setattr(
+        oracle.Factor, "__hash__", lambda self: hashes.update(["factor"]) or factor_hash(self)
+    )
+    # the rule is found by identity: no new plan and no factor hashed
+    assert evaluate_realtime_side(rule, eq, tables, grid, {"a": 0.1, "b": 1.9}) != first
+    assert evaluate_realtime_side(rule, eq, tables, grid, times) == first
+    assert plans == [] and hashes["factor"] == 0
+
+
+@pytest.mark.parametrize("case", [6, 8])
+def test_realtime_side_in_runs_of_terms(case, monkeypatch):
+    # a small bound on intermediates splits each contraction into runs of
+    # terms, down to one term per run
+    eq, tname, times, nodes = REALTIME_CASES[case]
+    rule = derive_rule(eq, parse_superindex(tname, eq))
+    grid = DiscreteContour(n_fwd=nodes)
+    tables = ComponentTable(eq, 0)
+    whole = evaluate_realtime_side(rule, eq, tables, grid, times)
+    want, scale = _literal_realtime_sum(rule, tables, grid, times)
+    assert abs(whole - want) <= 1e-12 * scale
+    for elements in (1, 200):
+        monkeypatch.setattr(oracle, "CONTRACTION_ELEMENTS", elements)
+        assert abs(evaluate_realtime_side(rule, eq, tables, grid, times) - whole) <= 1e-12 * scale
