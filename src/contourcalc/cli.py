@@ -68,10 +68,25 @@ def _load_equations(cfg: RunConfig) -> list[ContourEquation]:
     return equations
 
 
-def _targets_for(eq: ContourEquation, cfg: RunConfig) -> list[str]:
+def _targets_for(eq: ContourEquation, cfg: RunConfig):
+    """The catalog's targets, or the given ones, each under its catalog
+    name (:func:`_catalog_name`) as it is reached."""
     if cfg.targets == ["all"]:
         return catalog.all_targets(eq)
-    return cfg.targets
+    return (_catalog_name(eq, text) for text in cfg.targets)
+
+
+def _catalog_name(eq: ContourEquation, text: str) -> str:
+    """The :func:`catalog.all_targets` spelling of the target ``text``, so
+    that every spelling of one target names its rule alike; ``text`` itself
+    where the catalog has none (more than four externals, or an order
+    inside ``R(...)`` that the catalog does not spell)."""
+    target = parse_superindex(text, eq)
+    try:
+        names = catalog.all_targets(eq)
+    except RangeError:
+        return text
+    return next((name for name in names if parse_superindex(name, eq) == target), text)
 
 
 def _render(eq: ContourEquation, name: str, fmt: str) -> str:

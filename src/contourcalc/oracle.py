@@ -18,51 +18,62 @@ strategy:
   the cancellation lemmas hold node-by-node and agreement is limited only
   by floating-point rounding, not quadrature error.  Both sides evaluate
   each function with the masked sum over component orders of
-  :func:`_ordered_sum`, which takes every component value from one
-  per-sample table (:class:`_SampleValues`): each component is evaluated
-  once per sample, keyed by (function name, Matsubara slots, order,
-  arguments) with an internal argument standing for its node set, on a
-  sparse mesh over the function's own node arguments, and each caller
-  puts it onto its own mesh by a transpose and a reshape.  The contour
+  :func:`_ordered_sum`, whose entries carry a mask the caller has built
+  and the steps left to compare, and which takes every component value
+  from one per-sample table (:class:`_SampleValues`): each component is
+  evaluated once per sample, keyed by (function name, Matsubara slots,
+  order, arguments) with an internal argument standing for its node set,
+  on a sparse mesh over the function's own node arguments, and the
+  contour side puts it onto its own mesh by a transpose.  The contour
   side and the sampled orderings take the live external words and their
   placements from :func:`_placed_words`.  The contour side gives each
-  internal label a branch
-  axis (2 or 3 branches) and a node axis (N nodes), so there is no loop
-  over branch assignments: each function is one tensor over the (branch,
-  node) axes of its internal arguments, and each label's weight (+dt, -dt
-  or -i*dm) is folded into the first tensor that carries it; the external
-  words of one call share a function's tensor wherever its external
-  arguments sit on the same branches.  A block sums only the contour
-  orders that can hold on its branches: none puts a forward argument
-  later than a backward one.  Its sum leaves out the points where two
-  labels sit on real branches at one node by a Moebius sum over the set
-  partitions of the internal labels, one contraction per partition, in
-  which the labels of one block share a node axis and keep only their
-  real branches.  The real-time side is planned once per rule
-  (:func:`_rule_plan`, found by identity).  Each factor is one piece, an
-  array over its own internal labels keyed by the factor and the kind
-  (real or imaginary) of each of those labels, so the layouts of a rule
-  share it; a term's step comparisons among one set of internal labels
-  are another piece.  A layout (a term's sorted real and sorted imaginary
-  integrals) stacks the pieces of its terms along a term axis, one
-  operand per function and per set of step labels, multiplies each
-  operand into one that holds its labels, and contracts what is left
-  once per set partition of its real labels, by the same Moebius sum;
-  imaginary labels never tie.  A partition leaves out the terms that
-  vanish on it, where a step that every component of a piece holds joins
-  two labels of one block.
+  internal label a branch axis (2 or 3 branches) and a node axis (N
+  nodes), so there is no loop over branch assignments: each function is
+  one tensor over the (branch, node) axes of its internal arguments, and
+  each label's weight (+dt, -dt or -i*dm) is folded into the first
+  tensor that carries it; the external words of one call share a
+  function's tensor wherever its external arguments sit on the same
+  branches.  Everything but the external times is planned once per
+  (equation, grid) (:class:`_ContourPlan`): per (function, branches of
+  its external arguments), one block per branch pattern of its internal
+  labels (:class:`_Block`), holding its slot, argument template and the
+  contour orders that can hold on its branches -- none puts a forward
+  argument later than a backward one -- each with its steps between two
+  internal labels already multiplied into a mask on the block's mesh; an
+  order whose mask is zero everywhere is left out.  A sample computes
+  the external contour keys, compares them with the planned keys of the
+  internal labels, reads the values and folds in the weights.  The sum
+  leaves out the points where two labels sit on real branches at one
+  node by a Moebius sum over the set partitions of the internal labels,
+  one contraction per partition, in which the labels of one block share
+  a node axis and keep only their real branches.  The real-time side is
+  planned once per rule (:func:`_rule_plan`, found by identity).  Each
+  factor is one piece, an array over its own internal labels keyed by
+  the factor and the kind (real or imaginary) of each of those labels,
+  so the layouts of a rule share it; a term's step comparisons among one
+  set of internal labels are another piece.  A layout (a term's sorted
+  real and sorted imaginary integrals) stacks the pieces of its terms
+  along a term axis, one operand per function and per set of step
+  labels, multiplies each operand into one that holds its labels, and
+  contracts what is left once per set partition of its real labels, by
+  the same Moebius sum; imaginary labels never tie.  A partition leaves
+  out the terms that vanish on it, where a step that every component of
+  a piece holds joins two labels of one block.
 
 Per-call memos aside, bounded caches live as long as the process: the
-component table of each (equation, seed), 64 entries; the partition plan
-(branch slices and contraction path) of each (operand labels, internal
-labels, mesh shape), 256; the contour orders of each tuple of argument
-branches, 256; the plan of each factor, 4096; and the real-time plan of
-each rule, 64.  Each holds values that are never changed after they are
-built, but for the contraction paths a rule plan adds as it meets new
-operand shapes.  The per-sample value table has a
-one-entry cache keyed by (component table, grid, external times): the two
-sides of one sample share it, and a new sample replaces it, so only one
-sample's values are ever held.
+component table of each (equation, seed), 64 entries; the contour plan of
+each (equation, grid), 64, each holding the partition plan (branch slices
+and contraction path) of its tie-free sum and the blocks of each
+(function, branches of its external arguments) it has met, at most
+B**E per function of E external arguments on B branches; the plan of
+each factor, 4096; and the real-time plan of each rule, 64.  Each holds
+values that are never changed after they are built, but for the
+function plans a contour plan adds as it meets new external branches
+and the contraction paths a rule plan adds as it meets new operand
+shapes.  The per-sample value table has a one-entry cache keyed by
+(component table, grid, external times): the two sides of one sample
+share it, and a new sample replaces it, so only one sample's values are
+ever held.
 
 Ties between distinct time labels would break the step-function algebra;
 grids are built tie-free and configurations placing two internals on the
@@ -516,39 +527,39 @@ def _sample_values(
     return _SampleValues(tables, grid)
 
 
+def _steps(mask, pairs, keys):
+    """``mask`` times the step comparison ``keys[x] > keys[y]`` of each
+    pair ``(x, y)`` of ``pairs``."""
+    for x, y in pairs:
+        mask = mask * (keys[x] > keys[y])
+    return mask
+
+
 def _ordered_sum(
     values: _SampleValues,
     func: SubFunction,
     mset: frozenset,
-    orders: Iterable[tuple[int, tuple, tuple[int, ...]]],
+    orders: Iterable[tuple[object, tuple, tuple[int, ...]]],
     args: tuple,
-    layout: Sequence[str],
+    perm: Optional[tuple[int, ...]],
     keys: dict[str, object],
 ):
-    """Sum of sign * theta(chains) * component(korder) over the ``(sign, step
-    chains, korder)`` entries of ``orders``, on the caller's mesh, whose
-    axes carry the labels of ``layout``.  ``args`` is the key entry of each
+    """Sum of mask * theta(pairs) * component(korder) over the ``(mask,
+    pairs, korder)`` entries of ``orders``, on the caller's mesh.  ``mask``
+    is the part of an entry its caller has already built (a sign, or the
+    step comparisons it planned), and each of ``pairs`` holds where its
+    ``keys`` decrease (:func:`_steps`).  ``args`` is the key entry of each
     argument of ``func`` (see :class:`_SampleValues`); each value is put
-    onto the mesh by a transpose and a reshape.  A chain lists labels
-    latest first and holds where their ``keys`` decrease strictly along it."""
-    sizes = {a: len(values.nodes[x]) for a, x in zip(func.args, args) if isinstance(x, str)}
-    own = list(sizes)
-    perm = sorted(range(len(own)), key=lambda i: layout.index(own[i]))
-    shape = [sizes.get(l, 1) for l in layout]
+    onto the mesh by the transpose ``perm`` of its axes (None: as it is)."""
     total = 0
-    for sign, chains, korder in orders:
-        val = complex(sign)
-        for chain in chains:
-            for x, y in zip(chain, chain[1:]):
-                val = val * (keys[x] > keys[y])
+    for mask, pairs, korder in orders:
         value = values(func.name, mset, korder, args)
-        if own:
-            value = value.transpose(perm).reshape(shape)
-        total = total + val * value
+        if perm is not None:
+            value = value.transpose(perm)
+        total = total + _steps(mask, pairs, keys) * value
     return total
 
 
-@functools.lru_cache(maxsize=256)
 def _contour_orders(kinds: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
     """The contour orders, latest first, of the horizontal positions (from
     1) of a function whose arguments sit on ``kinds``, leaving out every
@@ -575,10 +586,115 @@ def _branch_weights(eq: ContourEquation, grid: DiscreteContour, truncate_at: Opt
     return np.array(rows)
 
 
+class _Block(NamedTuple):
+    """One block of a function's contour-side tensor: one branch per
+    internal argument.
+
+    ``slot`` indexes the block in the tensor; ``kinds`` is the branch of
+    each argument of the function and ``mset`` its vertical positions;
+    ``nodes`` is the key entry (:class:`_SampleValues`) of each internal
+    argument, None at an external one; ``keys`` holds the contour keys of
+    the internal labels on the block's sparse mesh.  ``orders`` lists the
+    contour orders that can hold on the block, as :func:`_ordered_sum`
+    entries: the product of the order's steps between two internal labels
+    as the mask, and the steps that involve an external label, compared
+    per sample, as the pairs."""
+
+    slot: tuple
+    kinds: tuple[str, ...]
+    mset: frozenset
+    nodes: tuple[Optional[str], ...]
+    keys: dict[str, np.ndarray]
+    orders: tuple[tuple[object, tuple[tuple[str, str], ...], tuple[int, ...]], ...]
+
+
+def _plan_function(
+    eq: ContourEquation, grid: DiscreteContour, j: int, ext_kinds: tuple[str, ...]
+) -> tuple[Optional[tuple[int, ...]], tuple[_Block, ...]]:
+    """The blocks of function ``j`` whose external arguments sit on
+    ``ext_kinds``, one per branch pattern of its internal labels, and the
+    transpose that puts a value from the function's argument order onto
+    those labels in ``eq.internal`` order (None where it is the same), as
+    ``(perm, blocks)``.  An order whose steps between internal labels hold
+    at no point of a block is left out of it."""
+    f = eq.product[j]
+    branches = _branches(eq)
+    nodes = {FWD: grid.real_nodes, BWD: grid.real_nodes, MAT: grid.mats_nodes}
+    labels = tuple(l for l in eq.internal if l in f.args)
+    own = [a for a in f.args if a in labels]
+    perm = tuple(own.index(l) for l in labels)
+    external = dict(zip((a for a in f.args if a not in labels), ext_kinds))
+    blocks = []
+    for pattern in itertools.product(range(len(branches)), repeat=len(labels)):
+        kind = dict(external)
+        kind.update((l, branches[b]) for l, b in zip(labels, pattern))
+        axes = np.meshgrid(*(nodes[kind[l]] for l in labels), indexing="ij", sparse=True)
+        keys = {l: grid.contour_key(kind[l], t) for l, t in zip(labels, axes)}
+        fkinds = tuple(kind[a] for a in f.args)
+        # orders with the same steps between internal labels share a mask
+        masks: dict[tuple, object] = {}
+        orders = []
+        for korder in _contour_orders(fkinds):
+            chain = [f.args[i - 1] for i in korder]
+            pairs = list(zip(chain, chain[1:]))
+            static = tuple(p for p in pairs if p[0] in keys and p[1] in keys)
+            if static not in masks:
+                masks[static] = _steps(True, static, keys)
+            if np.any(masks[static]):
+                dynamic = tuple(p for p in pairs if p not in static)
+                orders.append((masks[static], dynamic, korder))
+        blocks.append(_Block(
+            tuple(x for b in pattern for x in (b, slice(None))),
+            fkinds,
+            frozenset(i + 1 for i, k in enumerate(fkinds) if k == MAT),
+            tuple(
+                (MATS_NODES if k == MAT else REAL_NODES) if a in labels else None
+                for a, k in zip(f.args, fkinds)
+            ),
+            keys,
+            tuple(orders),
+        ))
+    return (None if perm == tuple(range(len(perm))) else perm), tuple(blocks)
+
+
+class _ContourPlan:
+    """What the contour side of an equation on a grid does not take from
+    the external times: each function's internal labels and external
+    arguments, the partition plan of the tie-free sum (:func:`_partition_plan`)
+    and, on first use, the plan (:func:`_plan_function`) of each
+    (function position, branches of its external arguments)."""
+
+    def __init__(self, eq: ContourEquation, grid: DiscreteContour):
+        self.eq = eq
+        self.grid = grid
+        self.labels = [tuple(l for l in eq.internal if l in f.args) for f in eq.product]
+        self.externals = [tuple(a for a in f.args if a not in eq.internal) for f in eq.product]
+        carried = set().union(*self.labels)
+        # a label no function carries integrates its weight alone
+        self.lone = tuple(l for l in eq.internal if l not in carried)
+        self.partitions = _partition_plan(
+            tuple(self.labels) + tuple((l,) for l in self.lone),
+            eq.internal,
+            (len(_branches(eq)), grid.n_fwd),
+        )
+        self.functions: dict[tuple[int, tuple[str, ...]], tuple] = {}
+
+    def function(self, j: int, ext_kinds: tuple[str, ...]):
+        if (j, ext_kinds) not in self.functions:
+            self.functions[j, ext_kinds] = _plan_function(self.eq, self.grid, j, ext_kinds)
+        return self.functions[j, ext_kinds]
+
+
+@functools.lru_cache(maxsize=64)
+def _contour_plan(eq: ContourEquation, t0: float, t_max: float, n_fwd: int) -> _ContourPlan:
+    """The contour plan of ``eq`` on the grid ``(t0, t_max, n_fwd)``, built
+    once per process while it stays among the 64 most recently used."""
+    return _ContourPlan(eq, DiscreteContour(t0, t_max, n_fwd))
+
+
 def _contour_operands(
-    eq: ContourEquation,
+    plan: _ContourPlan,
     values: _SampleValues,
-    grid: DiscreteContour,
     kinds: dict[str, str],
     external_times: dict[str, float],
     weight: np.ndarray,
@@ -587,44 +703,30 @@ def _contour_operands(
     """One tensor per function, as ``(internal labels, tensor)``, over a
     (branch, node) axis pair per internal argument, in ``eq.internal`` order.
 
-    Each block of a tensor (one branch per label) is the masked sum over the
-    contour orders of the function's horizontal arguments that can hold
-    there (:func:`_contour_orders`), compared on contour keys, written
-    straight into its slot.  Each label's weight is folded into the first
-    tensor that carries it.  A tensor depends on the word only through the
-    branches of the function's external arguments, so ``filled`` keeps each
-    one under (position in the product, those branches) for the other words
-    of the call."""
-    branches = _branches(eq)
-    nodes = {FWD: grid.real_nodes, BWD: grid.real_nodes, MAT: grid.mats_nodes}
-    kinds = dict(kinds)
+    Each block of a tensor (:class:`_Block`) is the masked sum over its
+    planned contour orders, whose steps that involve an external label are
+    compared here on the external contour keys, written straight into its
+    slot.  Each label's weight is folded into the first tensor that carries
+    it.  A tensor depends on the word only through the branches of the
+    function's external arguments, so ``filled`` keeps each one under
+    (position in the product, those branches) for the other words of the
+    call."""
+    eq, grid = plan.eq, plan.grid
     keys = {l: grid.contour_key(kinds[l], external_times[l]) for l in eq.external}
     weighted: set[str] = set()
     operands = []
-    for j, f in enumerate(eq.product):
-        labels = tuple(l for l in eq.internal if l in f.args)
-        key = (j, tuple(kinds[a] for a in f.args if a not in labels))
+    for j, (f, labels) in enumerate(zip(eq.product, plan.labels)):
+        key = (j, tuple(kinds[a] for a in plan.externals[j]))
         if key not in filled:
+            perm, blocks = plan.function(*key)
             tensor = np.empty(weight.shape * len(labels), dtype=complex)
-            for pattern in itertools.product(range(len(branches)), repeat=len(labels)):
-                axes = np.meshgrid(
-                    *(nodes[branches[b]] for b in pattern), indexing="ij", sparse=True
-                )
-                for l, b, t in zip(labels, pattern, axes):
-                    kinds[l] = branches[b]
-                    keys[l] = grid.contour_key(branches[b], t)
-                fkinds = tuple(kinds[a] for a in f.args)
-                orders = [
-                    (1, ([f.args[i - 1] for i in perm],), perm)
-                    for perm in _contour_orders(fkinds)
-                ]
-                mset = frozenset(i + 1 for i, k in enumerate(fkinds) if k == MAT)
+            for block in blocks:
                 args = tuple(
-                    (MATS_NODES if k == MAT else REAL_NODES) if a in labels else external_times[a]
-                    for a, k in zip(f.args, fkinds)
+                    external_times[a] if n is None else n for a, n in zip(f.args, block.nodes)
                 )
-                slot = tuple(x for b in pattern for x in (b, slice(None)))
-                tensor[slot] = _ordered_sum(values, f, mset, orders, args, labels, keys)
+                tensor[block.slot] = _ordered_sum(
+                    values, f, block.mset, block.orders, args, perm, keys | block.keys
+                )
             for i, l in enumerate(labels):
                 if l not in weighted:
                     shape = [1] * tensor.ndim
@@ -633,23 +735,17 @@ def _contour_operands(
             filled[key] = tensor
         weighted.update(labels)
         operands.append((labels, filled[key]))
-    # a label no function carries integrates its weight alone
-    operands.extend(((l,), weight) for l in eq.internal if l not in weighted)
+    operands.extend(((l,), weight) for l in plan.lone)
     return operands
 
 
-def _tie_free_sum(
-    eq: ContourEquation, operands: list[tuple[tuple[str, ...], np.ndarray]], n: int
-):
+def _tie_free_sum(plan: _ContourPlan, operands: list[tuple[tuple[str, ...], np.ndarray]]):
     """Sum of the product of ``operands`` over every (branch, node) point of
     the internal labels at which no two labels sit on real branches at one
     node: a Moebius sum over the set partitions of the internal labels, one
     contraction per partition."""
-    plan = _partition_plan(
-        tuple(labels for labels, _ in operands), eq.internal, (len(_branches(eq)), n)
-    )
     total = 0
-    for mu, slices, steps in plan:
+    for mu, slices, steps in plan.partitions:
         views = [t if s is None else t[s] for (_, t), s in zip(operands, slices)]
         total += mu * _contract(views, steps)
     return total
@@ -672,7 +768,6 @@ def _set_partitions(n: int) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ..
     )
 
 
-@functools.lru_cache(maxsize=256)
 def _partition_plan(
     labelsets: tuple[tuple[str, ...], ...],
     internal: tuple[str, ...],
@@ -784,6 +879,7 @@ def evaluate_contour_side(
     m_ext = target.mats_labels()
     for l in set(eq.external) - set(m_ext):
         grid.check_external(external_times[l])
+    plan = _contour_plan(eq, grid.t0, grid.t_max, grid.n_fwd)
     weight = _branch_weights(eq, grid, truncate_at)
     values = _sample_values(tables, grid, tuple(sorted(external_times.items())))
     filled: dict = {}
@@ -798,11 +894,11 @@ def evaluate_contour_side(
             placement.update(branch_override)
         kinds = {l: MAT for l in m_ext}
         kinds.update(placement)
-        operands = _contour_operands(eq, values, grid, kinds, external_times, weight, filled)
-        total += sign_t * _tie_free_sum(eq, operands, grid.n_fwd)
+        operands = _contour_operands(plan, values, kinds, external_times, weight, filled)
+        total += sign_t * _tie_free_sum(plan, operands)
         if with_scale:
             magnitudes = [(labels, np.abs(t)) for labels, t in operands]
-            scale += float(_tie_free_sum(eq, magnitudes, grid.n_fwd).real)
+            scale += float(_tie_free_sum(plan, magnitudes).real)
     if with_scale:
         return total, scale
     return total
@@ -837,17 +933,14 @@ def evaluate_realtime_side(
         times: dict[str, object] = dict(external_times)
         times.update(zip(piece.labels, meshes[piece.kinds]))
         if piece.func is None:
-            value = np.ones(tuple(len(nodes[k]) for k in piece.kinds))
-            for x, y in piece.pairs:
-                value = value * (times[x] > times[y])
+            value = _steps(np.ones(tuple(len(nodes[k]) for k in piece.kinds)), piece.pairs, times)
         else:
             args = tuple(
                 piece.kinds[piece.labels.index(a)] if a in piece.labels else times[a]
                 for a in piece.func.args
             )
-            value = _ordered_sum(
-                values, piece.func, piece.mset, piece.orders, args, piece.labels, times
-            )
+            # a piece's labels follow its function's arguments: no transpose
+            value = _ordered_sum(values, piece.func, piece.mset, piece.orders, args, None, times)
         arrays.append(value)
     nodes_max = max(grid.n_fwd, grid.n_mats)
     total = 0.0 + 0.0j
@@ -1050,10 +1143,7 @@ def _zero_on(blocks, reals: tuple[str, ...], pieces: list[_Piece]) -> bool:
         if piece.func is None:
             if tied(piece.pairs):
                 return True
-        elif piece.orders and all(
-            tied([p for chain in chains for p in zip(chain, chain[1:])])
-            for _, chains, _ in piece.orders
-        ):
+        elif piece.orders and all(tied(pairs) for _, pairs, _ in piece.orders):
             return True
     return False
 
@@ -1080,14 +1170,20 @@ def _rule_plan(expr: RealTimeExpression):
 @functools.lru_cache(maxsize=4096)
 def _factor_plan(factor: Factor):
     """A factor's vertical slots and its plain components, as ``(mset,
-    ((sign, step chains, korder), ...))``; built once per process while it
-    stays among the 4096 most recently used."""
+    ((sign, steps, korder), ...))`` with the sign a complex number and the
+    steps the consecutive pairs of its step chains (:func:`_ordered_sum`
+    entries); built once per process while it stays among the 4096 most
+    recently used."""
     func = factor.func
     mats = factor.index.mats_labels()
     mset = frozenset(i + 1 for i, a in enumerate(func.args) if a in mats)
     pos = {a: i + 1 for i, a in enumerate(func.args)}
     return mset, tuple(
-        (sign, chains, tuple(pos[l] for l in word))
+        (
+            complex(sign),
+            tuple(p for chain in chains for p in zip(chain, chain[1:])),
+            tuple(pos[l] for l in word),
+        )
         for sign, chains, word in expand_retarded(factor.index)
     )
 

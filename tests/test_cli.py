@@ -112,6 +112,42 @@ def test_derive_corpus_file(capsys):
     assert out[0] == "D^{M} = ⋆{c} A^{M} B^{M}"
 
 
+@pytest.mark.parametrize("spelling", ["1 2", "12", "ab", ">"])
+def test_derive_names_a_target_by_its_catalog_spelling(capsys, spelling):
+    assert main(["derive", "--input", "convolution", "--target", spelling]) == 0
+    rule = capsys.readouterr().out.splitlines()[1]
+    assert rule == "D^{>} = ∫{c} A^{>} B^{A} + ∫{c} A^{R} B^{>} + ⋆{c} A^{⌉} B^{⌈}"
+
+
+def test_derive_keeps_a_spelling_the_catalog_lacks(tmp_path, capsys):
+    # five externals have no catalog; R(1,32) is not the catalog's order
+    five = tmp_path / "e.ctr"
+    five.write_text("E[a,b,c,d,e] = int{} : F[a,b,c,d,e]\n", encoding="utf-8")
+    assert main(["derive", "--input", str(five), "--target", "12345"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("E^{12345} = ")
+    three = tmp_path / "x.ctr"
+    three.write_text("X[a,b,c] = int{u,v} : A[a,u]*B[u,b]*C[u,v]*D[v,c]\n", encoding="utf-8")
+    assert main([
+        "derive", "--input", str(three), "--target", "R(1,32)", "--target", "R(a,bc)",
+    ]) == 0
+    rules = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split(" = ")[0] for r in rules] == ["X^{R(1,32)}", "X^{R(1,23)}"]
+
+
+def test_verify_json_names_a_target_by_its_catalog_spelling(capsys):
+    outputs = []
+    for spelling in ("1 2", "12", "ab", ">"):
+        assert main([
+            "verify", "--input", "convolution", "--target", spelling,
+            "--grid", "6", "--seeds", "1", "--json",
+        ]) == 0
+        outputs.append(capsys.readouterr().out)
+    records = [json.loads(line) for line in outputs[0].splitlines()]
+    assert [r["target"] for r in records] == [">", ">"]
+    # one target, one name: the same records, sampled times included
+    assert outputs == [outputs[0]] * 4
+
+
 def test_verify_pass_exit_0(capsys):
     assert main([
         "verify", "--input", "convolution", "--target", ">",

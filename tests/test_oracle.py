@@ -733,25 +733,64 @@ def test_component_table_holds_one_sample(monkeypatch):
 
 
 def test_contour_side_evaluates_no_order_with_forward_before_backward(monkeypatch):
+    # the contour side sums exactly the orders of its planned blocks, so
+    # every plan it builds is read here
     grid = DiscreteContour(n_fwd=4)
-    span = grid.t_max
     seen = Counter()
-    ordered_sum = oracle._ordered_sum
+    plan_function = oracle._plan_function
 
-    def checking(values, func, mset, orders, args, layout, keys):
-        orders = list(orders)
-        for _, chains, _ in orders:
-            for chain in chains:
-                # contour keys: F within [t0, t_max], B within (t_max, 3 t_max)
-                branches = [FWD if np.max(keys[l]) <= span else BWD for l in chain]
-                assert FWD + BWD not in "".join(branches), (func, chain, branches)
+    def checking(eq, grid, j, ext_kinds):
+        perm, blocks = plan_function(eq, grid, j, ext_kinds)
+        for block in blocks:
+            for _, _, korder in block.orders:
+                # the branches of the order's arguments, latest first
+                branches = "".join(block.kinds[i - 1] for i in korder)
+                assert FWD + BWD not in branches, (eq.product[j], korder, block.kinds)
                 seen[BWD + FWD if FWD in branches and BWD in branches else "one"] += 1
-        return ordered_sum(values, func, mset, orders, args, layout, keys)
+        return perm, blocks
 
-    monkeypatch.setattr(oracle, "_ordered_sum", checking)
+    oracle._contour_plan.cache_clear()
+    monkeypatch.setattr(oracle, "_plan_function", checking)
     for eq, tname, times in SHARED_CASES:
         evaluate_contour_side(eq, parse_superindex(tname, eq), ComponentTable(eq, 4), grid, times)
     assert seen[BWD + FWD] > 0 and seen["one"] > 0
+
+
+def test_contour_plan_is_built_once_per_function_and_external_branches(monkeypatch):
+    eq, tname, ext_kinds, ext_times, options = LITERAL_CASES[7]
+    assert (eq, tname, options) == (catalog.double_triangle(), ">", {})
+    target = parse_superindex(tname, eq)
+    built = []
+    plan_function = oracle._plan_function
+
+    def counting(eq, grid, j, kinds):
+        built.append((grid.n_fwd, j, kinds))
+        return plan_function(eq, grid, j, kinds)
+
+    oracle._contour_plan.cache_clear()
+    monkeypatch.setattr(oracle, "_plan_function", counting)
+
+    def check(nodes, seed, times):
+        grid = DiscreteContour(n_fwd=nodes)
+        tables = ComponentTable(eq, seed)
+        got = evaluate_contour_side(eq, target, tables, grid, times)
+        want, scale = _literal_contour_sum(eq, tables, grid, ext_kinds, times, None)
+        assert abs(got - want) <= 1e-12 * scale
+
+    # one plan per function: the double triangle's five functions each see
+    # their own external branches
+    check(5, 7, ext_times)
+    per_function = sorted(
+        (j, tuple(ext_kinds[a] for a in f.args if a in ext_kinds))
+        for j, f in enumerate(eq.product)
+    )
+    assert sorted(built) == [(5, j, kinds) for j, kinds in per_function]
+    # other times in the same ordering class, and another seed's table
+    check(5, 8, {"a": 1.13, "b": 0.4})
+    assert len(built) == len(per_function)
+    # another grid size plans again
+    check(6, 7, ext_times)
+    assert sorted(built[len(per_function):]) == [(6, j, kinds) for j, kinds in per_function]
 
 
 def test_corpus_verify_pass_component_calls(monkeypatch):

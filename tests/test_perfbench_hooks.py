@@ -84,3 +84,29 @@ def test_verify_reaches_symbolic_layers_through_the_module(monkeypatch):
     (record,) = oracle.verify(eq, parse_superindex(">", eq), seeds=())
     assert record.passed
     assert calls == {"normal_form": 2, "branch_split_oracle": 1}
+
+
+def test_verify_reaches_numeric_sides_through_the_module(monkeypatch):
+    # oracle.contour_side_s and oracle.realtime_side_s time these module
+    # attributes: each numeric sample must call both through the module
+    from contourcalc import catalog, oracle
+    from contourcalc.parser import parse_superindex
+
+    calls = {"evaluate_contour_side": 0, "evaluate_realtime_side": 0}
+    for name in calls:
+        original = getattr(oracle, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counted)
+    eq = catalog.convolution()
+    target = parse_superindex(">", eq)
+    records = oracle.verify(eq, target, seeds=(0,))
+    assert [r.mode for r in records] == ["symbolic", "numeric"]
+    assert all(r.passed for r in records)
+    classes, _ = oracle._ordering_classes(eq, target)
+    samples = len(classes) * oracle.SAMPLES_PER_CLASS
+    assert samples > 0
+    assert calls == {name: samples for name in calls}
