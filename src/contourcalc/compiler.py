@@ -446,32 +446,37 @@ def _merge_theta(parts: list[PartTerm]) -> list[PartTerm]:
 
     ``Theta(X a b Y) + Theta(X b a Y) = Theta(X a Y) Theta(X b Y)``;
     chains of one label drop out.  Applied to same-sign terms with equal
-    factors until nothing fuses.
+    factors until nothing fuses: the terms are grouped by (sign, factors),
+    in list order, and each group is scanned from its start again after
+    every fusion, which keeps the earlier term's place.
     """
 
     def clean(chains):
         return tuple(sorted({c for c in chains if len(c) > 1}))
 
-    terms = [(s, clean(c), f) for s, c, f in parts]
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(terms)):
-            s1, c1, f1 = terms[a]
-            for b in range(a + 1, len(terms)):
-                s2, c2, f2 = terms[b]
-                if s1 != s2 or f1 != f2:
-                    continue
-                fused = _fuse_chain_sets(c1, c2)
-                if fused is None:
-                    continue
-                terms[a] = (s1, clean(fused), f1)
-                del terms[b]
-                changed = True
-                break
-            if changed:
-                break
-    return terms
+    # (sign, factors) -> [position in parts, chains] of its terms, in order
+    groups: dict[tuple, list[list]] = {}
+    for i, (s, c, f) in enumerate(parts):
+        groups.setdefault((s, f), []).append([i, clean(c)])
+    merged = []
+    for (s, f), terms in groups.items():
+        changed = True
+        while changed:
+            changed = False
+            for a in range(len(terms)):
+                for b in range(a + 1, len(terms)):
+                    fused = _fuse_chain_sets(terms[a][1], terms[b][1])
+                    if fused is None:
+                        continue
+                    terms[a][1] = clean(fused)
+                    del terms[b]
+                    changed = True
+                    break
+                if changed:
+                    break
+        merged.extend((i, s, c, f) for i, c in terms)
+    merged.sort(key=lambda t: t[0])
+    return [(s, c, f) for _, s, c, f in merged]
 
 
 def _fuse_chain_sets(c1, c2):

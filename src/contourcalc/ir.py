@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 LabelLike = Union[str, int]
 
@@ -33,12 +33,15 @@ class ValidationError(ContourError):
     """A contour equation violates a structural invariant.
 
     ``kind`` is one of ``DuplicateLabel``, ``UnknownLabel``,
-    ``OverlappingSets``, ``DanglingInternal``.
+    ``OverlappingSets``, ``DanglingInternal``, ``ArityMismatch``.
+    ``position`` is the place in the product of the sub-function the
+    diagnostic is about, where there is one.
     """
 
-    def __init__(self, kind: str, message: str):
+    def __init__(self, kind: str, message: str, position: Optional[int] = None):
         super().__init__(f"{kind}: {message}")
         self.kind = kind
+        self.position = position
 
 
 class CoverError(ContourError):
@@ -267,13 +270,23 @@ def validate_equation(eq: ContourEquation) -> list[ValidationError]:
         diags.append(ValidationError("OverlappingSets", f"labels {sorted(overlap)} are both external and internal"))
     known = set(eq.external) | set(eq.internal)
     used: set[str] = set()
-    for f in eq.product:
+    # a repeated name is one function, so it keeps one arity
+    first_use: dict[str, SubFunction] = {}
+    for i, f in enumerate(eq.product):
         dup = {a for a in f.args if f.args.count(a) > 1}
         if dup:
             diags.append(ValidationError("DuplicateLabel", f"{sorted(dup)} repeated in {f}"))
         for a in f.args:
             if a not in known:
                 diags.append(ValidationError("UnknownLabel", f"label {a} of {f} is neither external nor internal"))
+        first = first_use.setdefault(f.name, f)
+        if len(first.args) != len(f.args):
+            diags.append(ValidationError(
+                "ArityMismatch",
+                f"sub-function {f.name} is used with {len(first.args)} and "
+                f"{len(f.args)} arguments ({first} and {f})",
+                i,
+            ))
         used.update(f.args)
     for l in eq.internal:
         if l not in used:

@@ -124,11 +124,11 @@ class _Scanner:
 def parse_equation(text: str, contour: str = EXTENDED) -> ContourEquation:
     """Parse one equation; validation diagnostics are re-raised with spans."""
     sc = _Scanner(text)
-    eq, spans = _parse_one(sc)
+    eq, spans, func_spans = _parse_one(sc)
     if not sc.eof():
         sc.error("trailing input after equation")
     eq = ContourEquation(eq.lhs_name, eq.external, eq.internal, eq.product, contour)
-    _revalidate(eq, spans, text)
+    _revalidate(eq, spans, func_spans, text)
     return eq
 
 
@@ -137,15 +137,18 @@ def parse_file(text: str, contour: str = EXTENDED) -> list[ContourEquation]:
     sc = _Scanner(text)
     out = []
     while not sc.eof():
-        eq, spans = _parse_one(sc)
+        eq, spans, func_spans = _parse_one(sc)
         eq = ContourEquation(eq.lhs_name, eq.external, eq.internal, eq.product, contour)
-        _revalidate(eq, spans, text)
+        _revalidate(eq, spans, func_spans, text)
         out.append(eq)
     return out
 
 
 def _parse_one(sc: _Scanner):
+    """One equation, the span of each label's first use and the span of
+    each sub-function, as ``(equation, spans, function spans)``."""
     spans: dict[str, SourceSpan] = {}
+    func_spans: list[SourceSpan] = []
     lhs, _ = sc.ident()
     sc.expect("[")
     ext = sc.label_list("]")
@@ -158,9 +161,10 @@ def _parse_one(sc: _Scanner):
     sc.expect(":")
     product = []
     while True:
-        name, _ = sc.ident()
+        name, name_span = sc.ident()
         sc.expect("[")
         args = sc.label_list("]")
+        func_spans.append(SourceSpan(name_span.start, sc.pos - 1))
         for lbl, span in args:
             spans.setdefault(lbl, span)
         product.append(SubFunction(name, tuple(a for a, _ in args)))
@@ -191,15 +195,23 @@ def _parse_one(sc: _Scanner):
         tuple(l for l, _ in internal),
         tuple(product),
     )
-    return eq, spans
+    return eq, spans, func_spans
 
 
-def _revalidate(eq: ContourEquation, spans: dict[str, SourceSpan], text: str):
+def _revalidate(
+    eq: ContourEquation,
+    spans: dict[str, SourceSpan],
+    func_spans: list[SourceSpan],
+    text: str,
+):
     diags = validate_equation(eq)
     if diags:
         first = diags[0]
-        lbl = next((l for l in spans if l in str(first)), None)
-        span = spans.get(lbl, SourceSpan(0, max(len(text) - 1, 0)))
+        if first.position is not None:
+            span = func_spans[first.position]
+        else:
+            lbl = next((l for l in spans if l in str(first)), None)
+            span = spans.get(lbl, SourceSpan(0, max(len(text) - 1, 0)))
         raise EquationSyntaxError(str(first), span, text)
 
 

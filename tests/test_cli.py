@@ -247,19 +247,35 @@ def test_verify_negative_seeds_or_jobs_exit_1(capsys):
     assert capsys.readouterr().out.count("PASS") == 1
 
 
-def test_verify_oracle_error_is_fail_record_exit_2(tmp_path, capsys):
-    # G has two arities, which the component tables refuse: every numeric
-    # record fails with the cause, and the run ends with exit 2
-    src = tmp_path / "s.ctr"
-    src.write_text("S[a,b] = int{c} : G[a,c]*G[c]*G[c,b]\n", encoding="utf-8")
+def test_verify_oracle_error_is_fail_record_exit_2(monkeypatch, capsys):
+    # an oracle error on a seed (here no tie-free external times) fails
+    # every numeric record with the cause, and the run ends with exit 2
+    from contourcalc import oracle
+
+    def no_times(*args, **kwargs):
+        raise oracle.GridTieError("no tie-free external times")
+
+    monkeypatch.setattr(oracle, "_sample_times", no_times)
     assert main([
-        "verify", "--input", str(src), "--target", ">", "--grid", "6", "--seeds", "2",
+        "verify", "--input", "convolution", "--target", ">", "--grid", "6", "--seeds", "2",
     ]) == 2
     numeric = [l for l in capsys.readouterr().out.splitlines() if "mode=numeric" in l]
     assert len(numeric) == 2
     for line in numeric:
-        assert line.startswith("FAIL S^{>} mode=numeric")
-        assert "max_error=inf" in line and "used with 2 and 1 arguments" in line
+        assert line.startswith("FAIL D^{>} mode=numeric")
+        assert "max_error=inf" in line and "no tie-free external times" in line
+
+
+@pytest.mark.parametrize("command", ["derive", "verify"])
+def test_name_with_two_arities_is_usage_error(command, tmp_path, capsys):
+    # one sub-function name at two arities is an ill-formed equation, not a
+    # failed rule: the parser refuses it, with the span of the second use
+    src = tmp_path / "s.ctr"
+    src.write_text("X[a,b] = int{u} : F[a,u]*F[u,b,a]\n", encoding="utf-8")
+    assert main([command, "--input", str(src), "--target", ">"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ArityMismatch" in captured.err and "'F[u,b,a]'" in captured.err
 
 
 def test_tables_golden_text(capsys):

@@ -1,10 +1,16 @@
 """Component calculus on products, separation rules, and the rule compiler."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contourcalc import catalog
 from contourcalc.compiler import (
     NamingUnavailable,
+    _fuse_chain_sets,
+    _merge_theta,
     _reduce_block,
     component_of_product,
     derive_rule,
@@ -372,3 +378,80 @@ def test_position_labelled_targets_are_refused(name):
         target = to_hacek(parse_superindex(tname, eq), eq.external)
         with pytest.raises(CoverError):
             derive_rule(eq, target)
+
+
+# ---------------------------------------------------------------------------
+# step-chain fusion
+
+
+def _all_pairs_merge_theta(parts):
+    """The fusion by one all-pairs scan over every term, from the start
+    again after each fusion: the order of fusions and the places of the
+    fused terms that ``_merge_theta`` must keep."""
+
+    def clean(chains):
+        return tuple(sorted({c for c in chains if len(c) > 1}))
+
+    terms = [(s, clean(c), f) for s, c, f in parts]
+    changed = True
+    while changed:
+        changed = False
+        for a in range(len(terms)):
+            s1, c1, f1 = terms[a]
+            for b in range(a + 1, len(terms)):
+                s2, c2, f2 = terms[b]
+                if s1 != s2 or f1 != f2:
+                    continue
+                fused = _fuse_chain_sets(c1, c2)
+                if fused is None:
+                    continue
+                terms[a] = (s1, clean(fused), f1)
+                del terms[b]
+                changed = True
+                break
+            if changed:
+                break
+    return terms
+
+
+# chains over few labels, so that many pairs of terms fuse
+_CHAINS = [
+    c for n in (1, 2, 3) for labels in itertools.combinations("abcd", n)
+    for c in itertools.permutations(labels)
+]
+
+
+@st.composite
+def _part_lists(draw):
+    chain_sets = st.lists(st.sampled_from(_CHAINS), max_size=3).map(tuple)
+    part = st.tuples(st.sampled_from((1, -1)), chain_sets, st.sampled_from(((), ("A",), ("B",))))
+    parts = draw(st.lists(part, max_size=10))
+    # partners that fuse: one chain with two adjacent labels swapped
+    for s, chains, f in list(parts):
+        long = [i for i, c in enumerate(chains) if len(c) > 1]
+        if long and draw(st.booleans()):
+            i = draw(st.sampled_from(long))
+            j = draw(st.integers(0, len(chains[i]) - 2))
+            c = chains[i]
+            swapped = c[:j] + (c[j + 1], c[j]) + c[j + 2:]
+            parts.append((s, chains[:i] + (swapped,) + chains[i + 1:], f))
+    return draw(st.permutations(parts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_part_lists())
+def test_merge_theta_matches_all_pairs_scan(parts):
+    assert _merge_theta(parts) == _all_pairs_merge_theta(parts)
+
+
+def test_merge_theta_fuses_a_transposition_in_place():
+    parts = [
+        (1, (("a", "b", "c"),), ("A",)),
+        (-1, (("b", "a"),), ("A",)),
+        (1, (("b", "a", "c"),), ("A",)),
+    ]
+    # Theta(abc) + Theta(bac) = Theta(ac) Theta(bc), at the first term's place
+    assert _merge_theta(parts) == [
+        (1, (("a", "c"), ("b", "c")), ("A",)),
+        (-1, (("b", "a"),), ("A",)),
+    ]

@@ -1,14 +1,19 @@
 """The symbolic oracle against literal permutation-filter references.
 
 ``normal_form`` visits only the total orderings that a term's step chains
-allow, through ``_linear_extensions``; ``branch_split_oracle`` also skips
-the orderings that cancel, and both number their factors per call.  The
+allow, through ``_linear_extensions``.  The branch split also visits only
+the orderings that survive the largest-time cancellation, in which every
+real internal has a later neighbour (``_linear_extensions`` with
+neighbours), and counts its keys directly in the normal-form basis
+(``branch_split_normal_form``); both number their factors per call.  The
 references below walk every permutation of the real labels and filter it,
-keyed by ``Factor``s, which is slow but plainly right; the optimized code
-must give exactly the same result, and the branch split its terms in the
-same order.
+keyed by ``Factor``s, with no cancellation left out, which is slow but
+plainly right; the optimized code must give exactly the same result, the
+branch split its terms in the same order, and its direct counts the keys
+of ``normal_form`` of those terms in the same order.
 """
 
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -19,12 +24,23 @@ from hypothesis import strategies as st
 from contourcalc import catalog
 from contourcalc.compiler import component_of_product, derive_rule
 from contourcalc.engine import expand_retarded
-from contourcalc.ir import ContourEquation, Factor, Mats, Plain, RealTimeTerm, SuperIndex
+from contourcalc.ir import (
+    ContourEquation,
+    Factor,
+    Mats,
+    Plain,
+    RealTimeExpression,
+    RealTimeTerm,
+    SuperIndex,
+)
 from contourcalc.oracle import (
     _linear_extensions,
+    _ordering_classes,
+    branch_split_normal_form,
     branch_split_oracle,
     normal_form,
     placement_for_times,
+    verify,
 )
 from contourcalc.parser import parse_equation, parse_superindex
 
@@ -33,11 +49,13 @@ def _holds(chain, pos):
     return all(pos[chain[i]] < pos[chain[i + 1]] for i in range(len(chain) - 1))
 
 
-def _filtered_permutations(labels, chains):
+def _filtered_permutations(labels, chains, neighbours=()):
     out = []
     for omega in itertools.permutations(labels):
         pos = {l: i for i, l in enumerate(omega)}
-        if all(_holds(c, pos) for c in chains):
+        if all(_holds(c, pos) for c in chains) and all(
+            any(x in pos and pos[x] < pos[l] for x in others) for l, others in neighbours
+        ):
             out.append(omega)
     return out
 
@@ -84,6 +102,38 @@ def test_linear_extensions_examples(labels, chains, count):
     got = _linear_extensions(list(labels), chains)
     assert got == _filtered_permutations(list(labels), chains)
     assert len(got) == count
+
+
+@st.composite
+def _labels_chains_and_neighbours(draw):
+    labels, chains = draw(_labels_and_chains())
+    if not labels:
+        return labels, chains, ()
+    constrained = draw(st.lists(st.sampled_from(labels), unique=True))
+    neighbours = tuple(
+        (l, frozenset(draw(st.lists(st.sampled_from(labels), max_size=3))) - {l})
+        for l in constrained
+    )
+    return labels, chains, neighbours
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labels_chains_and_neighbours())
+def test_linear_extensions_with_neighbours_match_permutation_filter(case):
+    # each constrained label needs a later neighbour: the orders that
+    # survive the branch split's cancellation
+    labels, chains, neighbours = case
+    got = _linear_extensions(labels, chains, neighbours)
+    assert got == _filtered_permutations(labels, chains, neighbours)
+
+
+def test_linear_extensions_with_neighbours_examples():
+    # b and c each need a later neighbour; a label without one never fits
+    assert _linear_extensions("abc", [], [("b", "a"), ("c", "ab")]) == [
+        ("a", "b", "c"),
+        ("a", "c", "b"),
+    ]
+    assert _linear_extensions("ab", [], [("b", ())]) == []
 
 
 def test_linear_extensions_reject_foreign_labels():
@@ -221,3 +271,50 @@ def test_branch_split_matches_reference_in_order(contour):
             assert branch_split_oracle(eq, target).terms == reference, (name, tname)
             checked += 1
     assert checked == {"extended": 63 + 7, "keldysh": 34 + 4}[contour]
+
+
+# the dangling Matsubara external: ``a`` sits in no function, so the normal
+# form counts it as a real label
+DANGLING = ("X[a,b,c] = int{u} : F0[c,b,u]", "M(1)23")
+
+
+@pytest.mark.parametrize("contour", ["extended", "keldysh"])
+def test_branch_split_counts_its_own_normal_form(contour):
+    structures = [*_structures(contour), ("S", parse_equation(SELF_ENERGY, contour))]
+    cases = [
+        (name, eq, parse_superindex(tname, eq))
+        for name, eq in structures
+        for tname in catalog.all_targets(eq)
+    ]
+    dangling = parse_equation(DANGLING[0], contour)
+    cases.append(("dangling", dangling, parse_superindex(DANGLING[1], dangling)))
+    for name, eq, target in cases:
+        direct = branch_split_normal_form(eq, target)
+        # the same counts, keys in the same order
+        expected = normal_form(branch_split_oracle(eq, target), eq)
+        assert list(direct.items()) == list(expected.items()), (name, target)
+        # no count on an order of the horizontal externals with no placement
+        _, blocked = _ordering_classes(eq, target)
+        horizontal = set(eq.external) - set(target.mats_labels())
+        assert not any(
+            tuple(l for l in key[2] if l in horizontal) in blocked for key in direct
+        ), (name, target)
+    assert len(cases) == {"extended": 63 + 7 + 1, "keldysh": 34 + 4 + 1}[contour]
+
+
+CHAIN6 = "G[a,b] = int{c,d,e,f,g,h} : A[a,c]*B[c,d]*C[d,e]*D[e,f]*E[f,g]*F[g,h]*H[h,b]"
+
+
+@pytest.mark.parametrize("contour", ["extended", "keldysh"])
+def test_chain6_symbolic_check(contour):
+    # six internals: 2**6 or 3**6 branch assignments, 8! orderings of the
+    # real labels; only the orderings that survive the cancellation are built
+    eq = parse_equation(CHAIN6, contour)
+    target = parse_superindex(">", eq)
+    rule = derive_rule(eq, target)
+    (record,) = verify(eq, target, seeds=(), rule=rule)
+    assert record.passed
+    flipped = dataclasses.replace(rule.terms[0], sign=-rule.terms[0].sign)
+    wrong = RealTimeExpression((flipped,) + rule.terms[1:])
+    (record,) = verify(eq, target, seeds=(), rule=wrong)
+    assert not record.passed

@@ -20,6 +20,7 @@ from contourcalc.ir import (
     CoverError,
     RealTimeExpression,
     RealTimeTerm,
+    SubFunction,
     SuperIndex,
     to_hacek,
 )
@@ -42,7 +43,7 @@ from contourcalc.oracle import (
     placement_for_times,
     verify,
 )
-from contourcalc.parser import parse_equation, parse_superindex
+from contourcalc.parser import EquationSyntaxError, parse_equation, parse_superindex
 
 
 def _keldysh(eq):
@@ -315,7 +316,11 @@ def test_repeated_names_corrupted_rule_fails():
 
 
 def test_repeated_name_with_two_arities_is_refused():
-    eq = parse_equation("S[a,b] = int{c} : G[a,c]*G[c]*G[c,b]")
+    # the parser refuses this equation; a hand-built one reaches the tables
+    with pytest.raises(EquationSyntaxError, match="ArityMismatch"):
+        parse_equation("S[a,b] = int{c} : G[a,c]*G[c]*G[c,b]")
+    product = (SubFunction("G", ("a", "c")), SubFunction("G", ("c",)), SubFunction("G", ("c", "b")))
+    eq = ContourEquation("S", ("a", "b"), ("c",), product)
     with pytest.raises(UnknownComponent, match="G"):
         ComponentTable(eq, 0)
 

@@ -5,7 +5,16 @@ from pathlib import Path
 import pytest
 
 from contourcalc import catalog
-from contourcalc.ir import ContourError, Mats, Plain, Ret, to_hacek
+from contourcalc.ir import (
+    ContourEquation,
+    ContourError,
+    Mats,
+    Plain,
+    Ret,
+    SubFunction,
+    to_hacek,
+    validate_equation,
+)
 from contourcalc.parser import (
     ArityMismatch,
     EquationSyntaxError,
@@ -153,6 +162,20 @@ def test_arity_mismatch():
     eq1 = parse_equation("F[a] = int{b,c} : A[a,b]*B[a,c]*C[b,c]")
     with pytest.raises(ArityMismatch):
         parse_superindex(">", eq1)
+
+
+def test_one_name_at_two_arities_is_refused():
+    # a repeated name is one function, so it must keep one arity
+    text = "X[a,b] = int{u} : F[a,u]*F[u,b,a]"
+    product = (SubFunction("F", ("a", "u")), SubFunction("F", ("u", "b", "a")))
+    (diag,) = validate_equation(ContourEquation("X", ("a", "b"), ("u",), product))
+    assert diag.kind == "ArityMismatch" and diag.position == 1
+    with pytest.raises(EquationSyntaxError, match="ArityMismatch") as err:
+        parse_equation(text)
+    # the span is the second use, the one with the other arity
+    assert text[err.value.span.start:err.value.span.end + 1] == "F[u,b,a]"
+    with pytest.raises(EquationSyntaxError, match="ArityMismatch"):
+        parse_file("D[a,b] = int{c} : A[a,c]*B[c,b]\n" + text + "\n")
 
 
 def test_superindex_garbage_rejected():
