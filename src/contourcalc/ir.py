@@ -9,13 +9,22 @@ nested), or a single leading Matsubara set ``M(...)``.
 
 All values here are immutable (frozen dataclasses over tuples), so every
 operation in the package is a pure function and safe to share between
-threads.
+threads.  The label items, super-indices, sub-functions and factors are
+also interned (:func:`_interned`): each distinct value is built once per
+process, so equal values are one object, compared and hashed by
+identity.  A value is stored only once its validation has passed, and
+stored with ``dict.setdefault``, so two threads building one value get
+the same object.  Pickling, ``copy`` and ``deepcopy`` rebuild a value from
+its fields, which finds the interned object again, in a ``--jobs`` worker
+too.  Identity hashes differ between processes, so nothing that is
+printed may follow the iteration order of a set of these values.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -48,10 +57,52 @@ class CoverError(ContourError):
     """A super-index does not cover exactly the labels it must."""
 
 
+def _interned(cls):
+    """Hash-consing for a frozen dataclass: one object per distinct value.
+
+    ``cls(...)`` normalises its positional, keyword and default arguments to
+    the tuple of field values and looks that up in the class's table.  A
+    new value is built by the dataclass ``__init__`` (so ``__post_init__``
+    validates it once, and an invalid value is never stored) and stored by
+    ``setdefault``, which keeps the first of two racing builds.  Equality
+    and hashing are then ``object``'s, and ``__reduce__`` gives the fields,
+    so unpickling and copying find the interned value.
+    """
+    names = tuple(f.name for f in fields(cls))
+    build = cls.__init__
+    signature = inspect.signature(build)
+    table: dict = {}
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            bound = signature.bind(None, *args, **kwargs)
+            bound.apply_defaults()
+            args = tuple(bound.arguments[n] for n in names)
+        value = table.get(args)
+        if value is None:
+            value = object.__new__(cls)
+            build(value, *args)
+            value = table.setdefault(args, value)
+        return value
+
+    def __reduce__(self):
+        return cls, tuple(getattr(self, n) for n in names)
+
+    cls.__new__ = __new__
+    # object's __init__ ignores the arguments of a class with its own __new__
+    cls.__init__ = object.__init__
+    cls.__eq__ = object.__eq__
+    cls.__ne__ = object.__ne__
+    cls.__hash__ = object.__hash__
+    cls.__reduce__ = __reduce__
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # index items
 
 
+@_interned
 @dataclass(frozen=True)
 class Plain:
     """A single argument at a definite slot of the contour order."""
@@ -59,6 +110,7 @@ class Plain:
     label: LabelLike
 
 
+@_interned
 @dataclass(frozen=True)
 class Ret:
     """A retarded set: ``top`` is latest in real time, ``rest`` retarded.
@@ -76,6 +128,7 @@ class Ret:
             raise CoverError("Matsubara sets cannot appear inside retarded sets")
 
 
+@_interned
 @dataclass(frozen=True)
 class Mats:
     """Arguments placed on the vertical (imaginary-time) branch."""
@@ -122,6 +175,7 @@ def render_item(item: Item, sep: str = "", label: Callable[[LabelLike], str] = s
 # super-indices
 
 
+@_interned
 @dataclass(frozen=True)
 class SuperIndex:
     """A sequence of index items naming a component or composition.
@@ -225,6 +279,7 @@ TWO_POINT = {
 # equations
 
 
+@_interned
 @dataclass(frozen=True)
 class SubFunction:
     """A named factor of the integrand with an ordered argument list."""
@@ -367,6 +422,7 @@ def _signed_sum(terms: Iterable[tuple[int, str]]) -> str:
 # real-time expressions
 
 
+@_interned
 @dataclass(frozen=True)
 class Factor:
     """A component or composition of a single sub-function."""
@@ -380,13 +436,17 @@ class Factor:
             raise CoverError(f"index {self.index} uses labels outside {self.func}")
         if len(cover) != len(self.func.args):
             raise CoverError(f"index {self.index} does not cover the arity of {self.func}")
+        # built once per interned value; the arguments only break ties
+        # between factors of one name
+        object.__setattr__(
+            self, "_sort_key", (self.func.name, _index_text(self, True, False), self.func.args)
+        )
 
     def __str__(self) -> str:
         return f"{self.func.name}^{{{self.index}}}"
 
     def sort_key(self):
-        # the arguments only break ties between factors of one name
-        return (self.func.name, _index_text(self, True, False), self.func.args)
+        return self._sort_key
 
 
 def _index_text(factor: Factor, hacek: bool, latex: bool) -> str:
@@ -449,24 +509,19 @@ def canonicalize(expr: RealTimeExpression) -> RealTimeExpression:
     the calculus never produces other scalars, so such a merge is a bug in
     the caller.
     """
-    # each factor's sort key is computed once per occurrence; a term's
-    # factor keys also place it in the output order
     merged: dict = {}
     for term in expr.terms:
-        keyed = sorted(((f.sort_key(), f) for f in term.factors), key=_first)
-        factors = tuple(f for _, f in keyed)
+        factors = tuple(sorted(term.factors, key=Factor.sort_key))
         key = (tuple(sorted(term.steps)), factors, term.real_integrals, term.imag_integrals)
-        entry = merged.get(key)
-        if entry is None:
-            entry = merged[key] = [0, tuple(k for k, _ in keyed)]
-        entry[0] += term.sign
+        merged[key] = merged.get(key, 0) + term.sign
     out = []
-    for key, (coeff, factor_keys) in merged.items():
+    for key, coeff in merged.items():
         if coeff == 0:
             continue
         if coeff not in (1, -1):
             raise ValueError(f"non-unit coefficient {coeff} for term {key}")
         steps, factors, real, imag = key
+        factor_keys = tuple(f.sort_key() for f in factors)
         order = (tuple(sorted(imag)), tuple(sorted(real)), factor_keys, steps, -coeff)
         out.append((order, RealTimeTerm(coeff, steps, factors, real, imag)))
     out.sort(key=_first)

@@ -6,15 +6,16 @@ strategy:
 * a symbolic one that splits every contour integral over the branches,
   reduces each branch configuration with plain component calculus, and
   cancels -- the result is a normal form over total orderings of the real
-  time labels.  Both symbolic layers number the distinct plain
-  components once per call and count keys on tuples of those numbers,
-  which hash far faster than the factors; the keys become factors once,
-  at the end.  They enumerate the total orderings of each distinct (real
-  labels, step chains) pair once per call.  The branch split builds only
-  the orderings in which every real internal has a later neighbour (a
-  real label it shares a function with); the others cancel between its
-  forward and backward placements, by the largest-time equation in local
-  form (:func:`branch_split_oracle`).  It counts its keys in the
+  time labels.  Both symbolic layers count keys on tuples of plain
+  component factors, which are interned (:mod:`contourcalc.ir`) and so
+  hash and compare by identity; each distinct tuple is put in
+  ``Factor.sort_key`` order once per call.  They enumerate the total
+  orderings of each distinct (real labels, step chains) pair once per
+  call.  The branch split builds only the orderings in which every real
+  internal has a later neighbour (a real label it shares a function
+  with); the others cancel between its forward and backward placements,
+  by the largest-time equation in local form
+  (:func:`branch_split_oracle`).  It counts its keys in the
   normal-form basis itself (:func:`branch_split_normal_form`), so a
   verdict computes one normal form, the rule's;
 * a numeric one that evaluates both sides of a rule on a shared discrete
@@ -70,11 +71,12 @@ each (equation, grid), 64, each holding the partition plan (branch slices
 and contraction path) of its tie-free sum and the blocks of each
 (function, branches of its external arguments) it has met, at most
 B**E per function of E external arguments on B branches; the plan of
-each factor, 4096; and the real-time plan of each rule, 64.  Each holds
-values that are never changed after they are built, but for the
-function plans a contour plan adds as it meets new external branches
-and the contraction paths a rule plan adds as it meets new operand
-shapes.  The per-sample value table has a one-entry cache keyed by
+each factor, 4096; the real-time plan of each rule, 64; and the sparse
+mesh of each (grid, node sets of some internal labels), 64.
+Each holds values that are never changed after they are built, but for
+the function plans a contour plan adds as it meets new external
+branches and the contraction paths a rule plan adds as it meets new
+operand shapes.  The per-sample value table has a one-entry cache keyed by
 (component table, grid, external times): the two sides of one sample
 share it, and a new sample replaces it, so only one sample's values are
 ever held.
@@ -179,13 +181,12 @@ def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
     ordering of the real labels, plain component factors)."""
     known = {f.name for f in eq.product}
     nf: Counter = Counter()
-    # each distinct plain component gets an int once per call, so the keys
-    # hash as ints; they turn back into factors once, at the end
-    ids: dict[Factor, int] = {}
-    # each distinct factor expands once, into (sign, step chains, component id)
-    expansions: dict[Factor, list[tuple[int, tuple, int]]] = {}
+    # each distinct factor expands once, into (sign, step chains, component)
+    expansions: dict[Factor, list[tuple[int, tuple, Factor]]] = {}
     # the linear extensions of each distinct (real labels, chains), once per call
     linear_extensions = functools.cache(_linear_extensions)
+    # each distinct tuple of components is sorted once per call
+    sort_factors = functools.cache(_by_sort_key)
     for term in expr.terms:
         m_placed: set[str] = set()
         for f in term.factors:
@@ -200,7 +201,7 @@ def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
             if f not in expansions:
                 bf = (f.func, tuple(sorted(f.index.mats_labels())))
                 expansions[f] = [
-                    (s, chains, ids.setdefault(component_of_product((bf,), w)[0], len(ids)))
+                    (s, chains, component_of_product((bf,), w)[0])
                     for s, chains, w in expand_retarded(f.index)
                 ]
         placed = (frozenset(m_placed), frozenset(term.imag_integrals))
@@ -210,27 +211,15 @@ def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
         for combo in itertools.product(*(expansions[f] for f in term.factors)):
             sign = term.sign * math.prod(s for s, _, _ in combo)
             chains = term.steps + tuple(c for _, cs, _ in combo for c in cs)
-            factors = tuple(sorted(i for _, _, i in combo))
+            factors = sort_factors(tuple(c for _, _, c in combo))
             for omega in linear_extensions(real_labels, chains):
                 nf[placed + (omega, factors)] += sign
-    factor_tuple = _numbered_factors(ids)
-    return Counter({
-        (m_placed, imag, omega, factor_tuple(factors)): v
-        for (m_placed, imag, omega, factors), v in nf.items()
-        if v != 0
-    })
+    return Counter({key: v for key, v in nf.items() if v})
 
 
-def _numbered_factors(ids: dict[Factor, int]):
-    """Turns a tuple of numbers from ``ids`` into its factors, in
-    ``Factor.sort_key`` order, sorting each distinct tuple once."""
-    plain = list(ids)
-
-    @functools.cache
-    def factor_tuple(numbers: tuple[int, ...]) -> tuple[Factor, ...]:
-        return tuple(sorted((plain[i] for i in numbers), key=Factor.sort_key))
-
-    return factor_tuple
+def _by_sort_key(factors: tuple[Factor, ...]) -> tuple[Factor, ...]:
+    """``factors`` in ``Factor.sort_key`` order."""
+    return tuple(sorted(factors, key=Factor.sort_key))
 
 
 def normal_form_equal(x: RealTimeExpression, y: RealTimeExpression, eq: ContourEquation) -> bool:
@@ -273,28 +262,25 @@ def _contour_word(
     return tuple(reversed(bwd)) + tuple(fwd)
 
 
-def _split_counts(eq: ContourEquation, target: SuperIndex):
+def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
     """The branch split's signed counts, keyed in the normal-form basis
     as ``(Matsubara-placed labels, imaginary integrals, ordering, component
-    numbers)``, with the ``factor_tuple`` (:func:`_numbered_factors`) that
-    turns the numbers into factors, as ``(counts, factor_tuple)``.
+    factors)``, the factors in ``Factor.sort_key`` order.
 
     The loop of :func:`branch_split_oracle`, whose docstring gives the
     cancellation that leaves out most orderings.  The Matsubara-placed
     labels are built as :func:`normal_form` builds them: the Matsubara
     slots of the components and the imaginary integrals, so a Matsubara
-    external that no function carries is not among them.  Components are
-    numbered per call by ``Factor``, not by position, so equal components
-    share one number.
+    external that no function carries is not among them.  Equal components
+    of two functions are one interned ``Factor``, so they share a key.
     """
     m_ext = target.mats_labels()
     nf: Counter = Counter()
-    # each distinct induced component gets an int once per call, so the
-    # keys hash as ints; they turn back into factors once, at the end
-    ids: dict[Factor, int] = {}
+    # each distinct tuple of components is sorted once per call
+    sort_factors = functools.cache(_by_sort_key)
     # a function's component depends only on its Matsubara labels and the
     # contour order of its horizontal ones, which many orderings share
-    induced: dict[tuple[int, tuple[str, ...], tuple[str, ...]], int] = {}
+    induced: dict[tuple[int, tuple[str, ...], tuple[str, ...]], Factor] = {}
     # the assignments with the same Matsubara internals share their orderings
     linear_extensions = functools.cache(_linear_extensions)
     for sign_t, chains_t, ext_word in expand_retarded(target.real_items()):
@@ -331,21 +317,21 @@ def _split_counts(eq: ContourEquation, target: SuperIndex):
                 for i, (bf, own) in enumerate(zip(bfuncs, horizontal)):
                     sub = tuple(l for l in word if l in own)
                     if (i, bf[1], sub) not in induced:
-                        (component,) = component_of_product((bf,), sub)
-                        induced[i, bf[1], sub] = ids.setdefault(component, len(ids))
+                        (induced[i, bf[1], sub],) = component_of_product((bf,), sub)
                     factors.append(induced[i, bf[1], sub])
-                nf[m_placed, imag, omega, tuple(sorted(factors))] += sign_t * sign_b
-    return nf, _numbered_factors(ids)
+                nf[m_placed, imag, omega, sort_factors(tuple(factors))] += sign_t * sign_b
+    return nf
 
 
 def branch_split_normal_form(eq: ContourEquation, target: SuperIndex) -> Counter:
     """``normal_form(branch_split_oracle(eq, target), eq)``, keys in the same
-    order, counted by the split itself (:func:`_split_counts`).
+    order, counted by the split itself (:func:`_split_counts`), whose keys
+    already hold their factors in ``Factor.sort_key`` order.
 
     A split key is one normal-form key, but where a Matsubara external sits
     in no function: :func:`normal_form` counts such a label as real, so the
     key's ordering spreads over the orderings that put it anywhere."""
-    counts, factor_tuple = _split_counts(eq, target)
+    counts = _split_counts(eq, target)
     linear_extensions = functools.cache(_linear_extensions)
 
     def orderings(m_placed, imag, omega):
@@ -356,7 +342,7 @@ def branch_split_normal_form(eq: ContourEquation, target: SuperIndex) -> Counter
 
     # distinct split keys give distinct keys here, so each is set once
     return Counter({
-        (m_placed, imag, ordering, factor_tuple(factors)): coeff
+        (m_placed, imag, ordering, factors): coeff
         for (m_placed, imag, omega, factors), coeff in counts.items()
         if coeff
         for ordering in orderings(m_placed, imag, omega)
@@ -406,10 +392,10 @@ def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpr
     ordering leaves out only keys whose count is 0, so the other keys
     keep their order of first arising.
     """
-    counts, factor_tuple = _split_counts(eq, target)
+    counts = _split_counts(eq, target)
     internal = frozenset(eq.internal)
     return RealTimeExpression(tuple(
-        RealTimeTerm(1 if coeff > 0 else -1, (omega,), factor_tuple(factors), internal - imag, imag)
+        RealTimeTerm(1 if coeff > 0 else -1, (omega,), factors, internal - imag, imag)
         for (_, imag, omega, factors), coeff in counts.items()
         for _ in range(abs(coeff))
     ))
@@ -579,19 +565,28 @@ class _SampleValues:
 
     def __init__(self, tables: ComponentTable, grid: DiscreteContour):
         self.tables = tables
-        self.nodes = {REAL_NODES: grid.real_nodes, MATS_NODES: grid.mats_nodes}
+        self.grid = grid
         self.values: dict[tuple, object] = {}
 
     def __call__(self, fname: str, mset: frozenset, korder: tuple, args: tuple):
         key = (fname, mset, korder, args)
         if key not in self.values:
-            axes = iter(np.meshgrid(
-                *(self.nodes[a] for a in args if isinstance(a, str)),
-                indexing="ij", sparse=True,
-            ))
+            axes = iter(_sparse_mesh(self.grid, tuple(a for a in args if isinstance(a, str))))
             times = [next(axes) if isinstance(a, str) else a for a in args]
             self.values[key] = self.tables.component(fname, mset, korder, times)
         return self.values[key]
+
+
+@functools.lru_cache(maxsize=64)
+def _sparse_mesh(grid: DiscreteContour, node_sets: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+    """The sparse mesh over ``node_sets`` (:data:`REAL_NODES` or
+    :data:`MATS_NODES` each) of ``grid``, read-only, since both sides of
+    every sample on one grid share it."""
+    nodes = {REAL_NODES: grid.real_nodes, MATS_NODES: grid.mats_nodes}
+    axes = np.meshgrid(*(nodes[n] for n in node_sets), indexing="ij", sparse=True)
+    for axis in axes:
+        axis.flags.writeable = False
+    return tuple(axes)
 
 
 @functools.lru_cache(maxsize=1)
@@ -999,18 +994,13 @@ def evaluate_realtime_side(
     the points where two real labels share a node."""
     pieces, layouts = _rule_plan(expr)
     values = _sample_values(tables, grid, tuple(sorted(external_times.items())))
-    nodes = {REAL_NODES: grid.real_nodes, MATS_NODES: grid.mats_nodes}
-    meshes: dict[tuple[str, ...], list] = {}
     arrays = []
     for piece in pieces:
-        if piece.kinds not in meshes:
-            meshes[piece.kinds] = np.meshgrid(
-                *(nodes[k] for k in piece.kinds), indexing="ij", sparse=True
-            )
+        mesh = _sparse_mesh(grid, piece.kinds)
         times: dict[str, object] = dict(external_times)
-        times.update(zip(piece.labels, meshes[piece.kinds]))
+        times.update(zip(piece.labels, mesh))
         if piece.func is None:
-            value = _steps(np.ones(tuple(len(nodes[k]) for k in piece.kinds)), piece.pairs, times)
+            value = _steps(np.ones(tuple(axis.size for axis in mesh)), piece.pairs, times)
         else:
             args = tuple(
                 piece.kinds[piece.labels.index(a)] if a in piece.labels else times[a]

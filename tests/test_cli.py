@@ -13,14 +13,17 @@ from contourcalc.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_cli(args, **kw):
+def run_cli(args, hash_seed=None, **kw):
     # the child finds this checkout's package whether or not PYTHONPATH names it
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     return subprocess.run(
         [sys.executable, "-m", "contourcalc.cli", *args],
         text=True,
         cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": path},
+        env=env,
         **{"capture_output": True, **kw},
     )
 
@@ -324,3 +327,24 @@ def test_verify_parallel_jobs_deterministic():
     b = run_cli(["verify", "--input", "product", "--grid", "8", "--seeds", "1", "--jobs", "2"])
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize(
+    "args, golden",
+    [(["tables"], "tables.txt"), (["tables", "--contour", "keldysh"], "tables_keldysh.txt")],
+)
+def test_tables_independent_of_hash_seed(args, golden):
+    # IR values hash by identity, so sets of them iterate in an order that
+    # differs between processes; no output may follow it
+    want = (ROOT / "golden" / golden).read_text(encoding="utf-8")
+    for seed in ("0", "2"):
+        proc = run_cli(args, hash_seed=seed)
+        assert proc.returncode == 0
+        assert proc.stdout == want, seed
+
+
+def test_verify_parallel_jobs_independent_of_hash_seed():
+    args = ["verify", "--input", "product", "--grid", "8", "--seeds", "1", "--jobs", "2", "--json"]
+    runs = [run_cli(args, hash_seed=seed) for seed in ("0", "2")]
+    assert all(proc.returncode == 0 for proc in runs)
+    assert runs[0].stdout == runs[1].stdout and runs[0].stdout

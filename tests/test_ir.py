@@ -1,9 +1,15 @@
-"""Core IR: validation, connectivity, super-indices, canonicalization."""
+"""Core IR: validation, connectivity, super-indices, canonicalization,
+interning."""
+
+import copy
+import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contourcalc import ir
 from contourcalc.ir import (
     ContourEquation,
     CoverError,
@@ -229,6 +235,65 @@ def test_factor_sort_key_writes_the_hacek_index(arity, data):
     si = data.draw(_index_over(args))
     f = Factor(SubFunction("F", args), si)
     assert f.sort_key() == ("F", str(to_hacek(si, args)), args)
+
+
+# ---------------------------------------------------------------------------
+# interning
+
+
+def _values():
+    a, b = Plain("a"), Plain("b")
+    index = SuperIndex((Mats(("a",)), Ret(b, ())))
+    return [a, Ret(a, (b,)), Mats(("a", "b")), index, A2, Factor(A2, index)]
+
+
+def test_equal_values_are_one_object():
+    for value in _values():
+        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        assert type(value)(*fields.values()) is value
+        assert type(value)(**fields) is value
+        assert dataclasses.replace(value) is value
+        assert hash(value) == object.__hash__(value)
+    assert dataclasses.replace(Plain("a"), label="b") is Plain("b")
+    assert Factor(index=SuperIndex((Plain("b"), Plain("a"))), func=A2) is Factor(
+        A2, SuperIndex((Plain("b"), Plain("a")))
+    )
+    assert Plain("a") != Plain("b") and Plain(1) is not Plain("1")
+
+
+def test_pickle_and_copies_return_the_interned_value():
+    for value in _values():
+        assert pickle.loads(pickle.dumps(value)) is value
+        assert copy.copy(value) is value
+        assert copy.deepcopy(value) is value
+    # a value inside a container that is not interned comes back interned
+    term = RealTimeTerm(1, (("a", "b"),), (_values()[-1],))
+    assert pickle.loads(pickle.dumps(term)).factors[0] is _values()[-1]
+
+
+def test_invalid_value_raises_and_is_not_stored():
+    func = SubFunction("Interned", ("p", "q"))
+    half = SuperIndex((Plain("p"),))
+    for _ in range(2):
+        with pytest.raises(CoverError):
+            Factor(func, half)
+        with pytest.raises(CoverError):
+            SuperIndex((Plain("p"), Mats(("q",))))
+    whole = SuperIndex((Plain("q"), Plain("p")))
+    assert Factor(func, whole) is Factor(func, whole)
+    assert str(Factor(func, whole)) == "Interned^{qp}"
+
+
+def test_sort_key_is_computed_once_per_value(monkeypatch):
+    calls = []
+    index_text = ir._index_text
+    monkeypatch.setattr(ir, "_index_text", lambda *a: calls.append(a) or index_text(*a))
+    func = SubFunction("SortedOnce", ("p", "q"))
+    f = Factor(func, SuperIndex((Plain("q"), Plain("p"))))
+    keys = {f.sort_key() for _ in range(3)}
+    keys.add(Factor(func, SuperIndex((Plain("q"), Plain("p")))).sort_key())
+    assert keys == {("SortedOnce", "21", ("p", "q"))}
+    assert len(calls) == 1
 
 
 def test_linear_combination_signs():

@@ -5,7 +5,7 @@ allow, through ``_linear_extensions``.  The branch split also visits only
 the orderings that survive the largest-time cancellation, in which every
 real internal has a later neighbour (``_linear_extensions`` with
 neighbours), and counts its keys directly in the normal-form basis
-(``branch_split_normal_form``); both number their factors per call.  The
+(``branch_split_normal_form``); both key on interned factors.  The
 references below walk every permutation of the real labels and filter it,
 keyed by ``Factor``s, with no cancellation left out, which is slow but
 plainly right; the optimized code must give exactly the same result, the

@@ -737,6 +737,32 @@ def test_component_table_holds_one_sample(monkeypatch):
     assert len(calls) - before == n_first
 
 
+def test_cached_meshes_give_bit_identical_values(monkeypatch):
+    # one corpus sample, with the sparse meshes cached per (grid, node sets)
+    # and with a fresh np.meshgrid at every use
+    eq = catalog.double_triangle()
+    target = parse_superindex("R", eq)
+    rule = derive_rule(eq, target)
+    grid = DiscreteContour(n_fwd=24)
+    tables = ComponentTable(eq, seed=10)
+    times = {"a": 1.31, "b": 0.52}
+    oracle._sample_values.cache_clear()
+    oracle._sparse_mesh.cache_clear()
+    cached = (
+        evaluate_contour_side(eq, target, tables, grid, times),
+        evaluate_realtime_side(rule, eq, tables, grid, times),
+    )
+    info = oracle._sparse_mesh.cache_info()
+    assert 0 < info.misses < info.hits
+    oracle._sample_values.cache_clear()
+    monkeypatch.setattr(oracle, "_sparse_mesh", oracle._sparse_mesh.__wrapped__)
+    uncached = (
+        evaluate_contour_side(eq, target, tables, grid, times),
+        evaluate_realtime_side(rule, eq, tables, grid, times),
+    )
+    assert cached == uncached
+
+
 def test_contour_side_evaluates_no_order_with_forward_before_backward(monkeypatch):
     # the contour side sums exactly the orders of its planned blocks, so
     # every plan it builds is read here
