@@ -612,7 +612,10 @@ def _two_point_kinds(x: str, y: str) -> dict:
     return kinds
 
 
+@functools.lru_cache(maxsize=4096)
 def _render_factor(factor: Factor, fmt: str, naming: str) -> str:
+    """One factor's text; factors are interned, so each (factor, format,
+    naming) is rendered once while among the 4096 most recently used."""
     if naming == "langreth":
         key = langreth_name(factor)
         if key is None:

@@ -19,17 +19,25 @@ strategy:
   normal-form basis itself (:func:`branch_split_normal_form`), so a
   verdict computes one normal form, the rule's;
 * a numeric one that evaluates both sides of a rule on a shared discrete
-  contour.  Forward and backward branches use the same real nodes, so all
-  the cancellation lemmas hold node-by-node and agreement is limited only
-  by floating-point rounding, not quadrature error.  Both sides evaluate
+  contour.  The rules are identities between integrands wherever the
+  contour times are distinct, where the step-function algebra holds.
+  Each internal label has its own real nodes, shifted by a fraction of
+  the spacing that its name fixes (:class:`DiscreteContour`), so no two
+  labels ever share a node; imaginary times are never compared, and
+  external times are drawn off every node
+  (:meth:`DiscreteContour.check_external`).  The forward and backward
+  branches of one label use the same nodes, so all the cancellation
+  lemmas hold node-by-node and agreement is limited only by
+  floating-point rounding, not quadrature error.  Both sides evaluate
   each function with the masked sum over component orders of
   :func:`_ordered_sum`, whose entries carry a mask the caller has built
   and the steps left to compare, and which takes every component value
   from one per-sample table (:class:`_SampleValues`): each component is
   evaluated once per sample, keyed by (function name, Matsubara slots,
-  order, arguments) with an internal argument standing for its node set,
-  on a sparse mesh over the function's own node arguments, and the
-  contour side puts it onto its own mesh by a transpose.  The contour
+  order, arguments) with an internal argument standing for its node set
+  (its label's real nodes or the vertical nodes), on a sparse mesh over
+  the function's own node arguments, and the contour side puts it onto
+  its own mesh by a transpose.  The contour
   side and the sampled orderings take the live external words and their
   placements from :func:`_placed_words`.  The contour side gives each
   internal label a branch axis (2 or 3 branches) and a node axis (N
@@ -47,32 +55,26 @@ strategy:
   internal labels already multiplied into a mask on the block's mesh; an
   order whose mask is zero everywhere is left out.  A sample computes
   the external contour keys, compares them with the planned keys of the
-  internal labels, reads the values and folds in the weights.  The sum
-  leaves out the points where two labels sit on real branches at one
-  node by a Moebius sum over the set partitions of the internal labels,
-  one contraction per partition, in which the labels of one block share
-  a node axis and keep only their real branches.  The real-time side is
-  planned once per rule (:func:`_rule_plan`, found by identity).  Each
-  factor is one piece, an array over its own internal labels keyed by
-  the factor and the kind (real or imaginary) of each of those labels,
+  internal labels, reads the values and folds in the weights, and sums
+  the product of the tensors by one contraction along a planned path.
+  The real-time side is planned once per rule (:func:`_rule_plan`, found
+  by identity).  Each factor is one piece, an array over its own internal
+  labels keyed by the factor and the node set of each of those labels,
   so the layouts of a rule share it; a term's step comparisons among one
   set of internal labels are another piece.  A layout (a term's sorted
   real and sorted imaginary integrals) stacks the pieces of its terms
   along a term axis, one operand per function and per set of step
   labels, multiplies each operand into one that holds its labels, and
-  contracts what is left once per set partition of its real labels, by
-  the same Moebius sum; imaginary labels never tie.  A partition leaves
-  out the terms that vanish on it, where a step that every component of
-  a piece holds joins two labels of one block.
+  contracts what is left in one contraction, in runs of terms.
 
 Per-call memos aside, bounded caches live as long as the process: the
 component table of each (equation, seed), 64 entries; the contour plan of
-each (equation, grid), 64, each holding the partition plan (branch slices
-and contraction path) of its tie-free sum and the blocks of each
-(function, branches of its external arguments) it has met, at most
-B**E per function of E external arguments on B branches; the plan of
-each factor, 4096; the real-time plan of each rule, 64; and the sparse
-mesh of each (grid, node sets of some internal labels), 64.
+each (equation, grid), 64, each holding its contraction path and the
+blocks of each (function, branches of its external arguments) it has
+met, at most B**E per function of E external arguments on B branches;
+the plan of each factor, 4096; the real-time plan of each rule, 64; and
+the sparse mesh of each (grid, node sets of some internal labels), 64.
+A grid keeps the nodes of each label it is asked for.
 Each holds values that are never changed after they are built, but for
 the function plans a contour plan adds as it meets new external
 branches and the contraction paths a rule plan adds as it meets new
@@ -80,10 +82,6 @@ operand shapes.  The per-sample value table has a one-entry cache keyed by
 (component table, grid, external times): the two sides of one sample
 share it, and a new sample replaces it, so only one sample's values are
 ever held.
-
-Ties between distinct time labels would break the step-function algebra;
-grids are built tie-free and configurations placing two internals on the
-same real node are excluded from both sides alike.
 """
 
 from __future__ import annotations
@@ -417,12 +415,18 @@ def branch_count(eq: ContourEquation) -> int:
 
 
 class DiscreteContour:
-    """Shared-node discretisation of the two-branch (plus vertical) contour.
+    """Discretisation of the two-branch (plus vertical) contour.
 
-    Forward and backward branches carry the same ``n_fwd`` real nodes with
-    opposite integration signs; the vertical branch has unit imaginary
-    extent and as many nodes (``n_mats``).  All nodes are midpoints shifted
-    by an irrational fraction of the spacing, so no two nodes coincide.
+    The real axis from ``t0`` to ``t_max`` is cut into ``n_fwd`` cells of
+    width dt.  Each internal label has its own node in every cell
+    (:meth:`label_nodes`), shifted from the cell's start by a fraction of
+    dt that the label's name fixes, so two labels never share a node.  The
+    forward and backward branches of one label carry its nodes with
+    opposite integration signs.  The vertical branch has unit imaginary
+    extent and as many nodes (``n_mats``), shared by all labels, since
+    imaginary times are never compared.  ``real_nodes`` are the cells
+    shifted by an irrational fraction; no label sits on them, but external
+    times stay off them as off every label's nodes.
     """
 
     def __init__(self, t0: float = 0.0, t_max: float = 2.0, n_fwd: int = 24):
@@ -434,7 +438,7 @@ class DiscreteContour:
         self.t_max = t_max
         self.n_fwd = n_fwd
         self.n_mats = n_mats = n_fwd
-        dt = (t_max - t0) / n_fwd
+        self.dt = dt = (t_max - t0) / n_fwd
         shift = math.sqrt(2.0) - 1.0  # irrational, in (0, 1)
         self.real_nodes = t0 + (np.arange(n_fwd) + shift) * dt
         self.real_weights = np.full(n_fwd, dt)
@@ -442,6 +446,27 @@ class DiscreteContour:
         mshift = math.sqrt(3.0) - 1.0
         self.mats_nodes = (np.arange(n_mats) + mshift) * dm
         self.mats_weights = np.full(n_mats, dm)
+        self._label_nodes: dict[str, np.ndarray] = {}
+
+    def label_nodes(self, label: str) -> np.ndarray:
+        """The real nodes of ``label``: t0 + (k + s) dt for each cell k,
+        with s in (0, 1) the top 52 bits of a digest of the name, so it does
+        not depend on the string-hash salt and two names share it with
+        probability about 2**-52; read-only, computed once per grid and
+        label."""
+        nodes = self._label_nodes.get(label)
+        if nodes is None:
+            shift = ((_stable_seed("node shift", label) >> 12) + 0.5) / 2**52
+            nodes = self.t0 + (np.arange(self.n_fwd) + shift) * self.dt
+            nodes.flags.writeable = False
+            nodes = self._label_nodes.setdefault(label, nodes)
+        return nodes
+
+    def node_gap(self, times, labels: tuple[str, ...]) -> float:
+        """The least distance from any of ``times`` to ``real_nodes`` or to
+        a node of one of ``labels`` (inf for no times)."""
+        nodes = np.concatenate([self.real_nodes, *map(self.label_nodes, labels)])
+        return float(np.min(np.abs(nodes[:, None] - np.asarray(times)), initial=np.inf))
 
     def contour_key(self, branch: str, t):
         """Strictly increasing with contour time; branches never collide."""
@@ -452,9 +477,11 @@ class DiscreteContour:
             return 3.0 * span - np.asarray(t, dtype=float)
         return 5.0 * span + np.asarray(t, dtype=float)
 
-    def check_external(self, t: float):
-        if np.min(np.abs(self.real_nodes - t)) < 1e-11:
-            raise GridTieError(f"external time {t} coincides with a grid node")
+    def check_external(self, times, labels: tuple[str, ...] = ()):
+        """Raise :class:`GridTieError` where one of the external ``times``
+        lies on ``real_nodes`` or on a node of one of ``labels``."""
+        if self.node_gap(times, labels) < 1e-11:
+            raise GridTieError(f"external times {times} coincide with a grid node")
 
 
 def _stable_seed(*parts) -> int:
@@ -502,12 +529,13 @@ class ComponentTable:
         )
         n_terms = 2
         arity = len(self.funcs[fname].args)
+        # Python numbers, which a scalar time multiplies without NumPy
         self._coeff_table[(fname, mset, korder)] = {
-            "c": (rng.uniform(-1, 1, n_terms) + 1j * rng.uniform(-1, 1, n_terms)),
-            "w": rng.uniform(0.5, 2.0, (n_terms, arity)),
-            "p": rng.uniform(0, 2 * np.pi, (n_terms, arity)),
-            "wm": rng.uniform(0.5, 2.0, (n_terms, 2)),
-            "pm": rng.uniform(0, 2 * np.pi, n_terms),
+            "c": (rng.uniform(-1, 1, n_terms) + 1j * rng.uniform(-1, 1, n_terms)).tolist(),
+            "w": rng.uniform(0.5, 2.0, (n_terms, arity)).tolist(),
+            "p": rng.uniform(0, 2 * np.pi, (n_terms, arity)).tolist(),
+            "wm": rng.uniform(0.5, 2.0, (n_terms, 2)).tolist(),
+            "pm": rng.uniform(0, 2 * np.pi, n_terms).tolist(),
         }
 
     def _coeffs(self, fname: str, mset: frozenset, korder: tuple):
@@ -530,11 +558,11 @@ class ComponentTable:
             for i, t in enumerate(times):
                 if (i + 1) in mset:
                     continue
-                val = val * np.cos(cf["w"][j, i] * np.asarray(t) + cf["p"][j, i])
+                val = val * np.cos(cf["w"][j][i] * t + cf["p"][j][i])
             if mset:
-                s1 = sum(np.asarray(times[i - 1]) for i in mset)
-                s2 = sum(np.asarray(times[i - 1]) ** 2 for i in mset)
-                val = val * np.cos(cf["wm"][j, 0] * s1 + cf["wm"][j, 1] * s2 + cf["pm"][j])
+                s1 = sum(times[i - 1] for i in mset)
+                s2 = sum(times[i - 1] * times[i - 1] for i in mset)
+                val = val * np.cos(cf["wm"][j][0] * s1 + cf["wm"][j][1] * s2 + cf["pm"][j])
             total = total + val
         return total
 
@@ -550,16 +578,18 @@ def _component_table(eq: ContourEquation, seed: int) -> ComponentTable:
 # numeric evaluation
 
 
-# the node set of an internal argument, in the keys of the per-sample table
-REAL_NODES, MATS_NODES = "real nodes", "vertical nodes"
+# the node set of an internal argument on the vertical branch, in the keys
+# of the per-sample table; on a real branch it is the label's name
+MATS_NODES = "vertical nodes"
 
 
 class _SampleValues:
     """The component values of one sample, each evaluated once.
 
     A value is keyed by ``(function name, mset, korder, args)``; each entry
-    of ``args`` is an external time or the node set (:data:`REAL_NODES` or
-    :data:`MATS_NODES`) of an internal argument.  The value lives on a
+    of ``args`` is an external time or the node set of an internal
+    argument: its label's real nodes, named by the label, or
+    :data:`MATS_NODES`.  The value lives on a
     sparse mesh over the function's own node arguments, in argument order,
     so every caller whose labels sit on those node sets shares it."""
 
@@ -579,11 +609,14 @@ class _SampleValues:
 
 @functools.lru_cache(maxsize=64)
 def _sparse_mesh(grid: DiscreteContour, node_sets: tuple[str, ...]) -> tuple[np.ndarray, ...]:
-    """The sparse mesh over ``node_sets`` (:data:`REAL_NODES` or
-    :data:`MATS_NODES` each) of ``grid``, read-only, since both sides of
-    every sample on one grid share it."""
-    nodes = {REAL_NODES: grid.real_nodes, MATS_NODES: grid.mats_nodes}
-    axes = np.meshgrid(*(nodes[n] for n in node_sets), indexing="ij", sparse=True)
+    """The sparse mesh over ``node_sets`` (a label's name for its real
+    nodes, or :data:`MATS_NODES`) of ``grid``, read-only, since both sides
+    of every sample on one grid share it."""
+    axes = np.meshgrid(
+        *(grid.mats_nodes if n == MATS_NODES else grid.label_nodes(n) for n in node_sets),
+        indexing="ij",
+        sparse=True,
+    )
     for axis in axes:
         axis.flags.writeable = False
     return tuple(axes)
@@ -648,14 +681,20 @@ def _contour_orders(kinds: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _branch_weights(eq: ContourEquation, grid: DiscreteContour, truncate_at: Optional[float]):
-    """The weight ``w[branch, node]`` of one internal label: +dt on F, -dt on
-    B and -i*dm on M, zero on the real nodes past ``truncate_at``."""
-    real = grid.real_weights.astype(complex)
-    if truncate_at is not None:
-        real[grid.real_nodes > truncate_at] = 0
-    rows = [real, -real] + ([-1j * grid.mats_weights] if eq.contour == EXTENDED else [])
-    return np.array(rows)
+def _branch_weights(
+    eq: ContourEquation, grid: DiscreteContour, truncate_at: Optional[float]
+) -> dict[str, np.ndarray]:
+    """The weight ``w[branch, node]`` of each internal label: +dt on F, -dt
+    on B and -i*dm on M, zero on the label's real nodes past
+    ``truncate_at``."""
+    weights = {}
+    for label in eq.internal:
+        real = grid.real_weights.astype(complex)
+        if truncate_at is not None:
+            real[grid.label_nodes(label) > truncate_at] = 0
+        rows = [real, -real] + ([-1j * grid.mats_weights] if eq.contour == EXTENDED else [])
+        weights[label] = np.array(rows)
+    return weights
 
 
 class _Block(NamedTuple):
@@ -691,7 +730,6 @@ def _plan_function(
     at no point of a block is left out of it."""
     f = eq.product[j]
     branches = _branches(eq)
-    nodes = {FWD: grid.real_nodes, BWD: grid.real_nodes, MAT: grid.mats_nodes}
     labels = tuple(l for l in eq.internal if l in f.args)
     own = [a for a in f.args if a in labels]
     perm = tuple(own.index(l) for l in labels)
@@ -700,7 +738,7 @@ def _plan_function(
     for pattern in itertools.product(range(len(branches)), repeat=len(labels)):
         kind = dict(external)
         kind.update((l, branches[b]) for l, b in zip(labels, pattern))
-        axes = np.meshgrid(*(nodes[kind[l]] for l in labels), indexing="ij", sparse=True)
+        axes = _sparse_mesh(grid, tuple(MATS_NODES if kind[l] == MAT else l for l in labels))
         keys = {l: grid.contour_key(kind[l], t) for l, t in zip(labels, axes)}
         fkinds = tuple(kind[a] for a in f.args)
         # orders with the same steps between internal labels share a mask
@@ -720,7 +758,7 @@ def _plan_function(
             fkinds,
             frozenset(i + 1 for i, k in enumerate(fkinds) if k == MAT),
             tuple(
-                (MATS_NODES if k == MAT else REAL_NODES) if a in labels else None
+                (MATS_NODES if k == MAT else a) if a in labels else None
                 for a, k in zip(f.args, fkinds)
             ),
             keys,
@@ -732,9 +770,12 @@ def _plan_function(
 class _ContourPlan:
     """What the contour side of an equation on a grid does not take from
     the external times: each function's internal labels and external
-    arguments, the partition plan of the tie-free sum (:func:`_partition_plan`)
-    and, on first use, the plan (:func:`_plan_function`) of each
-    (function position, branches of its external arguments)."""
+    arguments, the labels no function carries, the ``(branch, node)``
+    shape of one label's axes, the pairwise steps (:func:`_path_steps`)
+    of one greedy path that contracts the operands of
+    :func:`_contour_operands` to a number and, on first use, the plan
+    (:func:`_plan_function`) of each (function position, branches of its
+    external arguments)."""
 
     def __init__(self, eq: ContourEquation, grid: DiscreteContour):
         self.eq = eq
@@ -744,10 +785,13 @@ class _ContourPlan:
         carried = set().union(*self.labels)
         # a label no function carries integrates its weight alone
         self.lone = tuple(l for l in eq.internal if l not in carried)
-        self.partitions = _partition_plan(
-            tuple(self.labels) + tuple((l,) for l in self.lone),
-            eq.internal,
-            (len(_branches(eq)), grid.n_fwd),
+        self.shape = (len(_branches(eq)), grid.n_fwd)
+        # each label has a branch letter and a node letter
+        axes = {l: chr(ord("a") + i) + chr(ord("A") + i) for i, l in enumerate(eq.internal)}
+        labelsets = self.labels + [(l,) for l in self.lone]
+        self.steps = _greedy_steps(
+            ["".join(axes[l] for l in labels) for labels in labelsets],
+            [self.shape * len(labels) for labels in labelsets],
         )
         self.functions: dict[tuple[int, tuple[str, ...]], tuple] = {}
 
@@ -769,11 +813,12 @@ def _contour_operands(
     values: _SampleValues,
     kinds: dict[str, str],
     external_times: dict[str, float],
-    weight: np.ndarray,
+    weights: dict[str, np.ndarray],
     filled: dict,
-) -> list[tuple[tuple[str, ...], np.ndarray]]:
-    """One tensor per function, as ``(internal labels, tensor)``, over a
-    (branch, node) axis pair per internal argument, in ``eq.internal`` order.
+) -> list[np.ndarray]:
+    """One tensor per function, over a (branch, node) axis pair per
+    internal argument, in ``eq.internal`` order, then the weight of each
+    label no function carries: the operands of ``plan.steps``.
 
     Each block of a tensor (:class:`_Block`) is the masked sum over its
     planned contour orders, whose steps that involve an external label are
@@ -791,7 +836,7 @@ def _contour_operands(
         key = (j, tuple(kinds[a] for a in plan.externals[j]))
         if key not in filled:
             perm, blocks = plan.function(*key)
-            tensor = np.empty(weight.shape * len(labels), dtype=complex)
+            tensor = np.empty(plan.shape * len(labels), dtype=complex)
             for block in blocks:
                 args = tuple(
                     external_times[a] if n is None else n for a, n in zip(f.args, block.nodes)
@@ -802,76 +847,13 @@ def _contour_operands(
             for i, l in enumerate(labels):
                 if l not in weighted:
                     shape = [1] * tensor.ndim
-                    shape[2 * i: 2 * i + 2] = weight.shape
-                    tensor *= weight.reshape(shape)
+                    shape[2 * i: 2 * i + 2] = plan.shape
+                    tensor *= weights[l].reshape(shape)
             filled[key] = tensor
         weighted.update(labels)
-        operands.append((labels, filled[key]))
-    operands.extend(((l,), weight) for l in plan.lone)
+        operands.append(filled[key])
+    operands.extend(weights[l] for l in plan.lone)
     return operands
-
-
-def _tie_free_sum(plan: _ContourPlan, operands: list[tuple[tuple[str, ...], np.ndarray]]):
-    """Sum of the product of ``operands`` over every (branch, node) point of
-    the internal labels at which no two labels sit on real branches at one
-    node: a Moebius sum over the set partitions of the internal labels, one
-    contraction per partition."""
-    total = 0
-    for mu, slices, steps in plan.partitions:
-        views = [t if s is None else t[s] for (_, t), s in zip(operands, slices)]
-        total += mu * _contract(views, steps)
-    return total
-
-
-def _set_partitions(n: int) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
-    """The set partitions of ``range(n)``, each with its Moebius weight
-    mu = prod over blocks B of (-1)**(|B|-1) * (|B|-1)!, as ``(blocks, mu)``."""
-    parts: list[list[list[int]]] = [[]]
-    for i in range(n):
-        parts = [
-            p[:k] + [p[k] + [i]] + p[k + 1:] for p in parts for k in range(len(p))
-        ] + [p + [[i]] for p in parts]
-    return tuple(
-        (
-            tuple(tuple(b) for b in p),
-            math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in p),
-        )
-        for p in parts
-    )
-
-
-def _partition_plan(
-    labelsets: tuple[tuple[str, ...], ...],
-    internal: tuple[str, ...],
-    shape: tuple[int, int],
-):
-    """The Moebius sum over set partitions of ``internal`` that excludes
-    ties: per partition, its weight, a branch slice per operand and the
-    pairwise steps of a greedy contraction path, as ``(mu, slices, steps)``.
-
-    Labels in one block share one node letter; a block of two or more
-    labels keeps only the real branches of its labels."""
-    branches, n = shape
-    plan = []
-    for blocks, mu in _set_partitions(len(internal)):
-        node, merged = {}, set()
-        for k, block in enumerate(blocks):
-            for i in block:
-                node[internal[i]] = chr(ord("A") + k)
-                if len(block) > 1 and branches > 2:
-                    merged.add(internal[i])
-        slices, subscripts, shapes = [], [], []
-        for labels in labelsets:
-            cut = tuple(
-                x for l in labels for x in (slice(2) if l in merged else slice(None), slice(None))
-            )
-            slices.append(cut if any(l in merged for l in labels) else None)
-            subscripts.append("".join(chr(ord("a") + internal.index(l)) + node[l] for l in labels))
-            shapes.append(
-                tuple(x for l in labels for x in (2 if l in merged else branches, n))
-            )
-        plan.append((mu, tuple(slices), _greedy_steps(subscripts, shapes)))
-    return tuple(plan)
 
 
 def _greedy_steps(
@@ -949,10 +931,9 @@ def evaluate_contour_side(
     complex value (and an absolute-magnitude scale when requested).
     """
     m_ext = target.mats_labels()
-    for l in set(eq.external) - set(m_ext):
-        grid.check_external(external_times[l])
+    grid.check_external([external_times[l] for l in eq.external if l not in m_ext], eq.internal)
     plan = _contour_plan(eq, grid.t0, grid.t_max, grid.n_fwd)
-    weight = _branch_weights(eq, grid, truncate_at)
+    weights = _branch_weights(eq, grid, truncate_at)
     values = _sample_values(tables, grid, tuple(sorted(external_times.items())))
     filled: dict = {}
     total = 0.0 + 0.0j
@@ -966,11 +947,10 @@ def evaluate_contour_side(
             placement.update(branch_override)
         kinds = {l: MAT for l in m_ext}
         kinds.update(placement)
-        operands = _contour_operands(plan, values, kinds, external_times, weight, filled)
-        total += sign_t * _tie_free_sum(plan, operands)
+        operands = _contour_operands(plan, values, kinds, external_times, weights, filled)
+        total += sign_t * _contract(operands, plan.steps)
         if with_scale:
-            magnitudes = [(labels, np.abs(t)) for labels, t in operands]
-            scale += float(_tie_free_sum(plan, magnitudes).real)
+            scale += float(_contract([np.abs(t) for t in operands], plan.steps).real)
     if with_scale:
         return total, scale
     return total
@@ -984,14 +964,12 @@ def evaluate_realtime_side(
     external_times: dict[str, float],
 ):
     """Evaluate a compiled rule on the same grid and weights as the contour
-    side; real integrals run over the shared real nodes, imaginary ones
-    over the vertical nodes with the implicit -i per integral.
+    side; a real integral runs over its label's real nodes, an imaginary
+    one over the vertical nodes with the implicit -i per integral.
 
     Each piece of the rule's plan (:func:`_rule_plan`) is computed once per
     call, on its own labels' axes.  The terms of one layout are summed by
-    one contraction per set partition of its real labels, their stacked
-    pieces carrying a term axis, and the partitions' Moebius sum leaves out
-    the points where two real labels share a node."""
+    one contraction, their stacked pieces carrying a term axis."""
     pieces, layouts = _rule_plan(expr)
     values = _sample_values(tables, grid, tuple(sorted(external_times.items())))
     arrays = []
@@ -1032,20 +1010,13 @@ def evaluate_realtime_side(
             o.size // n_terms if s else o.size for o, s in zip(operands, layout.stacked)
         )
         run_length = max(1, CONTRACTION_ELEMENTS // (per_term * nodes_max))
-        for i, (mu, subscripts, live) in enumerate(layout.partitions):
-            if live is None and n_terms <= run_length:
-                runs = [None]
-            else:
-                terms = np.arange(n_terms) if live is None else live
-                runs = np.array_split(terms, -(-len(terms) // run_length))
-            for run in runs:
-                views = [
-                    o if run is None or not s else o[run] for o, s in zip(operands, layout.stacked)
-                ]
-                shapes = tuple(v.shape for v in views)
-                if (i, shapes) not in layout.paths:
-                    layout.paths[i, shapes] = _greedy_steps(subscripts, shapes, nodes_max)
-                total += mu * weight * _contract(views, layout.paths[i, shapes])
+        for start in range(0, n_terms, run_length):
+            run = slice(start, start + run_length)
+            views = [o[run] if s else o for o, s in zip(operands, layout.stacked)]
+            shapes = tuple(v.shape for v in views)
+            if shapes not in layout.paths:
+                layout.paths[shapes] = _greedy_steps(layout.subscripts, shapes, nodes_max)
+            total += weight * _contract(views, layout.paths[shapes])
     return total
 
 
@@ -1055,7 +1026,8 @@ CONTRACTION_ELEMENTS = 2**18
 
 class _Piece(NamedTuple):
     """A factor, or a product of step comparisons (``func`` None), on the
-    axes of its internal ``labels``, which sit on the node sets ``kinds``."""
+    axes of its internal ``labels``, which sit on the node sets ``kinds``
+    (as in the keys of :class:`_SampleValues`)."""
 
     labels: tuple[str, ...]
     kinds: tuple[str, ...]
@@ -1081,18 +1053,17 @@ class _Layout(NamedTuple):
     has no term axis; None stands for the phases.  Each of ``operands``
     multiplies members, by the einsum ``product`` ("" for one member taken
     as it is), onto the labels of the first, which holds the labels of the
-    others; ``stacked`` tells which operands have the term axis.
-    ``partitions`` are the set partitions of ``reals`` on which some term
-    can be non-zero, as (mu, einsum subscripts of the operands, the terms
-    that can be non-zero there, None for all); ``paths`` keeps the
-    contraction steps of each (partition number, operand shapes)."""
+    others; ``stacked`` tells which operands have the term axis and
+    ``subscripts`` gives each operand's einsum subscripts, one letter per
+    label.  ``paths`` keeps the contraction steps of each tuple of operand
+    shapes."""
 
     reals: tuple[str, ...]
     imags: tuple[str, ...]
     phases: np.ndarray
     operands: tuple[tuple[str, tuple], ...]
     stacked: tuple[bool, ...]
-    partitions: tuple[tuple[int, tuple[str, ...], Optional[np.ndarray]], ...]
+    subscripts: tuple[str, ...]
     paths: dict
 
 
@@ -1105,7 +1076,7 @@ def _plan_rule(expr: RealTimeExpression):
     for term in expr.terms:
         reals = tuple(sorted(term.real_integrals))
         imags = tuple(sorted(term.imag_integrals))
-        kind = dict.fromkeys(reals, REAL_NODES) | dict.fromkeys(imags, MATS_NODES)
+        kind = {l: l for l in reals} | dict.fromkeys(imags, MATS_NODES)
         slots: dict[tuple, _Piece] = {}
         for factor in term.factors:
             mset, orders = _factor_plan(factor)
@@ -1120,14 +1091,12 @@ def _plan_rule(expr: RealTimeExpression):
             for x, y in zip(chain, chain[1:]):
                 pairs.setdefault(tuple(l for l in reals if l in (x, y)), set()).add((x, y))
         for labels, ps in pairs.items():
-            slots["s", labels] = _Piece(
-                labels, (REAL_NODES,) * len(labels), pairs=tuple(sorted(ps))
-            )
+            slots["s", labels] = _Piece(labels, labels, pairs=tuple(sorted(ps)))
         groups.setdefault((reals, imags), []).append((term.sign, slots))
     pieces: dict[_Piece, int] = {}
     layouts = []
     for (reals, imags), terms in groups.items():
-        kind = dict.fromkeys(reals, REAL_NODES) | dict.fromkeys(imags, MATS_NODES)
+        kind = {l: l for l in reals} | dict.fromkeys(imags, MATS_NODES)
         labels_of = {slot: p.labels for _, slots in terms for slot, p in slots.items()}
         # a label no slot carries integrates alone, on a piece of ones
         carried = set().union(*labels_of.values())
@@ -1147,7 +1116,7 @@ def _plan_rule(expr: RealTimeExpression):
                 labels_of[slot] if shared else (TERM_AXIS,) + labels_of[slot],
             ))
         # a member goes into the first operand that holds its labels, widest
-        # first, so each partition contracts few operands
+        # first, so the contraction has few operands
         hosts: list[list] = []
         for member in sorted(members, key=lambda m: -len(set(m[1]) - {TERM_AXIS})):
             own = set(member[1]) - {TERM_AXIS}
@@ -1158,7 +1127,7 @@ def _plan_rule(expr: RealTimeExpression):
                 home.append(member)
         letter = {l: chr(ord("B") + i) for i, l in enumerate(reals + imags)}
         letter[TERM_AXIS] = TERM_AXIS
-        operands, labelsets = [], []
+        operands, subscripts = [], []
         for host in hosts:
             labels = tuple(l for l in host[0][1] if l != TERM_AXIS)
             if any(TERM_AXIS in m[1] for m in host):
@@ -1167,52 +1136,17 @@ def _plan_rule(expr: RealTimeExpression):
             output = "".join(letter[l] for l in labels)
             product = "" if inputs == [output] else ",".join(inputs) + "->" + output
             operands.append((product, tuple(m[0] for m in host)))
-            labelsets.append(labels)
-        partitions = []
-        numbered = list(pieces)
-        for blocks, mu in _set_partitions(len(reals)):
-            live = [
-                t for t, row in enumerate(ids)
-                if not _zero_on(blocks, reals, [numbered[i] for i in row])
-            ]
-            if not live:
-                continue
-            letter = {reals[i]: chr(ord("B") + k) for k, b in enumerate(blocks) for i in b}
-            letter.update((l, chr(ord("a") + i)) for i, l in enumerate(imags))
-            letter[TERM_AXIS] = TERM_AXIS
-            partitions.append((
-                mu,
-                tuple("".join(letter[l] for l in ls) for ls in labelsets),
-                None if len(live) == len(ids) else np.array(live),
-            ))
+            subscripts.append(output)
         layouts.append(_Layout(
             reals,
             imags,
             (-1j) ** len(imags) * np.array([sign for sign, _ in terms]),
             tuple(operands),
-            tuple(ls[:1] == (TERM_AXIS,) for ls in labelsets),
-            tuple(partitions),
+            tuple(sub[:1] == TERM_AXIS for sub in subscripts),
+            tuple(subscripts),
             {},
         ))
     return list(pieces), layouts
-
-
-def _zero_on(blocks, reals: tuple[str, ...], pieces: list[_Piece]) -> bool:
-    """Whether a term with ``pieces`` is zero wherever the real labels of
-    each block share a node: a piece is, where two of its labels joined by
-    a strict step tie -- for a factor, a step held by every component."""
-    block = {reals[i]: k for k, b in enumerate(blocks) for i in b}
-
-    def tied(pairs):
-        return any(x in block and y in block and block[x] == block[y] for x, y in pairs)
-
-    for piece in pieces:
-        if piece.func is None:
-            if tied(piece.pairs):
-                return True
-        elif piece.orders and all(tied(pairs) for _, pairs, _ in piece.orders):
-            return True
-    return False
 
 
 # the plans of the rules evaluated last, keyed by id: an entry holds its
@@ -1321,10 +1255,9 @@ def _sample_times(
     times: dict[str, float] = {}
     for _ in range(SAMPLE_ATTEMPTS):
         draws = np.sort(rng.uniform(lo, hi, len(omega)))[::-1]
-        ok = all(
-            np.min(np.abs(grid.real_nodes - t)) > 1e-9 for t in draws
-        ) and (len(draws) < 2 or np.min(np.abs(np.diff(draws))) > 1e-9)
-        if ok:
+        if grid.node_gap(draws, eq.internal) > 1e-9 and (
+            len(draws) < 2 or np.min(np.abs(np.diff(draws))) > 1e-9
+        ):
             break
     else:
         raise GridTieError(

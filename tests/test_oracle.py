@@ -1,7 +1,6 @@
 """Branch-splitting oracle, normal forms, and the discrete-contour evaluators."""
 
 import itertools
-import math
 import os
 import pickle
 import subprocess
@@ -148,11 +147,28 @@ def test_vanished_terms_have_empty_normal_form():
 
 def test_grid_rejects_external_on_node():
     grid = DiscreteContour(n_fwd=8)
-    with pytest.raises(GridTieError):
-        evaluate_contour_side(
-            CONV, parse_superindex(">", CONV), ComponentTable(CONV, 0), grid,
-            {"a": float(grid.real_nodes[3]), "b": 0.123},
-        )
+    (label,) = CONV.internal
+    for node in (grid.real_nodes[3], grid.label_nodes(label)[3]):
+        with pytest.raises(GridTieError):
+            evaluate_contour_side(
+                CONV, parse_superindex(">", CONV), ComponentTable(CONV, 0), grid,
+                {"a": float(node), "b": 0.123},
+            )
+
+
+def test_internal_labels_have_disjoint_nodes_inside_the_grid():
+    # the numeric sums have no tie to leave out only because no two internal
+    # labels share a real node
+    equations = [make() for make in catalog.CORPUS.values()]
+    equations += [catalog.four_point(), catalog.seven_point()]
+    equations += [parse_equation(src) for src in (SELF_ENERGY, CHAIN4, LADDER, THREE_EXTERNAL)]
+    for eq in equations:
+        for n in range(2, 25):
+            grid = DiscreteContour(t0=0.5, t_max=2.5, n_fwd=n)
+            nodes = [grid.label_nodes(l) for l in eq.internal]
+            together = np.concatenate(nodes) if nodes else np.empty(0)
+            assert len(np.unique(together)) == n * len(eq.internal), (str(eq), n)
+            assert np.all((grid.t0 < together) & (together < grid.t_max)), (str(eq), n)
 
 
 def test_matsubara_components_symmetric():
@@ -315,6 +331,20 @@ def test_repeated_names_corrupted_rule_fails():
     assert not any(r.passed for r in bad)
 
 
+@pytest.mark.parametrize("contour", ["extended", "keldysh"])
+def test_numeric_check_rejects_every_sign_flip_of_chain4(contour):
+    # 15 terms on the extended contour and 5 on Keldysh; the numeric
+    # records alone, at a small grid and one seed, catch every flip
+    eq = parse_equation(CHAIN4, contour=contour)
+    target = parse_superindex(">", eq)
+    rule = derive_rule(eq, target)
+    assert len(rule.terms) == (15 if contour == "extended" else 5)
+    for k in range(len(rule.terms)):
+        records = verify(eq, target, seeds=(1,), grid_size=6, rule=_flip_one_sign(rule, k))
+        (numeric,) = [r for r in records if r.mode == "numeric"]
+        assert not numeric.passed, k
+
+
 def test_repeated_name_with_two_arities_is_refused():
     # the parser refuses this equation; a hand-built one reaches the tables
     with pytest.raises(EquationSyntaxError, match="ArityMismatch"):
@@ -403,10 +433,12 @@ class _OnNodeGenerator:
 
 def test_sample_times_gives_up_after_bounded_draws():
     grid = DiscreteContour(n_fwd=8)
-    rng = _OnNodeGenerator(float(grid.real_nodes[3]))
-    with pytest.raises(GridTieError):
-        _sample_times(CONV, parse_superindex(">", CONV), ("a", "b"), grid, rng)
-    assert rng.calls == SAMPLE_ATTEMPTS
+    (label,) = CONV.internal
+    for node in (grid.real_nodes[3], grid.label_nodes(label)[3]):
+        rng = _OnNodeGenerator(float(node))
+        with pytest.raises(GridTieError):
+            _sample_times(CONV, parse_superindex(">", CONV), ("a", "b"), grid, rng)
+        assert rng.calls == SAMPLE_ATTEMPTS
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +458,8 @@ def _literal_contour_sum(eq, tables, grid, ext_kinds, ext_times, truncate_at=Non
     for assign in itertools.product(branches, repeat=len(eq.internal)):
         nodes = [
             list(zip(grid.mats_nodes, grid.mats_weights)) if b == "M"
-            else list(zip(grid.real_nodes, grid.real_weights))
-            for b in assign
+            else list(zip(grid.label_nodes(label), grid.real_weights))
+            for label, b in zip(eq.internal, assign)
         ]
         for point in itertools.product(*nodes):
             kinds, times = dict(ext_kinds), dict(ext_times)
@@ -440,8 +472,7 @@ def _literal_contour_sum(eq, tables, grid, ext_kinds, ext_times, truncate_at=Non
                 else:
                     real_times.append(float(t))
                     factor *= -1 if b == "B" else 1
-            if len(set(real_times)) < len(real_times):
-                continue  # two internals on one real node
+            assert len(set(real_times)) == len(real_times), "two internals on one real node"
             if truncate_at is not None and any(t > truncate_at for t in real_times):
                 continue
             value = 1 + 0j
@@ -479,9 +510,8 @@ LITERAL_CASES = [
     (catalog.double_triangle(), ">", {"a": "B", "b": "F"}, {"a": 1.31, "b": 0.52}, {}),
     (catalog.double_triangle(), "lc", {"a": "M", "b": "F"}, {"a": 0.4, "b": 1.13}, {}),
     (parse_equation(SELF_ENERGY), ">", {"a": "B", "b": "F"}, {"a": 0.52, "b": 1.31}, {}),
-    # three and four internals, so that ties join up to four labels; a
-    # "grid" entry sets the nodes per branch (3 otherwise), and four real
-    # internals need at least four nodes to leave any point tie-free
+    # three and four internals, so that up to four labels are compared on
+    # one branch; a "grid" entry sets the nodes per branch (3 otherwise)
     (parse_equation(CHAIN4), ">", {"a": "B", "b": "F"}, {"a": 1.31, "b": 0.52}, {}),
     (
         parse_equation(CHAIN4), ">", {"a": "B", "b": "F"}, {"a": 0.52, "b": 1.31},
@@ -549,23 +579,13 @@ def test_contour_side_matches_literal_point_sum(case):
     assert got_scale == pytest.approx(want_scale, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", range(6))
-def test_partition_weights_give_the_falling_factorial(n):
-    # labels placed on N nodes with no two on one node: N (N-1) ... (N-n+1)
-    partitions = oracle._set_partitions(n)
-    assert len(partitions) == [1, 1, 2, 5, 15, 52][n]
-    for nodes in range(1, 7):
-        assert sum(mu * nodes ** len(blocks) for blocks, mu in partitions) == math.perm(nodes, n)
-
-
 # ---------------------------------------------------------------------------
 # real-time side against a literal per-point sum
 
 
 def _literal_realtime_sum(expr, tables, grid, ext_times):
-    """Sum every term over every node of its integrals, one point at a time,
-    leaving out the points where two real integrals share a node; returns
-    (value, scale)."""
+    """Sum every term over every node of its integrals, one point at a time;
+    returns (value, scale)."""
 
     def holds(chains, times):
         return all(times[x] > times[y] for c in chains for x, y in zip(c, c[1:]))
@@ -574,7 +594,7 @@ def _literal_realtime_sum(expr, tables, grid, ext_times):
     for term in expr.terms:
         reals, imags = sorted(term.real_integrals), sorted(term.imag_integrals)
         nodes = (
-            [list(zip(grid.real_nodes, grid.real_weights))] * len(reals)
+            [list(zip(grid.label_nodes(l), grid.real_weights)) for l in reals]
             + [list(zip(grid.mats_nodes, grid.mats_weights))] * len(imags)
         )
         for point in itertools.product(*nodes):
@@ -582,8 +602,7 @@ def _literal_realtime_sum(expr, tables, grid, ext_times):
             for label, (t, w) in zip(reals + imags, point):
                 times[label] = float(t)
                 weight *= w
-            if len({times[l] for l in reals}) < len(reals):
-                continue  # two real internals on one node
+            assert len({times[l] for l in reals}) == len(reals), "two real internals on one node"
             value = term.sign * (-1j) ** len(imags) * holds(term.steps, times)
             for f in term.factors:
                 mats = {str(l) for l in f.index.mats_labels()}
@@ -605,7 +624,7 @@ def _literal_realtime_sum(expr, tables, grid, ext_times):
 # (equation, target, external times, nodes per branch); the double-triangle
 # R and A rules have terms with step chains, the R(...) factors carry their
 # own chains, the rc and lc targets have imaginary integrals, and every real
-# term has two real internals, so the tie exclusion matters.  chain4 has
+# term has two real internals, compared by its steps.  chain4 has
 # terms with four, three, ... real internals, several layouts of one rule
 # on the extended contour; the Keldysh ladder has 104 terms, most with step
 # chains among its four real internals; X has three externals and, on the
