@@ -62,10 +62,10 @@ strategy:
   labels keyed by the factor and the node set of each of those labels,
   so the layouts of a rule share it; a term's step comparisons among one
   set of internal labels are another piece.  A layout (a term's sorted
-  real and sorted imaginary integrals) stacks the pieces of its terms
-  along a term axis, one operand per function and per set of step
-  labels, multiplies each operand into one that holds its labels, and
-  contracts what is left in one contraction, in runs of terms.
+  real and sorted imaginary integrals) sums its terms by one contraction,
+  in runs of terms, along a greedy path that pairs every operand: the
+  terms' phases, and per slot (a function, or one set of step labels) its
+  pieces stacked along a term axis, or the one piece all terms share.
 
 Per-call memos aside, bounded caches live as long as the process: the
 component table of each (equation, seed), 64 entries; the contour plan of
@@ -969,7 +969,8 @@ def evaluate_realtime_side(
 
     Each piece of the rule's plan (:func:`_rule_plan`) is computed once per
     call, on its own labels' axes.  The terms of one layout are summed by
-    one contraction, their stacked pieces carrying a term axis."""
+    one contraction whose operands are the phases and the pieces of each
+    slot (:class:`_Layout`)."""
     pieces, layouts = _rule_plan(expr)
     values = _sample_values(tables, grid, tuple(sorted(external_times.items())))
     arrays = []
@@ -986,37 +987,34 @@ def evaluate_realtime_side(
             )
             # a piece's labels follow its function's arguments: no transpose
             value = _ordered_sum(values, piece.func, piece.mset, piece.orders, args, None, times)
-        arrays.append(value)
+        # a piece with no labels is a number
+        arrays.append(np.asarray(value))
     nodes_max = max(grid.n_fwd, grid.n_mats)
     total = 0.0 + 0.0j
     for layout in layouts:
-        operands = []
-        for product, members in layout.operands:
-            factors = [
-                layout.phases if member is None
-                else arrays[member[0][0]] if member[1] is None
-                else np.stack([arrays[i] for i in member[0]])[member[1]]
-                for member in members
-            ]
-            operands.append(np.einsum(product, *factors) if product else factors[0])
+        # each column's distinct pieces, stacked unless all terms share one
+        stacks = [
+            arrays[ids[0]] if index is None else np.stack([arrays[i] for i in ids])
+            for ids, index in layout.columns
+        ]
         weight = grid.real_weights[0] ** len(layout.reals) * grid.mats_weights[0] ** len(
             layout.imags
         )
-        # the terms go through a contraction in runs whose intermediates,
-        # each at most the largest operand times one node axis, stay within
-        # CONTRACTION_ELEMENTS
-        n_terms = len(layout.phases)
-        per_term = max(
-            o.size // n_terms if s else o.size for o, s in zip(operands, layout.stacked)
-        )
+        # the terms go through the contraction in runs whose operands and
+        # intermediates, each at most the largest operand times one node
+        # axis, stay within CONTRACTION_ELEMENTS
+        per_term = max(s.size // len(ids) for s, (ids, _) in zip(stacks, layout.columns))
         run_length = max(1, CONTRACTION_ELEMENTS // (per_term * nodes_max))
-        for start in range(0, n_terms, run_length):
+        for start in range(0, len(layout.phases), run_length):
             run = slice(start, start + run_length)
-            views = [o[run] if s else o for o, s in zip(operands, layout.stacked)]
-            shapes = tuple(v.shape for v in views)
+            operands = [layout.phases[run]] + [
+                s if index is None else s[index[run]]
+                for s, (_, index) in zip(stacks, layout.columns)
+            ]
+            shapes = tuple(o.shape for o in operands)
             if shapes not in layout.paths:
                 layout.paths[shapes] = _greedy_steps(layout.subscripts, shapes, nodes_max)
-            total += weight * _contract(views, layout.paths[shapes])
+            total += weight * _contract(operands, layout.paths[shapes])
     return total
 
 
@@ -1037,8 +1035,7 @@ class _Piece(NamedTuple):
     pairs: tuple[tuple[str, str], ...] = ()
 
 
-# the term axis letter sorts before the label letters, so that it stays the
-# first axis of every intermediate
+# the letter of the term axis; the labels take the letters after it
 TERM_AXIS = "A"
 
 
@@ -1047,22 +1044,18 @@ class _Layout(NamedTuple):
     integrals, and one piece in each slot (a function, or the step
     comparisons among one set of internal labels).
 
-    ``phases`` holds each term's sign times (-i) per imaginary integral.  A
-    slot is a member, as (distinct piece numbers, the term's place among
-    them): the index is None where all terms share the piece, which then
-    has no term axis; None stands for the phases.  Each of ``operands``
-    multiplies members, by the einsum ``product`` ("" for one member taken
-    as it is), onto the labels of the first, which holds the labels of the
-    others; ``stacked`` tells which operands have the term axis and
-    ``subscripts`` gives each operand's einsum subscripts, one letter per
-    label.  ``paths`` keeps the contraction steps of each tuple of operand
-    shapes."""
+    ``phases`` holds each term's sign times (-i) per imaginary integral.
+    ``columns`` holds the pieces of each slot, as (distinct piece numbers,
+    each term's place among them), the place None where all terms share the
+    piece.  The phases and each column are one operand of the layout's
+    contraction, with the einsum ``subscripts`` of each: the term axis
+    first, where the operand has it, then one letter per label.  ``paths``
+    keeps the contraction steps of each tuple of operand shapes."""
 
     reals: tuple[str, ...]
     imags: tuple[str, ...]
     phases: np.ndarray
-    operands: tuple[tuple[str, tuple], ...]
-    stacked: tuple[bool, ...]
+    columns: tuple[tuple[tuple[int, ...], Optional[np.ndarray]], ...]
     subscripts: tuple[str, ...]
     paths: dict
 
@@ -1107,42 +1100,19 @@ def _plan_rule(expr: RealTimeExpression):
             [pieces.setdefault(slots.get(s, ones[s]), len(pieces)) for s in sorted(ones)]
             for _, slots in terms
         ])
-        members = [(None, (TERM_AXIS,))]
+        letter = {l: chr(ord("B") + i) for i, l in enumerate(reals + imags)}
+        columns, subscripts = [], [TERM_AXIS]
         for column, slot in zip(ids.T, sorted(ones)):
             distinct, index = np.unique(column, return_inverse=True)
             shared = len(distinct) == 1
-            members.append((
-                (tuple(distinct.tolist()), None if shared else index),
-                labels_of[slot] if shared else (TERM_AXIS,) + labels_of[slot],
-            ))
-        # a member goes into the first operand that holds its labels, widest
-        # first, so the contraction has few operands
-        hosts: list[list] = []
-        for member in sorted(members, key=lambda m: -len(set(m[1]) - {TERM_AXIS})):
-            own = set(member[1]) - {TERM_AXIS}
-            home = next((h for h in hosts if own <= set(h[0][1])), None)
-            if home is None:
-                hosts.append([member])
-            else:
-                home.append(member)
-        letter = {l: chr(ord("B") + i) for i, l in enumerate(reals + imags)}
-        letter[TERM_AXIS] = TERM_AXIS
-        operands, subscripts = [], []
-        for host in hosts:
-            labels = tuple(l for l in host[0][1] if l != TERM_AXIS)
-            if any(TERM_AXIS in m[1] for m in host):
-                labels = (TERM_AXIS,) + labels
-            inputs = ["".join(letter[l] for l in m[1]) for m in host]
-            output = "".join(letter[l] for l in labels)
-            product = "" if inputs == [output] else ",".join(inputs) + "->" + output
-            operands.append((product, tuple(m[0] for m in host)))
-            subscripts.append(output)
+            columns.append((tuple(distinct.tolist()), None if shared else index))
+            axes = "" if shared else TERM_AXIS
+            subscripts.append(axes + "".join(letter[l] for l in labels_of[slot]))
         layouts.append(_Layout(
             reals,
             imags,
             (-1j) ** len(imags) * np.array([sign for sign, _ in terms]),
-            tuple(operands),
-            tuple(sub[:1] == TERM_AXIS for sub in subscripts),
+            tuple(columns),
             tuple(subscripts),
             {},
         ))

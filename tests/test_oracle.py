@@ -591,6 +591,7 @@ def _literal_realtime_sum(expr, tables, grid, ext_times):
         return all(times[x] > times[y] for c in chains for x, y in zip(c, c[1:]))
 
     total, scale = 0j, 0.0
+    expanded = {}
     for term in expr.terms:
         reals, imags = sorted(term.real_integrals), sorted(term.imag_integrals)
         nodes = (
@@ -608,12 +609,14 @@ def _literal_realtime_sum(expr, tables, grid, ext_times):
                 mats = {str(l) for l in f.index.mats_labels()}
                 mset = frozenset(i + 1 for i, a in enumerate(f.func.args) if a in mats)
                 arg_times = [times[a] for a in f.func.args]
+                if f not in expanded:
+                    expanded[f] = expand_retarded(f.index)
                 value *= sum(
                     sign * tables.component(
                         f.func.name, mset,
                         tuple(f.func.args.index(str(l)) + 1 for l in word), arg_times,
                     )
-                    for sign, chains, word in expand_retarded(f.index)
+                    for sign, chains, word in expanded[f]
                     if holds(chains, times)
                 )
             total += weight * value
@@ -628,7 +631,9 @@ def _literal_realtime_sum(expr, tables, grid, ext_times):
 # terms with four, three, ... real internals, several layouts of one rule
 # on the extended contour; the Keldysh ladder has 104 terms, most with step
 # chains among its four real internals; X has three externals and, on the
-# extended contour, four layouts
+# extended contour, four layouts.  The product structure has no internal
+# labels, so every piece is a number, and the self-energy puts one function
+# name in three slots
 REALTIME_CASES = [
     (catalog.double_triangle(), "R", {"a": 1.31, "b": 0.52}, 3),
     (catalog.double_triangle(), "A", {"a": 0.52, "b": 1.31}, 3),
@@ -644,6 +649,10 @@ REALTIME_CASES = [
         parse_equation(THREE_EXTERNAL, contour="keldysh"), "123",
         {"a": 1.4, "b": 0.9, "c": 0.35}, 5,
     ),
+    (PROD, "R", {"a": 1.31, "b": 0.52}, 3),
+    (_keldysh(PROD), ">", {"a": 0.61, "b": 1.7321}, 3),
+    (parse_equation(SELF_ENERGY), ">", {"a": 1.31, "b": 0.52}, 4),
+    (parse_equation(SELF_ENERGY, contour="keldysh"), ">", {"a": 0.61, "b": 1.7321}, 4),
 ]
 
 
@@ -900,3 +909,25 @@ def test_realtime_side_in_runs_of_terms(case, monkeypatch):
     for elements in (1, 200):
         monkeypatch.setattr(oracle, "CONTRACTION_ELEMENTS", elements)
         assert abs(evaluate_realtime_side(rule, eq, tables, grid, times) - whole) <= 1e-12 * scale
+
+
+# the general vertex: its R(1,23) rule has 3072 terms over four real internals
+VERTEX = "V[a,b,c] = int{d,e,f,g} : K[a,b,d,e]*G[d,f]*G[g,e]*L[f,g,c]"
+
+
+def test_realtime_side_intermediates_stay_within_bound(monkeypatch):
+    eq = parse_equation(VERTEX, contour="keldysh")
+    rule = derive_rule(eq, parse_superindex("R(1,23)", eq))
+    grid = DiscreteContour(n_fwd=12)
+    tables = ComponentTable(eq, 0)
+    sizes = []
+    einsum = np.einsum
+
+    def recorded(*args, **kwargs):
+        result = einsum(*args, **kwargs)
+        sizes.append(np.size(result))
+        return result
+
+    monkeypatch.setattr(np, "einsum", recorded)
+    evaluate_realtime_side(rule, eq, tables, grid, {"a": 1.31, "b": 0.52, "c": 0.83})
+    assert sizes and max(sizes) <= oracle.CONTRACTION_ELEMENTS
