@@ -5,14 +5,15 @@ step functions over shuffle-like permutation classes; nested commutators
 ``[x,1,...,m] = [...[[x,1],2],...,m]`` expand into 2**m signed words whose
 slices (grouped by the number of entries left of the head) are exactly the
 inverses of the reversed-front shuffle class.  These two facts together are
-what make retarded compositions work.
+what make retarded compositions work.  The total orders that a set of step
+chains allows are its linear extensions (:func:`linear_extensions`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .ir import ContourError
 
@@ -90,6 +91,52 @@ def enumerate_shuffles(cls: ShuffleClass) -> list[Permutation]:
     return out
 
 
+def linear_extensions(
+    labels: Sequence[Hashable],
+    chains: Iterable[Sequence[Hashable]],
+    neighbours: Iterable[tuple[Hashable, Iterable[Hashable]]] = (),
+) -> list[tuple]:
+    """The total orders of ``labels``, latest first, in which every chain
+    holds (each chain lists labels from latest to earliest) and, for each
+    ``(label, others)`` pair of ``neighbours``, some label of ``others`` is
+    later than ``label``.
+
+    Depth first: a label is placed once all of its chain predecessors are
+    and, if it has neighbours, once one of them is, trying labels in their
+    given order, so the orders come out in the order of
+    ``itertools.permutations(labels)``.  A cyclic chain set has none.
+    """
+    preds: dict[Hashable, set] = {l: set() for l in labels}
+    for chain in chains:
+        for x, y in zip(chain, chain[1:]):
+            if x not in preds or y not in preds:
+                raise ValueError(f"step chain {chain} leaves the labels {tuple(labels)}")
+            preds[y].add(x)
+    later = {l: frozenset(others) for l, others in neighbours}
+    out: list[tuple] = []
+    order: list = []
+    placed: set = set()
+
+    def place():
+        if len(order) == len(labels):
+            out.append(tuple(order))
+            return
+        for l in labels:
+            if (
+                l not in placed
+                and preds[l] <= placed
+                and (l not in later or not later[l].isdisjoint(placed))
+            ):
+                order.append(l)
+                placed.add(l)
+                place()
+                placed.remove(l)
+                order.pop()
+
+    place()
+    return out
+
+
 def merge_chains(front: Sequence[Hashable], back: Sequence[Hashable]) -> list[tuple]:
     """All orderings of the union consistent with both chains.
 
@@ -102,22 +149,7 @@ def merge_chains(front: Sequence[Hashable], back: Sequence[Hashable]) -> list[tu
     for chain in (front, back):
         if len(set(chain)) != len(chain):
             raise OverlappingChains(f"chain {chain} repeats a label")
-
-    def rec(f: tuple, b: tuple) -> list[tuple]:
-        if not f:
-            return [b]
-        if not b:
-            return [f]
-        out = []
-        if f[0] == b[0]:
-            return [(f[0],) + rest for rest in rec(f[1:], b[1:])]
-        if f[0] not in b:
-            out.extend((f[0],) + rest for rest in rec(f[1:], b))
-        if b[0] not in f:
-            out.extend((b[0],) + rest for rest in rec(f, b[1:]))
-        return out
-
-    return rec(front, back)
+    return linear_extensions(tuple(dict.fromkeys(front + back)), (front, back))
 
 
 def theta_product_decompose(

@@ -347,9 +347,8 @@ def _multilinear_reduce(funcs: tuple[BFunc, ...], items: tuple[Item, ...]):
             set_idx = i
     if set_idx is None:
         return None
-    if len(item_labels(items[set_idx])) > 6:
-        return None
     variants = ordering_variants(items[set_idx])
+    # without this cap 28 golden probe rows change (X R(1,23): 1 term to 3 chained)
     if len(variants) > 8:
         return None
 
@@ -375,6 +374,7 @@ def _multilinear_reduce(funcs: tuple[BFunc, ...], items: tuple[Item, ...]):
                     dep[d].append(j)
         if any(not dep[d] for d in dim_ids):
             continue  # an invisible swap: the variant sums to zero
+        # without this bound 27 of 972 random wide rules grow: 70 379 to 109 089 terms
         if math.prod(len(dep[d]) for d in dim_ids) > 24:
             return None
 

@@ -74,7 +74,8 @@ blocks of each (function, branches of its external arguments) it has
 met, at most B**E per function of E external arguments on B branches;
 the plan of each factor, 4096; the real-time plan of each rule, 64; and
 the sparse mesh of each (grid, node sets of some internal labels), 64.
-A grid keeps the nodes of each label it is asked for.
+A grid keeps the nodes of each label it is asked for, and a component
+table the coefficients of each component.
 Each holds values that are never changed after they are built, but for
 the function plans a contour plan adds as it meets new external
 branches and the contraction paths a rule plan adds as it meets new
@@ -96,6 +97,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .combinatorics import linear_extensions
 from .compiler import BFunc, component_of_product, derive_rule
 from .engine import expand_retarded
 from .ir import (
@@ -128,52 +130,6 @@ class NotFullyExpanded(ContourError):
 # symbolic normal form
 
 
-def _linear_extensions(
-    labels: Sequence[str],
-    chains: Iterable[Sequence[str]],
-    neighbours: Iterable[tuple[str, Iterable[str]]] = (),
-) -> list[tuple[str, ...]]:
-    """The total orders of ``labels``, latest first, in which every chain
-    holds (each chain lists labels from latest to earliest) and, for each
-    ``(label, others)`` pair of ``neighbours``, some label of ``others`` is
-    later than ``label``.
-
-    Depth first: a label is placed once all of its chain predecessors are
-    and, if it has neighbours, once one of them is, trying labels in their
-    given order, so the orders come out in the order of
-    ``itertools.permutations(labels)``.  A cyclic chain set has none.
-    """
-    preds: dict[str, set[str]] = {l: set() for l in labels}
-    for chain in chains:
-        for x, y in zip(chain, chain[1:]):
-            if x not in preds or y not in preds:
-                raise ValueError(f"step chain {chain} leaves the labels {tuple(labels)}")
-            preds[y].add(x)
-    later = {l: frozenset(others) for l, others in neighbours}
-    out: list[tuple[str, ...]] = []
-    order: list[str] = []
-    placed: set[str] = set()
-
-    def place():
-        if len(order) == len(labels):
-            out.append(tuple(order))
-            return
-        for l in labels:
-            if (
-                l not in placed
-                and preds[l] <= placed
-                and (l not in later or not later[l].isdisjoint(placed))
-            ):
-                order.append(l)
-                placed.add(l)
-                place()
-                placed.remove(l)
-                order.pop()
-
-    place()
-    return out
-
-
 def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
     """Expand to the common basis: one key per (Matsubara placement, total
     ordering of the real labels, plain component factors)."""
@@ -182,7 +138,7 @@ def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
     # each distinct factor expands once, into (sign, step chains, component)
     expansions: dict[Factor, list[tuple[int, tuple, Factor]]] = {}
     # the linear extensions of each distinct (real labels, chains), once per call
-    linear_extensions = functools.cache(_linear_extensions)
+    extensions = functools.cache(linear_extensions)
     # each distinct tuple of components is sorted once per call
     sort_factors = functools.cache(_by_sort_key)
     for term in expr.terms:
@@ -210,7 +166,7 @@ def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
             sign = term.sign * math.prod(s for s, _, _ in combo)
             chains = term.steps + tuple(c for _, cs, _ in combo for c in cs)
             factors = sort_factors(tuple(c for _, _, c in combo))
-            for omega in linear_extensions(real_labels, chains):
+            for omega in extensions(real_labels, chains):
                 nf[placed + (omega, factors)] += sign
     return Counter({key: v for key, v in nf.items() if v})
 
@@ -250,13 +206,13 @@ def placement_for_times(word: tuple[str, ...], times: dict[str, float]) -> Optio
 def _contour_word(
     real_order: Sequence[str], branch: dict[str, str]
 ) -> tuple[str, ...]:
-    """Contour-descending order of the real labels.
+    """Contour-descending order of the real labels that have a branch.
 
     ``real_order`` lists labels by descending real time; the backward
     branch is later than the forward one and runs back toward t0.
     """
-    bwd = [l for l in real_order if branch[l] == BWD]
-    fwd = [l for l in real_order if branch[l] == FWD]
+    bwd = [l for l in real_order if branch.get(l) == BWD]
+    fwd = [l for l in real_order if branch.get(l) == FWD]
     return tuple(reversed(bwd)) + tuple(fwd)
 
 
@@ -268,11 +224,14 @@ def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
     The loop of :func:`branch_split_oracle`, whose docstring gives the
     cancellation that leaves out most orderings.  The Matsubara-placed
     labels are built as :func:`normal_form` builds them: the Matsubara
-    slots of the components and the imaginary integrals, so a Matsubara
-    external that no function carries is not among them.  Equal components
+    slots of the components and the imaginary integrals.  So a Matsubara
+    external that no function carries is, as there, a real label of the
+    orderings, with no branch and in no function's word.  Equal components
     of two functions are one interned ``Factor``, so they share a key.
     """
     m_ext = target.mats_labels()
+    carried = {l for f in eq.product for l in f.args}
+    dangling = [l for l in m_ext if l not in carried]
     nf: Counter = Counter()
     # each distinct tuple of components is sorted once per call
     sort_factors = functools.cache(_by_sort_key)
@@ -280,7 +239,7 @@ def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
     # contour order of its horizontal ones, which many orderings share
     induced: dict[tuple[int, tuple[str, ...], tuple[str, ...]], Factor] = {}
     # the assignments with the same Matsubara internals share their orderings
-    linear_extensions = functools.cache(_linear_extensions)
+    extensions = functools.cache(linear_extensions)
     for sign_t, chains_t, ext_word in expand_retarded(target.real_items()):
         # placement for each real-time order of the word's labels, latest first
         placements = {
@@ -294,7 +253,7 @@ def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
             sign_b = (-1) ** assign.count(BWD)
             imag = frozenset(l for l, b in internal.items() if b == MAT)
             real_int = frozenset(eq.internal) - imag
-            real_labels = tuple(sorted(real_int.union(ext_word)))
+            real_labels = tuple(sorted(real_int.union(ext_word, dangling)))
             bfuncs: tuple[BFunc, ...] = tuple(
                 (f, tuple(l for l in m_labels if l in f.args)) for f in eq.product
             )
@@ -306,7 +265,7 @@ def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
                 (u, frozenset().union(*(own for own in horizontal if u in own)) - {u})
                 for u in sorted(real_int)
             )
-            for omega in linear_extensions(real_labels, chains_t, neighbours):
+            for omega in extensions(real_labels, chains_t, neighbours):
                 placement = placements[tuple(filter(in_word, omega))]
                 if placement is None:
                     continue
@@ -324,27 +283,8 @@ def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
 def branch_split_normal_form(eq: ContourEquation, target: SuperIndex) -> Counter:
     """``normal_form(branch_split_oracle(eq, target), eq)``, keys in the same
     order, counted by the split itself (:func:`_split_counts`), whose keys
-    already hold their factors in ``Factor.sort_key`` order.
-
-    A split key is one normal-form key, but where a Matsubara external sits
-    in no function: :func:`normal_form` counts such a label as real, so the
-    key's ordering spreads over the orderings that put it anywhere."""
-    counts = _split_counts(eq, target)
-    linear_extensions = functools.cache(_linear_extensions)
-
-    def orderings(m_placed, imag, omega):
-        real_labels = (set(eq.external) - m_placed).union(eq.internal) - imag
-        if len(real_labels) == len(omega):
-            return (omega,)
-        return linear_extensions(tuple(sorted(real_labels)), (omega,))
-
-    # distinct split keys give distinct keys here, so each is set once
-    return Counter({
-        (m_placed, imag, ordering, factors): coeff
-        for (m_placed, imag, omega, factors), coeff in counts.items()
-        if coeff
-        for ordering in orderings(m_placed, imag, omega)
-    })
+    are already normal-form keys."""
+    return Counter({key: c for key, c in _split_counts(eq, target).items() if c})
 
 
 def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpression:
@@ -383,8 +323,9 @@ def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpr
     qualifying u therefore pairs every assignment with one of the same
     key and the opposite sign, and the ordering contributes nothing.  An
     ordering survives exactly when every real internal has a later
-    neighbour, and :func:`_linear_extensions` builds only those, placing a
-    real internal only once one of its neighbours is placed.  An ordering
+    neighbour, and :func:`~contourcalc.combinatorics.linear_extensions`
+    builds only those, placing a real internal only once one of its
+    neighbours is placed.  An ordering
     whose latest label is internal is one that cancels, and so is every
     ordering of a real internal with no neighbour.  Leaving out an
     ordering leaves out only keys whose count is 0, so the other keys
@@ -512,39 +453,33 @@ class ComponentTable:
                     f"sub-function {f.name} is used with {len(other.args)} and "
                     f"{len(f.args)} arguments ({other} and {f})"
                 )
-        # built eagerly for every legal component key, so instances are
-        # immutable afterwards and safe to share between workers
+        # each component's coefficients, drawn on first use from its own
+        # seeded stream, so they do not depend on the order of use
         self._coeff_table: dict = {}
-        for f in self.funcs.values():
-            n = len(f.args)
-            for k in range(n + 1):
-                for msub in itertools.combinations(range(1, n + 1), k):
-                    rest = [p for p in range(1, n + 1) if p not in msub]
-                    for perm in itertools.permutations(rest):
-                        self._make_coeffs(f.name, frozenset(msub), perm)
 
-    def _make_coeffs(self, fname: str, mset: frozenset, korder: tuple):
+    def _coeffs(self, fname: str, mset: frozenset, korder: tuple):
+        cf = self._coeff_table.get((fname, mset, korder))
+        if cf is not None:
+            return cf
+        positions = range(1, len(self.funcs[fname].args) + 1)
+        if not mset <= set(positions) or sorted(korder) != [
+            p for p in positions if p not in mset
+        ]:
+            raise UnknownComponent(
+                f"no component {fname} with vertical slots {sorted(mset)} and order {korder}"
+            )
         rng = np.random.default_rng(
             _stable_seed(self.seed, fname, tuple(sorted(mset)), korder)
         )
         n_terms = 2
-        arity = len(self.funcs[fname].args)
         # Python numbers, which a scalar time multiplies without NumPy
-        self._coeff_table[(fname, mset, korder)] = {
+        return self._coeff_table.setdefault((fname, mset, korder), {
             "c": (rng.uniform(-1, 1, n_terms) + 1j * rng.uniform(-1, 1, n_terms)).tolist(),
-            "w": rng.uniform(0.5, 2.0, (n_terms, arity)).tolist(),
-            "p": rng.uniform(0, 2 * np.pi, (n_terms, arity)).tolist(),
+            "w": rng.uniform(0.5, 2.0, (n_terms, len(positions))).tolist(),
+            "p": rng.uniform(0, 2 * np.pi, (n_terms, len(positions))).tolist(),
             "wm": rng.uniform(0.5, 2.0, (n_terms, 2)).tolist(),
             "pm": rng.uniform(0, 2 * np.pi, n_terms).tolist(),
-        }
-
-    def _coeffs(self, fname: str, mset: frozenset, korder: tuple):
-        try:
-            return self._coeff_table[(fname, mset, korder)]
-        except KeyError:
-            raise UnknownComponent(
-                f"no component {fname} with vertical slots {sorted(mset)} and order {korder}"
-            ) from None
+        })
 
     def component(self, fname: str, mset: frozenset, korder: tuple, times: list):
         """Evaluate one component; ``times`` follow the function's own
@@ -570,7 +505,8 @@ class ComponentTable:
 @functools.lru_cache(maxsize=64)
 def _component_table(eq: ContourEquation, seed: int) -> ComponentTable:
     """The table of ``(eq, seed)``, built once per process while it stays
-    among the 64 most recently used; tables are immutable once built."""
+    among the 64 most recently used; a component's values do not depend
+    on when it is first used."""
     return ComponentTable(eq, seed)
 
 

@@ -1,9 +1,9 @@
 """The symbolic oracle against literal permutation-filter references.
 
 ``normal_form`` visits only the total orderings that a term's step chains
-allow, through ``_linear_extensions``.  The branch split also visits only
-the orderings that survive the largest-time cancellation, in which every
-real internal has a later neighbour (``_linear_extensions`` with
+allow, through ``combinatorics.linear_extensions``.  The branch split also
+visits only the orderings that survive the largest-time cancellation, in
+which every real internal has a later neighbour (``linear_extensions`` with
 neighbours), and counts its keys directly in the normal-form basis
 (``branch_split_normal_form``); both key on interned factors.  The
 references below walk every permutation of the real labels and filter it,
@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contourcalc import catalog
+from contourcalc.combinatorics import linear_extensions
 from contourcalc.compiler import component_of_product, derive_rule
 from contourcalc.engine import expand_retarded
 from contourcalc.ir import (
@@ -34,7 +35,6 @@ from contourcalc.ir import (
     SuperIndex,
 )
 from contourcalc.oracle import (
-    _linear_extensions,
     _ordering_classes,
     branch_split_normal_form,
     branch_split_oracle,
@@ -81,7 +81,7 @@ def _labels_and_chains(draw):
 @given(_labels_and_chains())
 def test_linear_extensions_match_permutation_filter(case):
     labels, chains = case
-    got = _linear_extensions(labels, chains)
+    got = linear_extensions(labels, chains)
     assert len(set(got)) == len(got)
     # the same orders, and in the order of itertools.permutations(labels)
     assert got == _filtered_permutations(labels, chains)
@@ -99,7 +99,7 @@ def test_linear_extensions_match_permutation_filter(case):
     ],
 )
 def test_linear_extensions_examples(labels, chains, count):
-    got = _linear_extensions(list(labels), chains)
+    got = linear_extensions(list(labels), chains)
     assert got == _filtered_permutations(list(labels), chains)
     assert len(got) == count
 
@@ -123,22 +123,22 @@ def test_linear_extensions_with_neighbours_match_permutation_filter(case):
     # each constrained label needs a later neighbour: the orders that
     # survive the branch split's cancellation
     labels, chains, neighbours = case
-    got = _linear_extensions(labels, chains, neighbours)
+    got = linear_extensions(labels, chains, neighbours)
     assert got == _filtered_permutations(labels, chains, neighbours)
 
 
 def test_linear_extensions_with_neighbours_examples():
     # b and c each need a later neighbour; a label without one never fits
-    assert _linear_extensions("abc", [], [("b", "a"), ("c", "ab")]) == [
+    assert linear_extensions("abc", [], [("b", "a"), ("c", "ab")]) == [
         ("a", "b", "c"),
         ("a", "c", "b"),
     ]
-    assert _linear_extensions("ab", [], [("b", ())]) == []
+    assert linear_extensions("ab", [], [("b", ())]) == []
 
 
 def test_linear_extensions_reject_foreign_labels():
     with pytest.raises(ValueError):
-        _linear_extensions(["a", "b"], [("a", "z")])
+        linear_extensions(["a", "b"], [("a", "z")])
 
 
 # ---------------------------------------------------------------------------

@@ -285,12 +285,31 @@ def test_branch_split_all_matsubara_on_keldysh_is_empty():
     assert normal_form_equal(branch_split_oracle(eq, target), derive_rule(eq, target), eq)
 
 
-def test_component_table_is_prebuilt_and_consistent():
-    tables = ComponentTable(CONV, 0)
-    keys = set(tables._coeff_table)
-    v1 = tables.component("A", frozenset(), (1, 2), [0.3, 0.7])
-    assert tables.component("A", frozenset(), (1, 2), [0.3, 0.7]) == v1
-    assert set(tables._coeff_table) == keys  # no lazy growth
+def test_component_table_values_do_not_depend_on_order_of_use():
+    # each component is drawn on first use from its own seeded stream
+    eq = catalog.vertex()
+    keys = [
+        (f.name, frozenset(msub), perm)
+        for f in eq.product
+        for k in range(len(f.args) + 1)
+        for msub in itertools.combinations(range(1, len(f.args) + 1), k)
+        for perm in itertools.permutations(
+            [p for p in range(1, len(f.args) + 1) if p not in msub]
+        )
+    ]
+    forward, backward = ComponentTable(eq, 3), ComponentTable(eq, 3)
+    times = {key: [0.1 + 0.2 * i for i in range(len(key[2]) + len(key[1]))] for key in keys}
+    values = {key: forward.component(*key, times[key]) for key in keys}
+    assert {key: backward.component(*key, times[key]) for key in reversed(keys)} == values
+    assert ComponentTable(eq, 4).component(*keys[0], times[keys[0]]) != values[keys[0]]
+    # an order or a vertical slot that the function does not have
+    for bad in [
+        ("A", frozenset(), (1, 1)),
+        ("A", frozenset({3}), (1, 2)),
+        ("C", frozenset(), (1, 2)),
+    ]:
+        with pytest.raises(UnknownComponent):
+            forward.component(*bad, [0.3, 0.7, 0.5])
 
 
 def test_nonzero_origin_grid():
