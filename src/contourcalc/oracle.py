@@ -29,43 +29,58 @@ strategy:
   branches of one label use the same nodes, so all the cancellation
   lemmas hold node-by-node and agreement is limited only by
   floating-point rounding, not quadrature error.  Both sides evaluate
-  each function with the masked sum over component orders of
-  :func:`_ordered_sum`, whose entries carry a mask the caller has built
-  and the steps left to compare, and which takes every component value
-  from one per-sample table (:class:`_SampleValues`): each component is
-  evaluated once per sample, keyed by (function name, Matsubara slots,
-  order, arguments) with an internal argument standing for its node set
-  (its label's real nodes or the vertical nodes), on a sparse mesh over
-  the function's own node arguments, and the contour side puts it onto
-  its own mesh by a transpose.  The contour
-  side and the sampled orderings take the live external words and their
-  placements from :func:`_placed_words`.  The contour side gives each
-  internal label a branch axis (2 or 3 branches) and a node axis (N
-  nodes), so there is no loop over branch assignments: each function is
-  one tensor over the (branch, node) axes of its internal arguments, and
-  each label's weight (+dt, -dt or -i*dm) is folded into the first
-  tensor that carries it; the external words of one call share a
-  function's tensor wherever its external arguments sit on the same
-  branches.  Everything but the external times is planned once per
-  (equation, grid) (:class:`_ContourPlan`): per (function, branches of
-  its external arguments), one block per branch pattern of its internal
-  labels (:class:`_Block`), holding its slot, argument template and the
-  contour orders that can hold on its branches -- none puts a forward
-  argument later than a backward one -- each with its steps between two
-  internal labels already multiplied into a mask on the block's mesh; an
-  order whose mask is zero everywhere is left out.  A sample computes
-  the external contour keys, compares them with the planned keys of the
+  a batch of samples at once (:func:`evaluate_contour_batch`,
+  :func:`evaluate_realtime_batch`; a single sample is the batch of one):
+  :func:`verify` draws every seed's external times first and runs each
+  order class of the horizontal externals, every seed's samples
+  together, through both sides once.  Every array carries a leading
+  sample axis, of size 1 where it does not vary over the samples, and
+  every contraction keeps it.  Both sides evaluate each function with the
+  masked sum over component orders of :func:`_ordered_sum`, whose
+  entries carry a mask the caller has built and the steps left to
+  compare, and which takes every component value from one per-batch
+  table (:class:`_BatchValues`): each component is evaluated once per
+  batch, keyed by (function name, Matsubara slots, order, arguments)
+  with an external argument standing for its label and an internal one
+  for its node set (its label's real nodes or the vertical nodes), on
+  the sample axis and a sparse mesh over the function's own node
+  arguments, from the samples' tables' coefficients stacked over
+  (sample, term, argument) (:func:`_components`); the contour side puts
+  it onto its own mesh by a transpose.  The contour side and the sampled
+  orderings take the live external words and their placements from
+  :func:`_placed_words`, which the samples of one class share.  The
+  contour side gives each internal label a branch axis (2 or 3 branches)
+  and a node axis (N nodes), so there is no loop over branch
+  assignments: each function is one tensor over the sample axis and the
+  (branch, node) axes of its internal arguments, and each label's weight
+  (+dt, -dt or -i*dm) is folded into the first tensor that carries it;
+  the external words of one call share a function's tensor wherever its
+  external arguments sit on the same branches.  Everything but the
+  external times is planned once per (equation, grid)
+  (:class:`_ContourPlan`): per (function, branches of its external
+  arguments), one block per branch pattern of its internal labels
+  (:class:`_Block`), holding its slot, argument template and the contour
+  orders that can hold on its branches -- none puts a forward argument
+  later than a backward one -- each with its steps between two internal
+  labels already multiplied into a mask on the block's mesh; an order
+  whose mask is zero everywhere is left out.  A batch computes the
+  external contour keys, compares them with the planned keys of the
   internal labels, reads the values and folds in the weights, and sums
   the product of the tensors by one contraction along a planned path.
   The real-time side is planned once per rule (:func:`_rule_plan`, found
-  by identity).  Each factor is one piece, an array over its own internal
-  labels keyed by the factor and the node set of each of those labels,
-  so the layouts of a rule share it; a term's step comparisons among one
-  set of internal labels are another piece.  A layout (a term's sorted
-  real and sorted imaginary integrals) sums its terms by one contraction,
-  in runs of terms, along a greedy path that pairs every operand: the
-  terms' phases, and per slot (a function, or one set of step labels) its
-  pieces stacked along a term axis, or the one piece all terms share.
+  by identity).  Each factor is one piece, an array over the sample axis
+  and its own internal labels keyed by the factor and the node set of
+  each of those labels, so the layouts of a rule share it; a term's step
+  comparisons among one set of internal labels are another piece, with
+  a sample axis of size 1 unless they compare an external label.  A
+  layout (a term's sorted real and sorted imaginary integrals) sums its
+  terms by one contraction, in runs of terms, along a greedy path that
+  pairs every operand: the terms' phases, and per slot (a function, or
+  one set of step labels) its pieces gathered along a term axis one run
+  at a time, or the one piece all terms share.  A run is as long as
+  keeps the arrays that hold the term axis, sample axis included, within
+  ``CONTRACTION_ELEMENTS`` together at every step of the path
+  (:func:`_run_steps`).
 
 Per-call memos aside, bounded caches live as long as the process: the
 component table of each (equation, seed), 64 entries; the contour plan of
@@ -74,15 +89,16 @@ blocks of each (function, branches of its external arguments) it has
 met, at most B**E per function of E external arguments on B branches;
 the plan of each factor, 4096; the real-time plan of each rule, 64; and
 the sparse mesh of each (grid, node sets of some internal labels), 64.
-A grid keeps the nodes of each label it is asked for, and a component
-table the coefficients of each component.
+A grid keeps the nodes of each label it is asked for and the nodes that
+external times keep off for each tuple of labels, and a component table
+the coefficients of each component.
 Each holds values that are never changed after they are built, but for
 the function plans a contour plan adds as it meets new external
-branches and the contraction paths a rule plan adds as it meets new
-operand shapes.  The per-sample value table has a one-entry cache keyed by
-(component table, grid, external times): the two sides of one sample
-share it, and a new sample replaces it, so only one sample's values are
-ever held.
+branches and the contraction paths and run sizes a rule plan adds as it
+meets new operand shapes.  The per-batch value table has a one-entry
+cache keyed by (each sample's component table, grid, each sample's
+external times): the two sides of one batch share it, and a new batch
+replaces it, so only one batch's values are ever held.
 """
 
 from __future__ import annotations
@@ -236,7 +252,9 @@ def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
     # each distinct tuple of components is sorted once per call
     sort_factors = functools.cache(_by_sort_key)
     # a function's component depends only on its Matsubara labels and the
-    # contour order of its horizontal ones, which many orderings share
+    # contour order of its horizontal ones, which many orderings share; every
+    # horizontal label of a function is a real label with a branch, so it has
+    # a place in the contour word
     induced: dict[tuple[int, tuple[str, ...], tuple[str, ...]], Factor] = {}
     # the assignments with the same Matsubara internals share their orderings
     extensions = functools.cache(linear_extensions)
@@ -270,9 +288,11 @@ def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
                 if placement is None:
                     continue
                 word = _contour_word(omega, {**placement, **internal})
+                rank = {l: k for k, l in enumerate(word)}
                 factors = []
                 for i, (bf, own) in enumerate(zip(bfuncs, horizontal)):
-                    sub = tuple(l for l in word if l in own)
+                    # the function's word: its own labels in contour order
+                    sub = tuple(sorted(own, key=rank.__getitem__))
                     if (i, bf[1], sub) not in induced:
                         (induced[i, bf[1], sub],) = component_of_product((bf,), sub)
                     factors.append(induced[i, bf[1], sub])
@@ -388,6 +408,8 @@ class DiscreteContour:
         self.mats_nodes = (np.arange(n_mats) + mshift) * dm
         self.mats_weights = np.full(n_mats, dm)
         self._label_nodes: dict[str, np.ndarray] = {}
+        # the nodes node_gap compares with, per tuple of labels, as a column
+        self._gap_nodes: dict[tuple[str, ...], np.ndarray] = {}
 
     def label_nodes(self, label: str) -> np.ndarray:
         """The real nodes of ``label``: t0 + (k + s) dt for each cell k,
@@ -406,8 +428,12 @@ class DiscreteContour:
     def node_gap(self, times, labels: tuple[str, ...]) -> float:
         """The least distance from any of ``times`` to ``real_nodes`` or to
         a node of one of ``labels`` (inf for no times)."""
-        nodes = np.concatenate([self.real_nodes, *map(self.label_nodes, labels)])
-        return float(np.min(np.abs(nodes[:, None] - np.asarray(times)), initial=np.inf))
+        nodes = self._gap_nodes.get(labels)
+        if nodes is None:
+            nodes = np.concatenate([self.real_nodes, *map(self.label_nodes, labels)])[:, None]
+            nodes.flags.writeable = False
+            nodes = self._gap_nodes.setdefault(labels, nodes)
+        return float(np.min(np.abs(nodes - np.asarray(times)), initial=np.inf))
 
     def contour_key(self, branch: str, t):
         """Strictly increasing with contour time; branches never collide."""
@@ -457,10 +483,16 @@ class ComponentTable:
         # seeded stream, so they do not depend on the order of use
         self._coeff_table: dict = {}
 
-    def _coeffs(self, fname: str, mset: frozenset, korder: tuple):
+    def _coeffs(self, fname: str, mset: frozenset, korder: tuple) -> tuple:
+        """The coefficients of one component, as ``(c, x)``: the complex
+        amplitude of each term, and an array over (term, argument) holding
+        each argument's frequency, then each argument's phase, then the two
+        frequencies and the phase of the Matsubara combination."""
         cf = self._coeff_table.get((fname, mset, korder))
         if cf is not None:
             return cf
+        if fname not in self.funcs:
+            raise UnknownComponent(f"no sub-function named {fname}")
         positions = range(1, len(self.funcs[fname].args) + 1)
         if not mset <= set(positions) or sorted(korder) != [
             p for p in positions if p not in mset
@@ -472,34 +504,47 @@ class ComponentTable:
             _stable_seed(self.seed, fname, tuple(sorted(mset)), korder)
         )
         n_terms = 2
-        # Python numbers, which a scalar time multiplies without NumPy
-        return self._coeff_table.setdefault((fname, mset, korder), {
-            "c": (rng.uniform(-1, 1, n_terms) + 1j * rng.uniform(-1, 1, n_terms)).tolist(),
-            "w": rng.uniform(0.5, 2.0, (n_terms, len(positions))).tolist(),
-            "p": rng.uniform(0, 2 * np.pi, (n_terms, len(positions))).tolist(),
-            "wm": rng.uniform(0.5, 2.0, (n_terms, 2)).tolist(),
-            "pm": rng.uniform(0, 2 * np.pi, n_terms).tolist(),
-        })
+        c = rng.uniform(-1, 1, n_terms) + 1j * rng.uniform(-1, 1, n_terms)
+        w = rng.uniform(0.5, 2.0, (n_terms, len(positions)))
+        p = rng.uniform(0, 2 * np.pi, (n_terms, len(positions)))
+        wm = rng.uniform(0.5, 2.0, (n_terms, 2))
+        pm = rng.uniform(0, 2 * np.pi, (n_terms, 1))
+        return self._coeff_table.setdefault(
+            (fname, mset, korder), (c, np.concatenate([w, p, wm, pm], axis=1))
+        )
 
     def component(self, fname: str, mset: frozenset, korder: tuple, times: list):
-        """Evaluate one component; ``times`` follow the function's own
-        argument order (imaginary depths at Matsubara positions)."""
-        if fname not in self.funcs:
-            raise UnknownComponent(f"no sub-function named {fname}")
-        cf = self._coeffs(fname, mset, korder)
-        total = 0.0 + 0.0j
-        for j in range(len(cf["c"])):
-            val = cf["c"][j]
-            for i, t in enumerate(times):
-                if (i + 1) in mset:
-                    continue
-                val = val * np.cos(cf["w"][j][i] * t + cf["p"][j][i])
-            if mset:
-                s1 = sum(times[i - 1] for i in mset)
-                s2 = sum(times[i - 1] * times[i - 1] for i in mset)
-                val = val * np.cos(cf["wm"][j][0] * s1 + cf["wm"][j][1] * s2 + cf["pm"][j])
-            total = total + val
-        return total
+        """Evaluate one component at one point; ``times`` follow the
+        function's own argument order (imaginary depths at Matsubara
+        positions)."""
+        return _components((self,), fname, mset, korder, [np.reshape(t, 1) for t in times])[0]
+
+
+def _components(
+    tables: Sequence[ComponentTable], fname: str, mset: frozenset, korder: tuple, times: list
+) -> np.ndarray:
+    """One component of each sample's table, as an array over (sample,
+    axes): ``tables`` holds one table per sample, and ``times`` one array
+    per argument of the function, in its argument order (imaginary depths
+    at Matsubara positions), each over (sample, axes), of size 1 along an
+    axis it does not vary on.  The tables' coefficients are stacked over
+    the samples, so every sample and term is one broadcast."""
+    c, x = zip(*(t._coeffs(fname, mset, korder) for t in tables))
+    # (sample, term), then a unit axis per axis of the times
+    unit = (len(tables), -1) + (1,) * (np.ndim(times[0]) - 1)
+    x = np.array(x)
+    n = len(times)
+    times = [t[:, None] for t in times]
+    value = np.array(c).reshape(unit)
+    for i, t in enumerate(times):
+        if (i + 1) not in mset:
+            value = value * np.cos(x[:, :, i].reshape(unit) * t + x[:, :, n + i].reshape(unit))
+    if mset:
+        s1 = sum(times[i - 1] for i in mset)
+        s2 = sum(times[i - 1] * times[i - 1] for i in mset)
+        wm1, wm2, pm = (x[:, :, 2 * n + j].reshape(unit) for j in range(3))
+        value = value * np.cos(wm1 * s1 + wm2 * s2 + pm)
+    return value.sum(axis=1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -515,57 +560,101 @@ def _component_table(eq: ContourEquation, seed: int) -> ComponentTable:
 
 
 # the node set of an internal argument on the vertical branch, in the keys
-# of the per-sample table; on a real branch it is the label's name
+# of the per-batch table; on a real branch it is the label's name
 MATS_NODES = "vertical nodes"
 
 
-class _SampleValues:
-    """The component values of one sample, each evaluated once.
+class _BatchValues:
+    """The component values of one batch of samples, each evaluated once.
 
     A value is keyed by ``(function name, mset, korder, args)``; each entry
-    of ``args`` is an external time or the node set of an internal
-    argument: its label's real nodes, named by the label, or
-    :data:`MATS_NODES`.  The value lives on a
-    sparse mesh over the function's own node arguments, in argument order,
-    so every caller whose labels sit on those node sets shares it."""
+    of ``args`` is an external label, whose time in each sample ``times``
+    holds, or the node set of an internal argument: its label's real
+    nodes, named by the label, or :data:`MATS_NODES`.  The value is an
+    array over the samples and a sparse mesh over the function's own node
+    arguments, in argument order, so every caller whose labels sit on
+    those node sets shares it."""
 
-    def __init__(self, tables: ComponentTable, grid: DiscreteContour):
+    def __init__(
+        self,
+        tables: tuple[ComponentTable, ...],
+        grid: DiscreteContour,
+        times: dict[str, np.ndarray],
+    ):
         self.tables = tables
         self.grid = grid
-        self.values: dict[tuple, object] = {}
+        self.times = times
+        self.values: dict[tuple, np.ndarray] = {}
 
     def __call__(self, fname: str, mset: frozenset, korder: tuple, args: tuple):
         key = (fname, mset, korder, args)
         if key not in self.values:
-            axes = iter(_sparse_mesh(self.grid, tuple(a for a in args if isinstance(a, str))))
-            times = [next(axes) if isinstance(a, str) else a for a in args]
-            self.values[key] = self.tables.component(fname, mset, korder, times)
+            nodes = tuple(a for a in args if a not in self.times)
+            axes = iter(_sparse_mesh(self.grid, nodes))
+            times = _on_axes(self.times, len(nodes))
+            self.values[key] = _components(
+                self.tables, fname, mset, korder,
+                [times[a] if a in times else next(axes) for a in args],
+            )
         return self.values[key]
+
+
+def _on_axes(times: dict[str, np.ndarray], n_axes: int) -> dict[str, np.ndarray]:
+    """``times`` (arrays over the samples) on the sample axis followed by
+    ``n_axes`` unit axes, which broadcasts against a mesh of that many
+    axes from :func:`_sparse_mesh`."""
+    shape = (-1,) + (1,) * n_axes
+    return {l: t.reshape(shape) for l, t in times.items()}
 
 
 @functools.lru_cache(maxsize=64)
 def _sparse_mesh(grid: DiscreteContour, node_sets: tuple[str, ...]) -> tuple[np.ndarray, ...]:
     """The sparse mesh over ``node_sets`` (a label's name for its real
-    nodes, or :data:`MATS_NODES`) of ``grid``, read-only, since both sides
-    of every sample on one grid share it."""
+    nodes, or :data:`MATS_NODES`) of ``grid``, after a unit sample axis;
+    read-only, since both sides of every batch on one grid share it."""
     axes = np.meshgrid(
         *(grid.mats_nodes if n == MATS_NODES else grid.label_nodes(n) for n in node_sets),
         indexing="ij",
         sparse=True,
     )
+    axes = tuple(axis[None] for axis in axes)
     for axis in axes:
         axis.flags.writeable = False
-    return tuple(axes)
+    return axes
 
 
 @functools.lru_cache(maxsize=1)
-def _sample_values(
-    tables: ComponentTable, grid: DiscreteContour, external_times: tuple
-) -> _SampleValues:
-    """The value table of one sample, ``external_times`` as sorted items.
-    One entry: the two sides of a sample share it, and only the latest
-    sample's values are held."""
-    return _SampleValues(tables, grid)
+def _batch_values(
+    tables: tuple[ComponentTable, ...], grid: DiscreteContour, samples: tuple
+) -> _BatchValues:
+    """The value table of one batch, ``samples`` holding each sample's
+    external times as sorted items.  One entry: the two sides of a batch
+    share it, and only the latest batch's values are held."""
+    times = [dict(items) for items in samples]
+    return _BatchValues(tables, grid, {l: np.array([t[l] for t in times]) for l in times[0]})
+
+
+def _batch(
+    tables: Sequence[ComponentTable],
+    grid: DiscreteContour,
+    samples: Sequence[dict[str, float]],
+    ordered: Sequence[str],
+) -> _BatchValues:
+    """The value table of a batch whose samples all order the labels
+    ``ordered`` alike; any other batch, and an empty one, is refused."""
+    if len(tables) != len(samples):
+        raise ValueError(f"{len(tables)} tables for {len(samples)} samples")
+    classes = {
+        tuple(t[x] > t[y] for x, y in itertools.permutations(ordered, 2)) for t in samples
+    }
+    if len(classes) != 1:
+        raise ValueError(
+            f"a batch takes samples of one order class of {', '.join(ordered) or 'no labels'}, "
+            f"not {len(classes)}"
+        )
+    return _batch_values(
+        tuple(tables), grid, tuple(tuple(sorted(t.items())) for t in samples)
+    )
 
 
 def _steps(mask, pairs, keys):
@@ -577,7 +666,7 @@ def _steps(mask, pairs, keys):
 
 
 def _ordered_sum(
-    values: _SampleValues,
+    values: _BatchValues,
     func: SubFunction,
     mset: frozenset,
     orders: Iterable[tuple[object, tuple, tuple[int, ...]]],
@@ -590,7 +679,7 @@ def _ordered_sum(
     is the part of an entry its caller has already built (a sign, or the
     step comparisons it planned), and each of ``pairs`` holds where its
     ``keys`` decrease (:func:`_steps`).  ``args`` is the key entry of each
-    argument of ``func`` (see :class:`_SampleValues`); each value is put
+    argument of ``func`` (see :class:`_BatchValues`); each value is put
     onto the mesh by the transpose ``perm`` of its axes (None: as it is)."""
     total = 0
     for mask, pairs, korder in orders:
@@ -639,18 +728,17 @@ class _Block(NamedTuple):
 
     ``slot`` indexes the block in the tensor; ``kinds`` is the branch of
     each argument of the function and ``mset`` its vertical positions;
-    ``nodes`` is the key entry (:class:`_SampleValues`) of each internal
-    argument, None at an external one; ``keys`` holds the contour keys of
-    the internal labels on the block's sparse mesh.  ``orders`` lists the
-    contour orders that can hold on the block, as :func:`_ordered_sum`
-    entries: the product of the order's steps between two internal labels
-    as the mask, and the steps that involve an external label, compared
-    per sample, as the pairs."""
+    ``args`` is the key entry (:class:`_BatchValues`) of each argument;
+    ``keys`` holds the contour keys of the internal labels on the block's
+    sparse mesh.  ``orders`` lists the contour orders that can hold on the
+    block, as :func:`_ordered_sum` entries: the product of the order's
+    steps between two internal labels as the mask, and the steps that
+    involve an external label, compared per sample, as the pairs."""
 
     slot: tuple
     kinds: tuple[str, ...]
     mset: frozenset
-    nodes: tuple[Optional[str], ...]
+    args: tuple[str, ...]
     keys: dict[str, np.ndarray]
     orders: tuple[tuple[object, tuple[tuple[str, str], ...], tuple[int, ...]], ...]
 
@@ -661,14 +749,14 @@ def _plan_function(
     """The blocks of function ``j`` whose external arguments sit on
     ``ext_kinds``, one per branch pattern of its internal labels, and the
     transpose that puts a value from the function's argument order onto
-    those labels in ``eq.internal`` order (None where it is the same), as
-    ``(perm, blocks)``.  An order whose steps between internal labels hold
-    at no point of a block is left out of it."""
+    the sample axis and those labels in ``eq.internal`` order (None where
+    it is the same), as ``(perm, blocks)``.  An order whose steps between
+    internal labels hold at no point of a block is left out of it."""
     f = eq.product[j]
     branches = _branches(eq)
     labels = tuple(l for l in eq.internal if l in f.args)
     own = [a for a in f.args if a in labels]
-    perm = tuple(own.index(l) for l in labels)
+    perm = (0,) + tuple(own.index(l) + 1 for l in labels)
     external = dict(zip((a for a in f.args if a not in labels), ext_kinds))
     blocks = []
     for pattern in itertools.product(range(len(branches)), repeat=len(labels)):
@@ -690,13 +778,10 @@ def _plan_function(
                 dynamic = tuple(p for p in pairs if p not in static)
                 orders.append((masks[static], dynamic, korder))
         blocks.append(_Block(
-            tuple(x for b in pattern for x in (b, slice(None))),
+            (slice(None),) + tuple(x for b in pattern for x in (b, slice(None))),
             fkinds,
             frozenset(i + 1 for i, k in enumerate(fkinds) if k == MAT),
-            tuple(
-                (MATS_NODES if k == MAT else a) if a in labels else None
-                for a, k in zip(f.args, fkinds)
-            ),
+            tuple(MATS_NODES if k == MAT and a in labels else a for a, k in zip(f.args, fkinds)),
             keys,
             tuple(orders),
         ))
@@ -709,9 +794,9 @@ class _ContourPlan:
     arguments, the labels no function carries, the ``(branch, node)``
     shape of one label's axes, the pairwise steps (:func:`_path_steps`)
     of one greedy path that contracts the operands of
-    :func:`_contour_operands` to a number and, on first use, the plan
-    (:func:`_plan_function`) of each (function position, branches of its
-    external arguments)."""
+    :func:`_contour_operands` to one number per sample and, on first use,
+    the plan (:func:`_plan_function`) of each (function position, branches
+    of its external arguments)."""
 
     def __init__(self, eq: ContourEquation, grid: DiscreteContour):
         self.eq = eq
@@ -722,12 +807,13 @@ class _ContourPlan:
         # a label no function carries integrates its weight alone
         self.lone = tuple(l for l in eq.internal if l not in carried)
         self.shape = (len(_branches(eq)), grid.n_fwd)
-        # each label has a branch letter and a node letter
-        axes = {l: chr(ord("a") + i) + chr(ord("A") + i) for i, l in enumerate(eq.internal)}
+        # each label has a branch letter and a node letter; every operand
+        # has the sample axis first, of size 1 where it does not vary
+        axes = {l: chr(ord("b") + i) + chr(ord("B") + i) for i, l in enumerate(eq.internal)}
         labelsets = self.labels + [(l,) for l in self.lone]
         self.steps = _greedy_steps(
-            ["".join(axes[l] for l in labels) for labels in labelsets],
-            [self.shape * len(labels) for labels in labelsets],
+            [SAMPLE_AXIS + "".join(axes[l] for l in labels) for labels in labelsets],
+            [(1,) + self.shape * len(labels) for labels in labelsets],
         )
         self.functions: dict[tuple[int, tuple[str, ...]], tuple] = {}
 
@@ -746,15 +832,15 @@ def _contour_plan(eq: ContourEquation, t0: float, t_max: float, n_fwd: int) -> _
 
 def _contour_operands(
     plan: _ContourPlan,
-    values: _SampleValues,
+    values: _BatchValues,
     kinds: dict[str, str],
-    external_times: dict[str, float],
     weights: dict[str, np.ndarray],
     filled: dict,
 ) -> list[np.ndarray]:
-    """One tensor per function, over a (branch, node) axis pair per
-    internal argument, in ``eq.internal`` order, then the weight of each
-    label no function carries: the operands of ``plan.steps``.
+    """One tensor per function, over the sample axis and a (branch, node)
+    axis pair per internal argument, in ``eq.internal`` order, then the
+    weight of each label no function carries: the operands of
+    ``plan.steps``.
 
     Each block of a tensor (:class:`_Block`) is the masked sum over its
     planned contour orders, whose steps that involve an external label are
@@ -765,45 +851,48 @@ def _contour_operands(
     (position in the product, those branches) for the other words of the
     call."""
     eq, grid = plan.eq, plan.grid
-    keys = {l: grid.contour_key(kinds[l], external_times[l]) for l in eq.external}
+    keys = {l: grid.contour_key(kinds[l], values.times[l]) for l in eq.external}
     weighted: set[str] = set()
     operands = []
     for j, (f, labels) in enumerate(zip(eq.product, plan.labels)):
         key = (j, tuple(kinds[a] for a in plan.externals[j]))
         if key not in filled:
             perm, blocks = plan.function(*key)
-            tensor = np.empty(plan.shape * len(labels), dtype=complex)
+            tensor = np.empty((len(values.tables),) + plan.shape * len(labels), dtype=complex)
+            external = _on_axes(keys, len(labels))
             for block in blocks:
-                args = tuple(
-                    external_times[a] if n is None else n for a, n in zip(f.args, block.nodes)
-                )
                 tensor[block.slot] = _ordered_sum(
-                    values, f, block.mset, block.orders, args, perm, keys | block.keys
+                    values, f, block.mset, block.orders, block.args, perm, external | block.keys
                 )
             for i, l in enumerate(labels):
                 if l not in weighted:
                     shape = [1] * tensor.ndim
-                    shape[2 * i: 2 * i + 2] = plan.shape
+                    shape[1 + 2 * i: 3 + 2 * i] = plan.shape
                     tensor *= weights[l].reshape(shape)
             filled[key] = tensor
         weighted.update(labels)
         operands.append(filled[key])
-    operands.extend(weights[l] for l in plan.lone)
+    operands.extend(weights[l][None] for l in plan.lone)
     return operands
+
+
+# the letter of the sample axis in every contraction, which keeps it
+SAMPLE_AXIS = "a"
 
 
 def _greedy_steps(
     subscripts: Sequence[str], shapes: Sequence[tuple[int, ...]], grow: int = 1
 ) -> tuple:
     """The pairwise steps (:func:`_path_steps`) of a greedy path that
-    contracts operands of ``shapes`` with ``subscripts`` to a number.
+    contracts operands of ``shapes`` with ``subscripts`` to their sample
+    axis.
 
     No intermediate is larger than the largest operand times ``grow``; a
     path that needs a larger one finishes in one step over the operands
     left."""
     limit = max(math.prod(s) for s in shapes) * grow
     path = np.einsum_path(
-        ",".join(subscripts) + "->",
+        ",".join(subscripts) + "->" + SAMPLE_AXIS,
         *(np.broadcast_to(0.0, s) for s in shapes),
         optimize=("greedy", limit),
     )[0]
@@ -812,22 +901,26 @@ def _greedy_steps(
 
 def _path_steps(subscripts: list[str], path) -> tuple:
     """The pairwise einsum subscripts along a contraction path (each step
-    appends its result to the operands), as ``(positions, subscripts)``."""
+    appends its result to the operands, and keeps the sample axis), as
+    ``(positions, subscripts)``."""
     subscripts = list(subscripts)
     steps = []
     for positions in path:
         picked = [subscripts[i] for i in positions]
         for i in sorted(positions, reverse=True):
             del subscripts[i]
-        rest = set("".join(subscripts))
-        kept = "".join(sorted(set("".join(picked)) & rest))
+        rest = set("".join(subscripts) + SAMPLE_AXIS)
+        # in the order the operands hold them: np.einsum runs the ladder's
+        # real-time steps about a third faster so than in sorted order
+        kept = "".join(dict.fromkeys(l for l in "".join(picked) if l in rest))
         steps.append((tuple(positions), ",".join(picked) + "->" + kept))
         subscripts.append(kept)
     return tuple(steps)
 
 
-def _contract(operands: list, steps) -> complex:
-    """Runs the ``steps`` of :func:`_path_steps` on ``operands``."""
+def _contract(operands: list, steps) -> np.ndarray:
+    """Runs the ``steps`` of :func:`_path_steps` on ``operands``; the
+    result is an array over the samples."""
     operands = list(operands)
     for positions, subscripts in steps:
         picked = [operands[i] for i in positions]
@@ -835,7 +928,7 @@ def _contract(operands: list, steps) -> complex:
             del operands[i]
         operands.append(np.einsum(subscripts, *picked))
     (result,) = operands
-    return result[()]
+    return result
 
 
 def _placed_words(target: SuperIndex, times: dict[str, float]) -> list:
@@ -864,17 +957,45 @@ def evaluate_contour_side(
     Retarded-composition targets are expanded into their step-weighted component
     combination first, each component evaluated with the external branch
     placement :func:`placement_for_times` gives at these times.  Returns a
-    complex value (and an absolute-magnitude scale when requested).
+    complex value (and an absolute-magnitude scale when requested): the
+    one-sample batch of :func:`evaluate_contour_batch`.
     """
+    result = evaluate_contour_batch(
+        eq, target, (tables,), grid, (external_times,), branch_override, truncate_at, with_scale
+    )
+    if with_scale:
+        return result[0][0], result[1][0]
+    return result[0]
+
+
+def evaluate_contour_batch(
+    eq: ContourEquation,
+    target: SuperIndex,
+    tables: Sequence[ComponentTable],
+    grid: DiscreteContour,
+    samples: Sequence[dict[str, float]],
+    branch_override: Optional[dict[str, str]] = None,
+    truncate_at: Optional[float] = None,
+    with_scale: bool = False,
+):
+    """:func:`evaluate_contour_side` of a batch of samples, ``tables`` and
+    ``samples`` holding each sample's component table and external times,
+    as an array over the samples (and one of the scales when requested).
+
+    The samples must be of one order class of the horizontal externals;
+    any other batch is refused.  They then share their live external words
+    and placements, and so the planned blocks and the contraction, which
+    carry the sample axis."""
     m_ext = target.mats_labels()
-    grid.check_external([external_times[l] for l in eq.external if l not in m_ext], eq.internal)
+    horizontal = [l for l in eq.external if l not in m_ext]
+    values = _batch(tables, grid, samples, horizontal)
+    grid.check_external([t[l] for t in samples for l in horizontal], eq.internal)
     plan = _contour_plan(eq, grid.t0, grid.t_max, grid.n_fwd)
     weights = _branch_weights(eq, grid, truncate_at)
-    values = _sample_values(tables, grid, tuple(sorted(external_times.items())))
     filled: dict = {}
-    total = 0.0 + 0.0j
-    scale = 0.0
-    for sign_t, word, placement in _placed_words(target, external_times):
+    total = np.zeros(len(samples), dtype=complex)
+    scale = np.zeros(len(samples))
+    for sign_t, word, placement in _placed_words(target, samples[0]):
         if placement is None:
             raise GridTieError(
                 f"contour order {word} is not realisable at these external times"
@@ -883,10 +1004,10 @@ def evaluate_contour_side(
             placement.update(branch_override)
         kinds = {l: MAT for l in m_ext}
         kinds.update(placement)
-        operands = _contour_operands(plan, values, kinds, external_times, weights, filled)
+        operands = _contour_operands(plan, values, kinds, weights, filled)
         total += sign_t * _contract(operands, plan.steps)
         if with_scale:
-            scale += float(_contract([np.abs(t) for t in operands], plan.steps).real)
+            scale += _contract([np.abs(t) for t in operands], plan.steps).real
     if with_scale:
         return total, scale
     return total
@@ -901,67 +1022,124 @@ def evaluate_realtime_side(
 ):
     """Evaluate a compiled rule on the same grid and weights as the contour
     side; a real integral runs over its label's real nodes, an imaginary
-    one over the vertical nodes with the implicit -i per integral.
+    one over the vertical nodes with the implicit -i per integral: the
+    one-sample batch of :func:`evaluate_realtime_batch`."""
+    return evaluate_realtime_batch(expr, eq, (tables,), grid, (external_times,))[0]
 
-    Each piece of the rule's plan (:func:`_rule_plan`) is computed once per
-    call, on its own labels' axes.  The terms of one layout are summed by
-    one contraction whose operands are the phases and the pieces of each
-    slot (:class:`_Layout`)."""
-    pieces, layouts = _rule_plan(expr)
-    values = _sample_values(tables, grid, tuple(sorted(external_times.items())))
+
+def evaluate_realtime_batch(
+    expr: RealTimeExpression,
+    eq: ContourEquation,
+    tables: Sequence[ComponentTable],
+    grid: DiscreteContour,
+    samples: Sequence[dict[str, float]],
+) -> np.ndarray:
+    """:func:`evaluate_realtime_side` of a batch of samples, ``tables`` and
+    ``samples`` holding each sample's component table and external times,
+    as an array over the samples.
+
+    The samples must order alike the external labels that the rule
+    compares with each other; any other batch is refused.  Each piece of
+    the rule's plan (:func:`_rule_plan`) is computed once per call, on the
+    sample axis and its own labels' axes, of size 1 along the sample axis
+    where it does not vary.  The terms of one layout are summed by one
+    contraction whose operands are the phases and the pieces of each slot
+    (:class:`_Layout`), in runs of terms (:func:`_run_steps`)."""
+    pieces, layouts, compared = _rule_plan(expr)
+    values = _batch(tables, grid, samples, compared)
     arrays = []
     for piece in pieces:
         mesh = _sparse_mesh(grid, piece.kinds)
-        times: dict[str, object] = dict(external_times)
+        times: dict[str, object] = _on_axes(values.times, len(mesh))
         times.update(zip(piece.labels, mesh))
         if piece.func is None:
-            value = _steps(np.ones(tuple(axis.size for axis in mesh)), piece.pairs, times)
+            value = _steps(np.ones((1,) + tuple(axis.size for axis in mesh)), piece.pairs, times)
         else:
             args = tuple(
-                piece.kinds[piece.labels.index(a)] if a in piece.labels else times[a]
+                piece.kinds[piece.labels.index(a)] if a in piece.labels else a
                 for a in piece.func.args
             )
             # a piece's labels follow its function's arguments: no transpose
             value = _ordered_sum(values, piece.func, piece.mset, piece.orders, args, None, times)
-        # a piece with no labels is a number
-        arrays.append(np.asarray(value))
+        arrays.append(value)
     nodes_max = max(grid.n_fwd, grid.n_mats)
-    total = 0.0 + 0.0j
+    total = np.zeros(len(samples), dtype=complex)
     for layout in layouts:
-        # each column's distinct pieces, stacked unless all terms share one
-        stacks = [
-            arrays[ids[0]] if index is None else np.stack([arrays[i] for i in ids])
-            for ids, index in layout.columns
+        # each column's distinct pieces on one shape, after a unit term
+        # axis: a piece that does not vary over the samples is broadcast
+        # along their axis
+        columns = [
+            np.broadcast_arrays(*(arrays[i][None] for i in ids)) for ids, _ in layout.columns
         ]
+        shapes = tuple(column[0].shape[1:] for column in columns)
+        if shapes not in layout.paths:
+            layout.paths[shapes] = _run_steps(layout, shapes, nodes_max)
+        steps, per_term = layout.paths[shapes]
         weight = grid.real_weights[0] ** len(layout.reals) * grid.mats_weights[0] ** len(
             layout.imags
         )
-        # the terms go through the contraction in runs whose operands and
-        # intermediates, each at most the largest operand times one node
-        # axis, stay within CONTRACTION_ELEMENTS
-        per_term = max(s.size // len(ids) for s, (ids, _) in zip(stacks, layout.columns))
-        run_length = max(1, CONTRACTION_ELEMENTS // (per_term * nodes_max))
+        run_length = max(1, CONTRACTION_ELEMENTS // per_term)
         for start in range(0, len(layout.phases), run_length):
             run = slice(start, start + run_length)
-            operands = [layout.phases[run]] + [
-                s if index is None else s[index[run]]
-                for s, (_, index) in zip(stacks, layout.columns)
-            ]
-            shapes = tuple(o.shape for o in operands)
-            if shapes not in layout.paths:
-                layout.paths[shapes] = _greedy_steps(layout.subscripts, shapes, nodes_max)
-            total += weight * _contract(operands, layout.paths[shapes])
+            # a stacked column is gathered one run at a time, and only the
+            # contraction holds it, which frees it once it is used
+            total += weight * _contract([layout.phases[run]] + [
+                column[0][0] if index is None else np.concatenate([column[i] for i in index[run]])
+                for column, (_, index) in zip(columns, layout.columns)
+            ], steps)
     return total
 
 
-# the largest intermediate, in elements, of a real-time side contraction
-CONTRACTION_ELEMENTS = 2**18
+def _run_steps(layout, shapes: tuple[tuple[int, ...], ...], grow: int) -> tuple:
+    """The contraction steps for the runs of terms of ``layout``, whose
+    slots have operands of ``shapes`` in one term, and the elements per
+    term that the arrays holding the term axis reach together along the
+    path, as ``(steps, per_term)``: at each step, the operands not yet
+    used, those it uses and its result.  A run of
+    CONTRACTION_ELEMENTS // per_term terms holds no more than that bound
+    at once, whatever the number of samples.
+
+    The greedy path is planned on runs whose largest operand times
+    ``grow``, its limit on any intermediate, fills CONTRACTION_ELEMENTS;
+    the steps hold for a run of any length."""
+    planned = max(1, min(
+        len(layout.phases), CONTRACTION_ELEMENTS // (max(map(math.prod, shapes)) * grow)
+    ))
+    run_shapes = [(planned,)] + [
+        shape if index is None else (planned,) + shape
+        for shape, (_, index) in zip(shapes, layout.columns)
+    ]
+    steps = _greedy_steps(layout.subscripts, run_shapes, grow)
+    size: dict[str, int] = {}
+    for subscripts, shape in zip(layout.subscripts, run_shapes):
+        for letter, n in zip(subscripts, shape):
+            size[letter] = max(size.get(letter, 1), n)
+    size[TERM_AXIS] = 1
+
+    def elements(subscripts: str) -> int:
+        return math.prod(size[l] for l in subscripts) if TERM_AXIS in subscripts else 0
+
+    live = [elements(subscripts) for subscripts in layout.subscripts]
+    per_term = sum(live)
+    for positions, subscripts in steps:
+        result = elements(subscripts.split("->")[1])
+        per_term = max(per_term, sum(live) + result)
+        for i in sorted(positions, reverse=True):
+            del live[i]
+        live.append(result)
+    return steps, per_term
+
+
+# the most elements that the arrays of a real-time side contraction which
+# hold the term axis reach together; 1 MiB of complex numbers, at which the
+# ladder's and the vertex's batches ran faster than at 2**18
+CONTRACTION_ELEMENTS = 2**16
 
 
 class _Piece(NamedTuple):
     """A factor, or a product of step comparisons (``func`` None), on the
     axes of its internal ``labels``, which sit on the node sets ``kinds``
-    (as in the keys of :class:`_SampleValues`)."""
+    (as in the keys of :class:`_BatchValues`)."""
 
     labels: tuple[str, ...]
     kinds: tuple[str, ...]
@@ -985,8 +1163,9 @@ class _Layout(NamedTuple):
     each term's place among them), the place None where all terms share the
     piece.  The phases and each column are one operand of the layout's
     contraction, with the einsum ``subscripts`` of each: the term axis
-    first, where the operand has it, then one letter per label.  ``paths``
-    keeps the contraction steps of each tuple of operand shapes."""
+    first, where the operand has it, then, for a column, the sample axis
+    and one letter per label.  ``paths`` keeps the :func:`_run_steps` of
+    each tuple of one term's column shapes."""
 
     reals: tuple[str, ...]
     imags: tuple[str, ...]
@@ -997,18 +1176,24 @@ class _Layout(NamedTuple):
 
 
 def _plan_rule(expr: RealTimeExpression):
-    """The pieces of ``expr``, numbered, and its layouts (:class:`_Layout`),
-    as ``(pieces, layouts)``."""
+    """The pieces of ``expr``, numbered, its layouts (:class:`_Layout`)
+    and the external labels it compares with each other, sorted, as
+    ``(pieces, layouts, compared)``."""
     # (reals, imags) -> per term: its sign and its piece in each of its slots;
     # a slot is ("f", function name, arguments, repeat) or ("s", labels)
     groups: dict[tuple, list[tuple[int, dict]]] = {}
+    compared: set[str] = set()
+    internal: set[str] = set()
     for term in expr.terms:
         reals = tuple(sorted(term.real_integrals))
         imags = tuple(sorted(term.imag_integrals))
+        internal.update(reals + imags)
+        compared.update(l for chain in term.steps for l in chain)
         kind = {l: l for l in reals} | dict.fromkeys(imags, MATS_NODES)
         slots: dict[tuple, _Piece] = {}
         for factor in term.factors:
             mset, orders = _factor_plan(factor)
+            compared.update(l for _, pairs, _ in orders for pair in pairs for l in pair)
             func = factor.func
             labels = tuple(a for a in func.args if a in kind)
             repeat = sum(s[1:3] == (func.name, func.args) for s in slots)
@@ -1042,7 +1227,7 @@ def _plan_rule(expr: RealTimeExpression):
             distinct, index = np.unique(column, return_inverse=True)
             shared = len(distinct) == 1
             columns.append((tuple(distinct.tolist()), None if shared else index))
-            axes = "" if shared else TERM_AXIS
+            axes = SAMPLE_AXIS if shared else TERM_AXIS + SAMPLE_AXIS
             subscripts.append(axes + "".join(letter[l] for l in labels_of[slot]))
         layouts.append(_Layout(
             reals,
@@ -1052,7 +1237,7 @@ def _plan_rule(expr: RealTimeExpression):
             tuple(subscripts),
             {},
         ))
-    return list(pieces), layouts
+    return list(pieces), layouts, tuple(sorted(compared - internal))
 
 
 # the plans of the rules evaluated last, keyed by id: an entry holds its
@@ -1187,7 +1372,8 @@ def verify(
     rule: Optional[RealTimeExpression] = None,
 ) -> list[VerifyRecord]:
     """Check one rule symbolically and numerically; failures are records,
-    not exceptions."""
+    not exceptions.  The numeric check evaluates each order class of the
+    horizontal externals once, as one batch of every seed's samples."""
     name = target_name or str(target)
     rule = derive_rule(eq, target) if rule is None else rule
     classes, blocked = _ordering_classes(eq, target)
@@ -1211,24 +1397,42 @@ def verify(
         VerifyRecord(eq.lhs_name, name, "symbolic", None, 0.0 if sym_ok else np.inf, sym_ok)
     ]
     grid = DiscreteContour(n_fwd=grid_size)
-    for seed in seeds:
+    worst = [0.0] * len(seeds)
+    detail = [""] * len(seeds)
+    # every seed's table and external times, drawn from its own stream by
+    # class, then sample; a seed whose table or draws fail fails alone
+    tables, draws = {}, {}
+    for k, seed in enumerate(seeds):
         rng = np.random.default_rng(_stable_seed("verify", seed, eq.lhs_name, name))
-        worst = 0.0
-        detail = ""
         try:
-            tables = _component_table(eq, seed)
-            for omega in classes:
-                for _ in range(SAMPLES_PER_CLASS):
-                    times = _sample_times(eq, target, omega, grid, rng)
-                    lhs = evaluate_contour_side(eq, target, tables, grid, times)
-                    rhs = evaluate_realtime_side(rule, eq, tables, grid, times)
-                    err = float(abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs))))
-                    if err > worst:
-                        worst = err
-                        detail = f"ordering {'>'.join(omega) or '-'}"
+            tables[k] = _component_table(eq, seed)
+            draws[k] = [
+                [_sample_times(eq, target, omega, grid, rng) for _ in range(SAMPLES_PER_CLASS)]
+                for omega in classes
+            ]
         except ContourError as exc:
-            worst, detail = np.inf, str(exc)
-        records.append(
-            VerifyRecord(eq.lhs_name, name, "numeric", int(seed), worst, worst <= tol, detail)
-        )
+            worst[k], detail[k] = np.inf, str(exc)
+    # each order class evaluates every seed's samples as one batch
+    for c, omega in enumerate(classes):
+        batch = [(k, times) for k in draws for times in draws[k][c]]
+        if not batch:
+            break
+        ks, samples = zip(*batch)
+        batch_tables = [tables[k] for k in ks]
+        try:
+            lhs = evaluate_contour_batch(eq, target, batch_tables, grid, samples)
+            rhs = evaluate_realtime_batch(rule, eq, batch_tables, grid, samples)
+        except ContourError as exc:
+            for k in set(ks):
+                worst[k], detail[k] = np.inf, str(exc)
+                del draws[k]
+            continue
+        errors = np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
+        for k, err in zip(ks, errors.tolist()):
+            if err > worst[k]:
+                worst[k], detail[k] = err, f"ordering {'>'.join(omega) or '-'}"
+    records += [
+        VerifyRecord(eq.lhs_name, name, "numeric", int(seed), worst[k], worst[k] <= tol, detail[k])
+        for k, seed in enumerate(seeds)
+    ]
     return records

@@ -35,7 +35,9 @@ from contourcalc.oracle import (
     _sample_times,
     branch_count,
     branch_split_oracle,
+    evaluate_contour_batch,
     evaluate_contour_side,
+    evaluate_realtime_batch,
     evaluate_realtime_side,
     normal_form,
     normal_form_equal,
@@ -718,24 +720,31 @@ def test_realtime_side_is_the_sum_of_its_terms_over_many_layouts():
 
 
 # ---------------------------------------------------------------------------
-# one component table per sample, shared by both sides
+# batches of samples, and one value table per batch, shared by both sides
 
 
 def _component_keys(monkeypatch):
-    """Records each ``ComponentTable.component`` call as ``(name, mset,
-    korder, args)``, an argument being its time or the tuple of its nodes."""
+    """Records each evaluation of a component for a batch
+    (``oracle._components``) as ``(name, mset, korder, args)``, an argument
+    being the tuple of its times over the samples or of its nodes."""
     calls = []
-    component = ComponentTable.component
+    components = oracle._components
 
-    def recording(self, fname, mset, korder, times):
-        args = tuple(
-            float(t) if np.ndim(t) == 0 else tuple(np.ravel(t).tolist()) for t in times
-        )
+    def recording(tables, fname, mset, korder, times):
+        args = tuple(tuple(np.ravel(t).tolist()) for t in times)
         calls.append((fname, mset, korder, args))
-        return component(self, fname, mset, korder, times)
+        return components(tables, fname, mset, korder, times)
 
-    monkeypatch.setattr(ComponentTable, "component", recording)
+    monkeypatch.setattr(oracle, "_components", recording)
     return calls
+
+
+def _one_class_batch(eq, times, seeds=(4, 5, 6)):
+    """Two samples per seed, in the order class of ``times``: each sample
+    moves every time by the same step, which keeps their order."""
+    tables = tuple(ComponentTable(eq, seed) for seed in seeds for _ in range(2))
+    samples = tuple({l: t + 0.0131 * k for l, t in times.items()} for k in range(len(tables)))
+    return tables, samples
 
 
 SHARED_CASES = [
@@ -750,37 +759,40 @@ SHARED_CASES = [
 
 @pytest.mark.parametrize("case", range(len(SHARED_CASES)))
 def test_each_component_is_evaluated_once_per_sample(case, monkeypatch):
+    # one sample, and a batch of two samples from each of three seeds:
+    # across both sides of a batch, no component is evaluated twice
     eq, tname, times = SHARED_CASES[case]
     target = parse_superindex(tname, eq)
     rule = derive_rule(eq, target)
     grid = DiscreteContour(n_fwd=5)
-    tables = ComponentTable(eq, seed=4)
     calls = _component_keys(monkeypatch)
-    lhs = evaluate_contour_side(eq, target, tables, grid, times)
-    contour_calls = len(calls)
-    rhs = evaluate_realtime_side(rule, eq, tables, grid, times)
-    assert contour_calls > 0
-    # across both sides, no (function, mset, korder, args) is evaluated twice
-    assert len(set(calls)) == len(calls)
-    assert abs(lhs - rhs) <= 1e-8 * (1 + max(abs(lhs), abs(rhs)))
+    one = ((ComponentTable(eq, seed=4),), (times,))
+    for tables, samples in [one, _one_class_batch(eq, times)]:
+        calls.clear()
+        lhs = evaluate_contour_batch(eq, target, tables, grid, samples)
+        contour_calls = len(calls)
+        rhs = evaluate_realtime_batch(rule, eq, tables, grid, samples)
+        assert contour_calls > 0
+        assert len(set(calls)) == len(calls)
+        assert np.all(abs(lhs - rhs) <= 1e-8 * (1 + np.maximum(abs(lhs), abs(rhs))))
 
 
-def test_component_table_holds_one_sample(monkeypatch):
+def test_value_table_holds_one_batch(monkeypatch):
     eq = catalog.double_triangle()
     target = parse_superindex(">", eq)
     grid = DiscreteContour(n_fwd=5)
-    tables = ComponentTable(eq, seed=4)
-    first, second = {"a": 1.31, "b": 0.52}, {"a": 1.13, "b": 0.4}
+    tables, first = _one_class_batch(eq, {"a": 1.31, "b": 0.52})
+    second = tuple({"a": t["a"], "b": t["b"] - 0.1} for t in first)
     calls = _component_keys(monkeypatch)
-    value = evaluate_contour_side(eq, target, tables, grid, first)
+    value = evaluate_contour_batch(eq, target, tables, grid, first)
     n_first = len(calls)
-    assert evaluate_contour_side(eq, target, tables, grid, first) == value
-    assert len(calls) == n_first  # the same sample reads its table
-    evaluate_contour_side(eq, target, tables, grid, second)
-    assert oracle._sample_values.cache_info().currsize <= 1
-    # the second sample replaced the first, whose values are made again
+    assert np.array_equal(evaluate_contour_batch(eq, target, tables, grid, first), value)
+    assert len(calls) == n_first  # the same batch reads its table
+    evaluate_contour_batch(eq, target, tables, grid, second)
+    assert oracle._batch_values.cache_info().currsize <= 1
+    # the second batch replaced the first, whose values are made again
     before = len(calls)
-    assert evaluate_contour_side(eq, target, tables, grid, first) == value
+    assert np.array_equal(evaluate_contour_batch(eq, target, tables, grid, first), value)
     assert len(calls) - before == n_first
 
 
@@ -793,7 +805,7 @@ def test_cached_meshes_give_bit_identical_values(monkeypatch):
     grid = DiscreteContour(n_fwd=24)
     tables = ComponentTable(eq, seed=10)
     times = {"a": 1.31, "b": 0.52}
-    oracle._sample_values.cache_clear()
+    oracle._batch_values.cache_clear()
     oracle._sparse_mesh.cache_clear()
     cached = (
         evaluate_contour_side(eq, target, tables, grid, times),
@@ -801,13 +813,158 @@ def test_cached_meshes_give_bit_identical_values(monkeypatch):
     )
     info = oracle._sparse_mesh.cache_info()
     assert 0 < info.misses < info.hits
-    oracle._sample_values.cache_clear()
+    oracle._batch_values.cache_clear()
     monkeypatch.setattr(oracle, "_sparse_mesh", oracle._sparse_mesh.__wrapped__)
     uncached = (
         evaluate_contour_side(eq, target, tables, grid, times),
         evaluate_realtime_side(rule, eq, tables, grid, times),
     )
     assert cached == uncached
+
+
+# SHARED_CASES, then the options of the contour side
+BATCH_CASES = [case + ({},) for case in SHARED_CASES] + [
+    (_keldysh(catalog.chain3()), ">", {"a": 1.7321, "b": 0.61}, {"truncate_at": 1.2}),
+    (_keldysh(catalog.chain3()), ">", {"a": 1.7321, "b": 0.61}, {"branch_override": {"b": "B"}}),
+    (
+        parse_equation(THREE_EXTERNAL), "M(1)23", {"a": 0.4, "b": 1.2, "c": 0.3},
+        {"truncate_at": 1.0},
+    ),
+    (
+        parse_equation(THREE_EXTERNAL, contour="keldysh"), "123",
+        {"a": 0.5, "b": 1.2, "c": 0.3}, {"branch_override": {"a": "F"}},
+    ),
+]
+
+
+@pytest.mark.parametrize("case", range(len(BATCH_CASES)))
+def test_batch_equals_its_samples_one_at_a_time(case):
+    eq, tname, times, options = BATCH_CASES[case]
+    target = parse_superindex(tname, eq)
+    rule = derive_rule(eq, target)
+    grid = DiscreteContour(n_fwd=5)
+    tables, samples = _one_class_batch(eq, times)
+    lhs, scale = evaluate_contour_batch(
+        eq, target, tables, grid, samples, with_scale=True, **options
+    )
+    rhs = evaluate_realtime_batch(rule, eq, tables, grid, samples)
+    assert lhs.shape == scale.shape == rhs.shape == (len(samples),)
+    for k, (table, sample) in enumerate(zip(tables, samples)):
+        one, one_scale = evaluate_contour_side(
+            eq, target, table, grid, sample, with_scale=True, **options
+        )
+        assert one_scale > 0 and abs(scale[k] - one_scale) <= 1e-12 * one_scale
+        assert abs(lhs[k] - one) <= 1e-12 * one_scale
+        one = evaluate_realtime_side(rule, eq, table, grid, sample)
+        assert abs(rhs[k] - one) <= 1e-12 * one_scale
+    # the seeds' tables differ, so their samples do
+    assert lhs[0] != lhs[2] != lhs[4]
+
+
+def test_batch_of_two_order_classes_is_refused():
+    eq = catalog.double_triangle()
+    target = parse_superindex("R", eq)
+    rule = derive_rule(eq, target)
+    grid = DiscreteContour(n_fwd=5)
+    tables = (ComponentTable(eq, 0),) * 2
+    both = ({"a": 1.31, "b": 0.52}, {"a": 0.52, "b": 1.31})
+    # the rule compares a and b, so its side refuses the batch too
+    assert oracle._rule_plan(rule)[2] == ("a", "b")
+    with pytest.raises(ValueError, match="one order class"):
+        evaluate_contour_batch(eq, target, tables, grid, both)
+    with pytest.raises(ValueError, match="one order class"):
+        evaluate_realtime_batch(rule, eq, tables, grid, both)
+    with pytest.raises(ValueError):
+        evaluate_contour_batch(eq, target, (), grid, ())
+    with pytest.raises(ValueError):
+        evaluate_realtime_batch(rule, eq, tables[:1], grid, both[:1] * 2)
+    # the vertical depth of a Matsubara external orders no class
+    eq = parse_equation(THREE_EXTERNAL)
+    target = parse_superindex("M(1)23", eq)
+    rule = derive_rule(eq, target)
+    mixed = ({"a": 0.9, "b": 1.2, "c": 0.3}, {"a": 0.1, "b": 1.21, "c": 0.31})
+    tables = (ComponentTable(eq, 0),) * 2
+    lhs = evaluate_contour_batch(eq, target, tables, grid, mixed)
+    rhs = evaluate_realtime_batch(rule, eq, tables, grid, mixed)
+    assert np.all(abs(lhs - rhs) <= 1e-8 * (1 + np.maximum(abs(lhs), abs(rhs))))
+
+
+def _numeric_records_one_sample_at_a_time(eq, target, name, seeds, grid_size, rule):
+    """``(seed, max_error, detail)`` of each numeric record of ``verify``,
+    computed one sample at a time: each seed draws its samples from its own
+    stream, class by class."""
+    classes, _ = oracle._ordering_classes(eq, target)
+    grid = DiscreteContour(n_fwd=grid_size)
+    out = []
+    for seed in seeds:
+        rng = np.random.default_rng(oracle._stable_seed("verify", seed, eq.lhs_name, name))
+        tables = ComponentTable(eq, seed)
+        worst, detail = 0.0, ""
+        for omega in classes:
+            for _ in range(oracle.SAMPLES_PER_CLASS):
+                times = _sample_times(eq, target, omega, grid, rng)
+                lhs = evaluate_contour_side(eq, target, tables, grid, times)
+                rhs = evaluate_realtime_side(rule, eq, tables, grid, times)
+                err = float(abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs))))
+                if err > worst:
+                    worst, detail = err, f"ordering {'>'.join(omega) or '-'}"
+        out.append((seed, worst, detail))
+    return out
+
+
+@pytest.mark.parametrize("case", range(len(SHARED_CASES)))
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_verify_records_equal_a_loop_over_samples(case, corrupt):
+    eq, tname, _ = SHARED_CASES[case]
+    target = parse_superindex(tname, eq)
+    rule = derive_rule(eq, target)
+    if corrupt:
+        rule = _flip_one_sign(rule)
+    records = verify(eq, target, tname, seeds=(3, 4, 5), grid_size=6, rule=rule)
+    got = [(r.seed, r.max_error, r.detail) for r in records if r.mode == "numeric"]
+    want = _numeric_records_one_sample_at_a_time(eq, target, tname, (3, 4, 5), 6, rule)
+    assert [seed for seed, _, _ in got] == [seed for seed, _, _ in want]
+    for (_, err, detail), (_, want_err, want_detail) in zip(got, want):
+        assert abs(err - want_err) <= 1e-14
+        # two orderings may tie at rounding level
+        assert detail == want_detail or max(err, want_err) < 1e-14
+    if corrupt:
+        assert all(err > 1e-8 for _, err, _ in got)
+
+
+def test_a_seed_whose_draws_run_out_fails_alone(monkeypatch):
+    target = parse_superindex(">", CONV)
+    rule = derive_rule(CONV, target)
+    before = verify(CONV, target, ">", seeds=(0, 1, 2), grid_size=8, rule=rule)
+    # seed 1's stream draws nothing but a grid node
+    node = float(DiscreteContour(n_fwd=8).real_nodes[3])
+    stuck = oracle._stable_seed("verify", 1, CONV.lhs_name, ">")
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng",
+        lambda seed=None: _OnNodeGenerator(node) if seed == stuck else default_rng(seed),
+    )
+    after = verify(CONV, target, ">", seeds=(0, 1, 2), grid_size=8, rule=rule)
+    assert [r.seed for r in after] == [None, 0, 1, 2]
+    assert after[2].max_error == np.inf and not after[2].passed
+    assert after[2].detail.startswith("no tie-free external times")
+    assert [after[k] for k in (0, 1, 3)] == [before[k] for k in (0, 1, 3)]
+    assert all(r.passed for r in before)
+
+
+def test_a_structural_error_fails_every_seed(monkeypatch):
+    target = parse_superindex(">", CONV)
+
+    def unknown(tables, fname, mset, korder, times):
+        raise UnknownComponent(f"no component {fname}")
+
+    monkeypatch.setattr(oracle, "_components", unknown)
+    records = verify(CONV, target, ">", seeds=(0, 1, 2), grid_size=8)
+    assert records[0].mode == "symbolic" and records[0].passed
+    assert [r.seed for r in records[1:]] == [0, 1, 2]
+    for r in records[1:]:
+        assert r.max_error == np.inf and not r.passed
+        assert r.detail.startswith("no component ")
 
 
 def test_contour_side_evaluates_no_order_with_forward_before_backward(monkeypatch):
@@ -873,7 +1030,8 @@ def test_contour_plan_is_built_once_per_function_and_external_branches(monkeypat
 
 def test_corpus_verify_pass_component_calls(monkeypatch):
     # every corpus target on both contours at the CLI grid, three seeds; the
-    # sides used to make 18216 calls here, three in four of them repeats
+    # sides used to make 18216 calls here, three in four of them repeats,
+    # then 4026 calls, one per sample; a call now evaluates a whole batch
     jobs = []
     for contour in ("extended", "keldysh"):
         for make in catalog.CORPUS.values():
@@ -887,7 +1045,7 @@ def test_corpus_verify_pass_component_calls(monkeypatch):
         records = verify(eq, target, tname, seeds=(10, 11, 12), grid_size=24, rule=rule)
         assert all(r.passed for r in records)
     assert len(jobs) == 58
-    assert len(calls) <= 4200
+    assert 0 < len(calls) <= 671
 
 
 # ---------------------------------------------------------------------------
@@ -930,23 +1088,29 @@ def test_realtime_side_in_runs_of_terms(case, monkeypatch):
         assert abs(evaluate_realtime_side(rule, eq, tables, grid, times) - whole) <= 1e-12 * scale
 
 
-# the general vertex: its R(1,23) rule has 3072 terms over four real internals
+# the general vertex: its R(1,23) rule has 396 terms over four real internals
 VERTEX = "V[a,b,c] = int{d,e,f,g} : K[a,b,d,e]*G[d,f]*G[g,e]*L[f,g,c]"
 
 
 def test_realtime_side_intermediates_stay_within_bound(monkeypatch):
+    # one sample, and a batch of two samples from each of three seeds: the
+    # runs of terms shrink so that the sample axis grows no operand or
+    # intermediate past the bound
     eq = parse_equation(VERTEX, contour="keldysh")
     rule = derive_rule(eq, parse_superindex("R(1,23)", eq))
     grid = DiscreteContour(n_fwd=12)
-    tables = ComponentTable(eq, 0)
+    times = {"a": 1.31, "b": 0.52, "c": 0.83}
+    batch = _one_class_batch(eq, times, seeds=(0, 1, 2))
     sizes = []
     einsum = np.einsum
 
-    def recorded(*args, **kwargs):
-        result = einsum(*args, **kwargs)
-        sizes.append(np.size(result))
+    def recorded(subscripts, *operands, **kwargs):
+        result = einsum(subscripts, *operands, **kwargs)
+        sizes.extend(map(np.size, operands + (result,)))
         return result
 
     monkeypatch.setattr(np, "einsum", recorded)
-    evaluate_realtime_side(rule, eq, tables, grid, {"a": 1.31, "b": 0.52, "c": 0.83})
-    assert sizes and max(sizes) <= oracle.CONTRACTION_ELEMENTS
+    for tables, samples in [((ComponentTable(eq, 0),), (times,)), batch]:
+        sizes.clear()
+        evaluate_realtime_batch(rule, eq, tables, grid, samples)
+        assert sizes and max(sizes) <= oracle.CONTRACTION_ELEMENTS

@@ -89,26 +89,27 @@ def test_verify_reaches_symbolic_layers_through_the_module(monkeypatch):
 
 
 def test_verify_reaches_numeric_sides_through_the_module(monkeypatch):
-    # oracle.contour_side_s and oracle.realtime_side_s time these module
-    # attributes: each numeric sample must call both through the module
+    # a tracer times the numeric sides by wrapping these module attributes:
+    # verify must call both through the module, once per order class, with
+    # every seed's samples of that class in one batch
     from contourcalc import catalog, oracle
     from contourcalc.parser import parse_superindex
 
-    calls = {"evaluate_contour_side": 0, "evaluate_realtime_side": 0}
+    calls = {"evaluate_contour_batch": [], "evaluate_realtime_batch": []}
     for name in calls:
         original = getattr(oracle, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
+            calls[_name].append(len(args[4]))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(oracle, name, counted)
     eq = catalog.convolution()
     target = parse_superindex(">", eq)
-    records = oracle.verify(eq, target, seeds=(0,))
-    assert [r.mode for r in records] == ["symbolic", "numeric"]
+    records = oracle.verify(eq, target, seeds=(0, 1))
+    assert [r.mode for r in records] == ["symbolic", "numeric", "numeric"]
     assert all(r.passed for r in records)
     classes, _ = oracle._ordering_classes(eq, target)
-    samples = len(classes) * oracle.SAMPLES_PER_CLASS
-    assert samples > 0
-    assert calls == {name: samples for name in calls}
+    assert len(classes) > 0
+    batch = 2 * oracle.SAMPLES_PER_CLASS
+    assert calls == {name: [batch] * len(classes) for name in calls}
