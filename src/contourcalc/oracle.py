@@ -73,20 +73,28 @@ strategy:
   each of those labels, so the layouts of a rule share it; a term's step
   comparisons among one set of internal labels are another piece, with
   a sample axis of size 1 unless they compare an external label.  A
+  batch computes a piece when the first layout that uses it comes and
+  drops it after the last.  A
   layout (a term's sorted real and sorted imaginary integrals) sums its
   terms by one contraction, in runs of terms, along a greedy path that
   pairs every operand: the terms' phases, and per slot (a function, or
   one set of step labels) its pieces gathered along a term axis one run
   at a time, or the one piece all terms share.  A run is as long as
   keeps the arrays that hold the term axis, sample axis included, within
-  ``CONTRACTION_ELEMENTS`` together at every step of the path
-  (:func:`_run_steps`).
+  ``CONTRACTION_ELEMENTS`` together at every step of the path, the
+  copies its steps make among them (:func:`_run_steps`).  Both sides'
+  paths come from ``np.einsum_path`` and are lowered when planned: each
+  pairwise step is a transpose and a reshape of each operand into a
+  stack of matrices over its batch axes (the sample and term axes among
+  them), one ``np.matmul`` (or, where no letter is contracted and one
+  operand alone keeps free letters, a broadcast ``np.multiply``) and a
+  reshape of the result (:class:`_Step`).
 
 Per-call memos aside, bounded caches live as long as the process: the
-component table of each (equation, seed), 64 entries; the contour plan of
-each (equation, grid), 64, each holding its contraction path and the
-blocks of each (function, branches of its external arguments) it has
-met, at most B**E per function of E external arguments on B branches;
+component table of each (equation, seed), 64 entries; the contour plan
+of each (equation, grid), 64, each holding its lowered contraction path
+and the blocks of each (function, branches of its external arguments)
+it has met, at most B**E per function of E external arguments on B branches;
 the plan of each factor, 4096; the real-time plan of each rule, 64; and
 the sparse mesh of each (grid, node sets of some internal labels), 64.
 A grid keeps the nodes of each label it is asked for and the nodes that
@@ -94,7 +102,7 @@ external times keep off for each tuple of labels, and a component table
 the coefficients of each component.
 Each holds values that are never changed after they are built, but for
 the function plans a contour plan adds as it meets new external
-branches and the contraction paths and run sizes a rule plan adds as it
+branches and the lowered paths and run sizes a rule plan adds as it
 meets new operand shapes.  The per-batch value table has a one-entry
 cache keyed by (each sample's component table, grid, each sample's
 external times): the two sides of one batch share it, and a new batch
@@ -899,34 +907,145 @@ def _greedy_steps(
     return _path_steps(subscripts, path[1:])
 
 
-def _path_steps(subscripts: list[str], path) -> tuple:
-    """The pairwise einsum subscripts along a contraction path (each step
-    appends its result to the operands, and keeps the sample axis), as
-    ``(positions, subscripts)``."""
-    subscripts = list(subscripts)
+def _path_steps(subscripts: Sequence[str], path) -> tuple:
+    """The steps along a contraction path, each lowered to one product
+    (:class:`_Step`): a step takes the operands at its ``positions`` and
+    appends its result to the operands left, and every result keeps the
+    sample axis.  A group of more than two operands in ``path`` is taken
+    two at a time, in its order."""
+    held = list(subscripts)
+    names = list(range(len(held)))
+    fresh = itertools.count(len(held))
     steps = []
-    for positions in path:
-        picked = [subscripts[i] for i in positions]
-        for i in sorted(positions, reverse=True):
-            del subscripts[i]
-        rest = set("".join(subscripts) + SAMPLE_AXIS)
-        # in the order the operands hold them: np.einsum runs the ladder's
-        # real-time steps about a third faster so than in sorted order
-        kept = "".join(dict.fromkeys(l for l in "".join(picked) if l in rest))
-        steps.append((tuple(positions), ",".join(picked) + "->" + kept))
-        subscripts.append(kept)
+    for group in path:
+        current, *others = (names[i] for i in group)
+        for other in others or [None]:
+            positions = tuple(names.index(n) for n in (current, other) if n is not None)
+            rest = set("".join(h for i, h in enumerate(held) if i not in positions) + SAMPLE_AXIS)
+            step = _lower(positions, [held[i] for i in positions], rest)
+            for i in sorted(positions, reverse=True):
+                del held[i], names[i]
+            current = next(fresh)
+            held.append(step.letters)
+            names.append(current)
+            steps.append(step)
     return tuple(steps)
+
+
+class _Step(NamedTuple):
+    """One step of a contraction path, lowered once, when the path is
+    planned, to a transpose, a reshape, one product and a reshape.
+
+    Each operand first sums the letters that it alone carries and no later
+    operand needs (``sums``, as axis positions).  A transpose (``perms``,
+    None where it would change nothing) then puts the letters of the left
+    operand in the order (batch, left free, contracted) and those of the
+    right one in the order (batch, contracted, right free): batch letters
+    are carried by both and kept (the sample and term axes among them),
+    contracted ones are carried by both and dropped, and free ones are
+    carried by one.  Each operand is reshaped to a stack of matrices over
+    its own batch axes, so a unit batch axis broadcasts against a full
+    one, and ``product`` multiplies the stacks; reshaped, its result is
+    the step's, over ``letters`` (batch, left free, right free), so no
+    result is transposed.  ``product`` is ``np.matmul`` where a letter is
+    contracted or both operands keep free letters; otherwise it is
+    ``np.multiply`` on the (batch, left, 1) and (batch, 1, right) stacks,
+    where a matrix product would make one call per batch element on
+    matrices of one row or column.  ``copies`` holds the letters of each
+    array that the step makes before its product: the result of a sum, and
+    the copy that reshaping a transposed operand makes.  ``shapes`` keeps
+    the shapes of the two stacks and of the result for each pair of
+    operand shapes met, since the sample and term axes change from call
+    to call.  A step of one operand only sums."""
+
+    positions: tuple[int, ...]
+    sums: tuple[tuple[int, ...], ...]
+    perms: tuple[Optional[tuple[int, ...]], ...]
+    batch: int
+    left: int
+    contracted: int
+    product: Optional[np.ufunc]
+    letters: str
+    copies: tuple[str, ...]
+    shapes: dict
+
+    def __call__(self, x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
+        if y is None:
+            return x.sum(self.sums[0]) if self.sums[0] else x
+        (x_sum, y_sum), (x_perm, y_perm) = self.sums, self.perms
+        if x_sum:
+            x = x.sum(x_sum)
+        if y_sum:
+            y = y.sum(y_sum)
+        if x_perm:
+            x = x.transpose(x_perm)
+        if y_perm:
+            y = y.transpose(y_perm)
+        key = x.shape, y.shape
+        shapes = self.shapes.get(key)
+        if shapes is None:
+            shapes = self.shapes[key] = self._stacks(*key)
+        x_stack, y_stack, result = shapes
+        return self.product(x.reshape(x_stack), y.reshape(y_stack)).reshape(result)
+
+    def _stacks(self, xs: tuple[int, ...], ys: tuple[int, ...]) -> tuple:
+        """The shapes of the two stacks of matrices and of the result, for
+        operands of shapes ``xs`` and ``ys`` after their sums and
+        transposes."""
+        b, l, c = self.batch, self.left, self.contracted
+        batch = np.broadcast_shapes(xs[:b], ys[:b])
+        return (
+            xs[:b] + (math.prod(xs[b:b + l]), math.prod(xs[b + l:])),
+            ys[:b] + (math.prod(ys[b:b + c]), math.prod(ys[b + c:])),
+            batch + xs[b:b + l] + ys[b + c:],
+        )
+
+
+def _lower(positions: tuple[int, ...], picked: list[str], rest: set[str]) -> _Step:
+    """The :class:`_Step` that contracts operands with the letters
+    ``picked`` at ``positions``, keeping the letters in ``rest``."""
+    if len(picked) == 1:
+        (x,) = picked
+        sums = tuple(i for i, l in enumerate(x) if l not in rest)
+        letters = "".join(l for l in x if l in rest)
+        return _Step(
+            positions, (sums,), (None,), 0, 0, 0, None, letters, (letters,) * bool(sums), {}
+        )
+    x, y = picked
+    # the letters each operand holds after its sum
+    held = ["".join(l for l in a if l in rest or l in b) for a, b in ((x, y), (y, x))]
+    batch = [l for l in held[0] if l in held[1] and l in rest]
+    contracted = [l for l in held[0] if l in held[1] and l not in rest]
+    left = [l for l in held[0] if l not in held[1]]
+    right = [l for l in held[1] if l not in held[0]]
+    sums, perms, copies = [], [], []
+    orders = (batch + left + contracted, batch + contracted + right)
+    for letters, h, order in zip(picked, held, orders):
+        sums.append(tuple(i for i, l in enumerate(letters) if l not in h))
+        perm = tuple(h.index(l) for l in order)
+        perms.append(None if perm == tuple(range(len(perm))) else perm)
+        copies.extend([h] * (bool(sums[-1]) + (perms[-1] is not None)))
+    product = np.matmul if contracted or (left and right) else np.multiply
+    # the result's letters are in the order its product makes them, so the
+    # letter order of each operand decides only which transposes copy;
+    # results kept in the order their operands held them (a transposed
+    # view of each) ran the ladder's and the vertex's numeric sides no
+    # faster
+    return _Step(
+        positions, tuple(sums), tuple(perms), len(batch), len(left), len(contracted),
+        product, "".join(batch + left + right), tuple(copies), {},
+    )
 
 
 def _contract(operands: list, steps) -> np.ndarray:
     """Runs the ``steps`` of :func:`_path_steps` on ``operands``; the
     result is an array over the samples."""
     operands = list(operands)
-    for positions, subscripts in steps:
-        picked = [operands[i] for i in positions]
-        for i in sorted(positions, reverse=True):
+    for step in steps:
+        picked = [operands[i] for i in step.positions]
+        for i in sorted(step.positions, reverse=True):
             del operands[i]
-        operands.append(np.einsum(subscripts, *picked))
+        operands.append(step(*picked))
     (result,) = operands
     return result
 
@@ -1047,30 +1166,20 @@ def evaluate_realtime_batch(
     (:class:`_Layout`), in runs of terms (:func:`_run_steps`)."""
     pieces, layouts, compared = _rule_plan(expr)
     values = _batch(tables, grid, samples, compared)
-    arrays = []
-    for piece in pieces:
-        mesh = _sparse_mesh(grid, piece.kinds)
-        times: dict[str, object] = _on_axes(values.times, len(mesh))
-        times.update(zip(piece.labels, mesh))
-        if piece.func is None:
-            value = _steps(np.ones((1,) + tuple(axis.size for axis in mesh)), piece.pairs, times)
-        else:
-            args = tuple(
-                piece.kinds[piece.labels.index(a)] if a in piece.labels else a
-                for a in piece.func.args
-            )
-            # a piece's labels follow its function's arguments: no transpose
-            value = _ordered_sum(values, piece.func, piece.mset, piece.orders, args, None, times)
-        arrays.append(value)
+    arrays: dict[int, np.ndarray] = {}
     nodes_max = max(grid.n_fwd, grid.n_mats)
     total = np.zeros(len(samples), dtype=complex)
     for layout in layouts:
+        for i in layout.first:
+            arrays[i] = _piece_value(pieces[i], values, grid)
         # each column's distinct pieces on one shape, after a unit term
         # axis: a piece that does not vary over the samples is broadcast
         # along their axis
         columns = [
             np.broadcast_arrays(*(arrays[i][None] for i in ids)) for ids, _ in layout.columns
         ]
+        for i in layout.last:
+            del arrays[i]
         shapes = tuple(column[0].shape[1:] for column in columns)
         if shapes not in layout.paths:
             layout.paths[shapes] = _run_steps(layout, shapes, nodes_max)
@@ -1090,12 +1199,29 @@ def evaluate_realtime_batch(
     return total
 
 
+def _piece_value(piece: _Piece, values: _BatchValues, grid: DiscreteContour) -> np.ndarray:
+    """The value of ``piece`` for the batch of ``values``: an array over
+    the sample axis, of size 1 where it does not vary, and its labels'
+    node axes."""
+    mesh = _sparse_mesh(grid, piece.kinds)
+    times: dict[str, object] = _on_axes(values.times, len(mesh))
+    times.update(zip(piece.labels, mesh))
+    if piece.func is None:
+        return _steps(np.ones((1,) + tuple(axis.size for axis in mesh)), piece.pairs, times)
+    args = tuple(
+        piece.kinds[piece.labels.index(a)] if a in piece.labels else a for a in piece.func.args
+    )
+    # a piece's labels follow its function's arguments: no transpose
+    return _ordered_sum(values, piece.func, piece.mset, piece.orders, args, None, times)
+
+
 def _run_steps(layout, shapes: tuple[tuple[int, ...], ...], grow: int) -> tuple:
     """The contraction steps for the runs of terms of ``layout``, whose
     slots have operands of ``shapes`` in one term, and the elements per
     term that the arrays holding the term axis reach together along the
     path, as ``(steps, per_term)``: at each step, the operands not yet
-    used, those it uses and its result.  A run of
+    used, those it uses, the copies it makes (:class:`_Step`) and its
+    result.  A run of
     CONTRACTION_ELEMENTS // per_term terms holds no more than that bound
     at once, whatever the number of samples.
 
@@ -1121,10 +1247,10 @@ def _run_steps(layout, shapes: tuple[tuple[int, ...], ...], grow: int) -> tuple:
 
     live = [elements(subscripts) for subscripts in layout.subscripts]
     per_term = sum(live)
-    for positions, subscripts in steps:
-        result = elements(subscripts.split("->")[1])
-        per_term = max(per_term, sum(live) + result)
-        for i in sorted(positions, reverse=True):
+    for step in steps:
+        result = elements(step.letters)
+        per_term = max(per_term, sum(live) + sum(map(elements, step.copies)) + result)
+        for i in sorted(step.positions, reverse=True):
             del live[i]
         live.append(result)
     return steps, per_term
@@ -1162,16 +1288,21 @@ class _Layout(NamedTuple):
     ``columns`` holds the pieces of each slot, as (distinct piece numbers,
     each term's place among them), the place None where all terms share the
     piece.  The phases and each column are one operand of the layout's
-    contraction, with the einsum ``subscripts`` of each: the term axis
-    first, where the operand has it, then, for a column, the sample axis
-    and one letter per label.  ``paths`` keeps the :func:`_run_steps` of
-    each tuple of one term's column shapes."""
+    contraction, with the letters of each operand's axes in
+    ``subscripts``: the term axis first, where the operand has it, then,
+    for a column, the sample axis and one letter per label.  ``first``
+    holds the pieces that no earlier layout of the rule uses, and
+    ``last`` those that no later layout uses.  ``paths``
+    keeps the :func:`_run_steps` of each tuple of one term's column
+    shapes."""
 
     reals: tuple[str, ...]
     imags: tuple[str, ...]
     phases: np.ndarray
     columns: tuple[tuple[tuple[int, ...], Optional[np.ndarray]], ...]
     subscripts: tuple[str, ...]
+    first: tuple[int, ...]
+    last: tuple[int, ...]
     paths: dict
 
 
@@ -1235,8 +1366,22 @@ def _plan_rule(expr: RealTimeExpression):
             (-1j) ** len(imags) * np.array([sign for sign, _ in terms]),
             tuple(columns),
             tuple(subscripts),
+            (),
+            (),
             {},
         ))
+    # each piece is computed for the first layout that uses it and dropped
+    # after the last
+    uses = [(n, i) for n, layout in enumerate(layouts) for ids, _ in layout.columns for i in ids]
+    first = {i: n for n, i in reversed(uses)}
+    last = {i: n for n, i in uses}
+    layouts = [
+        layout._replace(
+            first=tuple(i for i, k in first.items() if k == n),
+            last=tuple(i for i, k in last.items() if k == n),
+        )
+        for n, layout in enumerate(layouts)
+    ]
     return list(pieces), layouts, tuple(sorted(compared - internal))
 
 

@@ -1094,23 +1094,82 @@ VERTEX = "V[a,b,c] = int{d,e,f,g} : K[a,b,d,e]*G[d,f]*G[g,e]*L[f,g,c]"
 
 def test_realtime_side_intermediates_stay_within_bound(monkeypatch):
     # one sample, and a batch of two samples from each of three seeds: the
-    # runs of terms shrink so that the sample axis grows no operand or
-    # intermediate past the bound
+    # runs of terms shrink so that the sample axis grows no operand, copy
+    # or intermediate of a lowered step past the bound
     eq = parse_equation(VERTEX, contour="keldysh")
     rule = derive_rule(eq, parse_superindex("R(1,23)", eq))
     grid = DiscreteContour(n_fwd=12)
     times = {"a": 1.31, "b": 0.52, "c": 0.83}
     batch = _one_class_batch(eq, times, seeds=(0, 1, 2))
     sizes = []
-    einsum = np.einsum
+    call = oracle._Step.__call__
 
-    def recorded(subscripts, *operands, **kwargs):
-        result = einsum(subscripts, *operands, **kwargs)
+    def recorded(step, *operands):
+        # the stacks a step multiplies are its operands after their sums,
+        # transposes and reshapes: the copies it makes, if any
+        def product(*stacks):
+            result = step.product(*stacks)
+            sizes.extend(map(np.size, stacks + (result,)))
+            return result
+
+        result = call(step._replace(product=product), *operands)
         sizes.extend(map(np.size, operands + (result,)))
         return result
 
-    monkeypatch.setattr(np, "einsum", recorded)
+    monkeypatch.setattr(oracle._Step, "__call__", recorded)
     for tables, samples in [((ComponentTable(eq, 0),), (times,)), batch]:
         sizes.clear()
         evaluate_realtime_batch(rule, eq, tables, grid, samples)
         assert sizes and max(sizes) <= oracle.CONTRACTION_ELEMENTS
+
+
+# (operand subscripts, operand shapes, letters the result keeps): each
+# pattern of a lowered step, on complex operands; "a" is the sample axis
+# and "A" the term axis, each of size 1 on one side where it broadcasts
+LOWERED_STEPS = [
+    # a contracted letter, the sample axis broadcast on the left
+    (("AaBD", "AaDEC"), ((5, 1, 3, 4), (5, 6, 4, 2, 3)), "AaBEC"),
+    # a contracted letter, the term axis broadcast on the right, and a
+    # transpose on each side
+    (("aDAB", "ABaD"), ((6, 4, 5, 3), (1, 3, 6, 4)), "AaB"),
+    # contracted letters only: a batched dot product
+    (("AaCD", "AaDC"), ((5, 6, 3, 4), (5, 1, 4, 3)), "Aa"),
+    # no contracted letter: a batched outer product, free letters both sides
+    (("AaCE", "aACD"), ((5, 1, 3, 2), (6, 5, 3, 4)), "AaCED"),
+    # no contracted letter and free letters on one side only
+    (("AaDE", "AaCED"), ((5, 6, 4, 2), (5, 1, 3, 2, 4)), "AaDEC"),
+    # no free letter at all: an elementwise product
+    (("AaBC", "AaCB"), ((5, 6, 3, 2), (1, 6, 2, 3)), "AaBC"),
+    # a letter only the left operand carries, summed before the product
+    (("AaBD", "aDE"), ((5, 1, 3, 4), (6, 4, 2)), "aBE"),
+    # a letter only the right operand carries, summed, with no contraction
+    (("aB", "AaBC"), ((1, 3), (5, 6, 3, 2)), "aB"),
+    # one operand: its letters are summed alone
+    (("abB",), ((6, 2, 4),), "a"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(LOWERED_STEPS)))
+def test_lowered_step_matches_einsum(case):
+    picked, shapes, kept = LOWERED_STEPS[case]
+    rng = np.random.default_rng(case)
+    operands = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+    step = oracle._lower(tuple(range(len(picked))), list(picked), set(kept))
+    assert sorted(step.letters) == sorted(kept)
+    got = step(*operands)
+    want = np.einsum(",".join(picked) + "->" + step.letters, *operands)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_path_steps_take_a_group_two_at_a_time():
+    # a path that groups three operands runs as two lowered steps
+    subscripts = ["abB", "abBcC", "acC", "acCdD"]
+    shapes = [(3, 2, 4), (1, 2, 4, 2, 4), (3, 2, 4), (3, 2, 4, 2, 4)]
+    rng = np.random.default_rng(7)
+    operands = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+    steps = oracle._path_steps(subscripts, [(0, 1, 2), (0, 1)])
+    assert [len(step.positions) for step in steps] == [2, 2, 2]
+    want = np.einsum(",".join(subscripts) + "->a", *operands)
+    got = oracle._contract(operands, steps)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
