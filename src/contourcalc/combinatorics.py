@@ -101,39 +101,56 @@ def linear_extensions(
     ``(label, others)`` pair of ``neighbours``, some label of ``others`` is
     later than ``label``.
 
-    Depth first: a label is placed once all of its chain predecessors are
-    and, if it has neighbours, once one of them is, trying labels in their
-    given order, so the orders come out in the order of
-    ``itertools.permutations(labels)``.  A cyclic chain set has none.
+    A label is placed once all of its chain predecessors are and, if it
+    has neighbours, once one of them is, trying labels in their given
+    order, so the orders come out in the order of
+    ``itertools.permutations(labels)``.  The placed labels are a bitmask,
+    and each label has one candidate entry: its bit with its predecessors'
+    (the mask it needs), and the mask of its neighbours.  The orders that
+    complete a placed mask depend on the mask alone, so each reachable
+    mask's completions are built once per call.  A cyclic chain set, a
+    repeated label, or a neighbour condition naming no label of
+    ``labels`` gives none.
     """
-    preds: dict[Hashable, set] = {l: set() for l in labels}
+    bits = {l: 1 << i for i, l in enumerate(labels)}
+    preds = dict.fromkeys(bits, 0)
     for chain in chains:
         for x, y in zip(chain, chain[1:]):
-            if x not in preds or y not in preds:
+            if x not in bits or y not in bits:
                 raise ValueError(f"step chain {chain} leaves the labels {tuple(labels)}")
-            preds[y].add(x)
-    later = {l: frozenset(others) for l, others in neighbours}
-    out: list[tuple] = []
-    order: list = []
-    placed: set = set()
+            preds[y] |= bits[x]
+    # a bit above the labels' is set in every placed mask, so it is the
+    # neighbour mask of a label that needs no neighbour
+    start = 1 << len(labels)
+    later = dict.fromkeys(bits, start)
+    for l, others in neighbours:
+        if l in later:
+            later[l] = 0
+            for x in others:
+                later[l] |= bits.get(x, 0)
+    # (mask needed, predecessors, neighbours, label); a label that precedes
+    # itself has no entry
+    table = [
+        (bit | preds[l], preds[l], later[l], l)
+        for l, bit in bits.items()
+        if not preds[l] & bit
+    ]
+    if len(table) < len(labels):
+        return []
+    return _completions(start, table, {2 * start - 1: [()]})
 
-    def place():
-        if len(order) == len(labels):
-            out.append(tuple(order))
-            return
-        for l in labels:
-            if (
-                l not in placed
-                and preds[l] <= placed
-                and (l not in later or not later[l].isdisjoint(placed))
-            ):
-                order.append(l)
-                placed.add(l)
-                place()
-                placed.remove(l)
-                order.pop()
 
-    place()
+def _completions(placed: int, table: list[tuple], tails: dict[int, list[tuple]]) -> list[tuple]:
+    """The orders of the labels not in the mask ``placed`` that complete
+    it, for :func:`linear_extensions`; ``tails`` keeps each mask's."""
+    out = tails.get(placed)
+    if out is None:
+        out = tails[placed] = [
+            (l,) + tail
+            for need, pred, nb, l in table
+            if placed & need == pred and placed & nb
+            for tail in _completions(placed | need, table, tails)
+        ]
     return out
 
 

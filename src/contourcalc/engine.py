@@ -168,29 +168,42 @@ def ordering_variants(item: Item, edges=None) -> list[Variant]:
     connected to anything on its left are pruned (they cancel identically
     for that product structure).
     """
-    return _variants(item, edges, itertools.count(1))
+    ids = itertools.count(1)
+    return _variants(
+        item, edges, lambda label: ("leaf", label), lambda p, e: ("swap", next(ids), p, e)
+    )
 
 
-def _variants(item: Item, edges, ids: itertools.count) -> list[Variant]:
+def _variants(item: Item, edges, leaf, swap) -> list:
+    """The ordering variants of ``item`` as ``(step chains, value)``: a
+    label's value is ``leaf(label)``, and each commutator level's, left
+    nested, is ``swap(left value, right value)``, called after the right
+    entry's own levels."""
     if isinstance(item, Plain):
-        return [((), ("leaf", item.label))]
+        return [((), leaf(item.label))]
     if not isinstance(item, Ret):
         raise CoverError("Matsubara sets cannot be expanded over real orderings")
     out = []
+    # a plain label is one variant, and makes no swap
+    plain_top = [((), leaf(item.top.label))] if isinstance(item.top, Plain) else None
     for perm in itertools.permutations(item.rest):
         seq = (item.top,) + perm
         if edges is not None and _prune_seq(seq, edges):
             continue
-        chain = tuple(top_label(e) for e in seq)
+        chain = tuple(map(top_label, seq))
         chain_part = (chain,) if len(chain) > 1 else ()
-        for top_chains, top_tree in _variants(item.top, edges, ids):
-            partials = [(top_chains + chain_part, top_tree)]
+        for top_chains, top in plain_top or _variants(item.top, edges, leaf, swap):
+            partials = [(top_chains + chain_part, top)]
             for entry in perm:
-                nxt = []
-                for e_chains, e_tree in _variants(entry, edges, ids):
-                    for p_chains, p_tree in partials:
-                        nxt.append((p_chains + e_chains, ("swap", next(ids), p_tree, e_tree)))
-                partials = nxt
+                if isinstance(entry, Plain):
+                    e = leaf(entry.label)
+                    partials = [(p_chains, swap(p, e)) for p_chains, p in partials]
+                    continue
+                partials = [
+                    (p_chains + e_chains, swap(p, e))
+                    for e_chains, e in _variants(entry, edges, leaf, swap)
+                    for p_chains, p in partials
+                ]
             out.extend(partials)
     return out
 
@@ -210,13 +223,6 @@ def tree_word(tree: Tree, signs: dict[int, int]) -> Word:
     return left + right if signs.get(tree[1], 1) > 0 else right + left
 
 
-def tree_words(tree: Tree) -> list[tuple[int, Word]]:
-    """All signed words of a swap tree: its nested commutator, expanded."""
-    if tree[0] == "leaf":
-        return [(1, (tree[1],))]
-    return commutator_words(tree_words(tree[2]), tree_words(tree[3]))
-
-
 def tree_dims(tree: Tree) -> list[tuple[int, frozenset, frozenset]]:
     """The swap nodes in pre-order, with the labels on either side."""
     if tree[0] == "leaf":
@@ -225,6 +231,10 @@ def tree_dims(tree: Tree) -> list[tuple[int, frozenset, frozenset]]:
     return [(tree[1], frozenset(_tree_labels(left)), frozenset(_tree_labels(right)))] + (
         tree_dims(left) + tree_dims(right)
     )
+
+
+def _word(label: str) -> list[tuple[int, Word]]:
+    return [(1, (label,))]
 
 
 def expand_retarded(items: tuple[Item, ...] | SuperIndex, edges=None) -> list[SignedWord]:
@@ -237,13 +247,18 @@ def expand_retarded(items: tuple[Item, ...] | SuperIndex, edges=None) -> list[Si
     if isinstance(items, SuperIndex):
         items = items.real_items()
     terms: list[SignedWord] = [(1, (), ())]
-    for item in items:
-        ex = [
+    for k, item in enumerate(items):
+        # each variant's signed words straight from its commutator levels:
+        # the words of its swap tree, without the tree
+        ex = [(1, (), (item.label,))] if isinstance(item, Plain) else [
             (s, chains, w)
-            for chains, tree in ordering_variants(normalize_item(item), edges)
-            for s, w in tree_words(tree)
+            for chains, words in _variants(
+                normalize_item(item), edges, _word, commutator_words
+            )
+            for s, w in words
         ]
-        terms = [
+        # the product with the terms so far, of which the first item's are its own
+        terms = ex if k == 0 else [
             (s1 * s2, c1 + c2, w1 + w2) for s1, c1, w1 in terms for s2, c2, w2 in ex
         ]
     return terms

@@ -115,6 +115,7 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -156,15 +157,22 @@ class NotFullyExpanded(ContourError):
 
 def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
     """Expand to the common basis: one key per (Matsubara placement, total
-    ordering of the real labels, plain component factors)."""
+    ordering of the real labels, plain component factors).
+
+    A term's combinations of expansion entries are folded factor by
+    factor, in the order of ``itertools.product``, so combinations that
+    share a prefix share its sign and step chains.  Each combination holds
+    on the orderings where the term's and its entries' chains hold, and
+    counts them in bulk (:class:`_SignedCounts`).
+    """
     known = {f.name for f in eq.product}
-    nf: Counter = Counter()
+    counts = _SignedCounts()
     # each distinct factor expands once, into (sign, step chains, component)
     expansions: dict[Factor, list[tuple[int, tuple, Factor]]] = {}
-    # the linear extensions of each distinct (real labels, chains), once per call
-    extensions = functools.cache(linear_extensions)
-    # each distinct tuple of components is sorted once per call
-    sort_factors = functools.cache(_by_sort_key)
+    # the ordering ids of each distinct (real labels, chains), once per call
+    extensions = functools.cache(
+        lambda labels, chains: counts.ids(linear_extensions(labels, chains))
+    )
     for term in expr.terms:
         m_placed: set[str] = set()
         for f in term.factors:
@@ -182,22 +190,92 @@ def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
                     (s, chains, component_of_product((bf,), w)[0])
                     for s, chains, w in expand_retarded(f.index)
                 ]
+        combos = [(term.sign, term.steps, ())]
+        for f in term.factors:
+            combos = [
+                (sign * s, chains + cs, factors + (c,))
+                for sign, chains, factors in combos
+                for s, cs, c in expansions[f]
+            ]
         placed = (frozenset(m_placed), frozenset(term.imag_integrals))
-        # a combination of expansion entries holds on the orderings where
-        # the term's chains and all of the entries' chains hold; many
-        # combinations share their labels and chains
-        for combo in itertools.product(*(expansions[f] for f in term.factors)):
-            sign = term.sign * math.prod(s for s, _, _ in combo)
-            chains = term.steps + tuple(c for _, cs, _ in combo for c in cs)
-            factors = sort_factors(tuple(c for _, _, c in combo))
-            for omega in extensions(real_labels, chains):
-                nf[placed + (omega, factors)] += sign
-    return Counter({key: v for key, v in nf.items() if v})
+        for sign, chains, factors in combos:
+            ids = extensions(real_labels, chains)
+            counts.add(sign, (counts.group[placed + (factors,)],) * len(ids), ids)
+    return counts.normal_form()
 
 
-def _by_sort_key(factors: tuple[Factor, ...]) -> tuple[Factor, ...]:
-    """``factors`` in ``Factor.sort_key`` order."""
-    return tuple(sorted(factors, key=Factor.sort_key))
+class _Ids(dict):
+    """Numbers each new key on first lookup: 0, ``step``, ``2 * step``, ..."""
+
+    def __init__(self, step: int = 1):
+        super().__init__()
+        self.step = step
+
+    def __missing__(self, key) -> int:
+        self[key] = n = len(self) * self.step
+        return n
+
+
+class _Groups(dict):
+    """The group id of each ``(Matsubara-placed labels, imaginary
+    integrals, factors)`` triple: the id of the triple with its factors in
+    ``Factor.sort_key`` order, in ``ids``."""
+
+    def __init__(self, ids: _Ids):
+        super().__init__()
+        self.ids = ids
+
+    def __missing__(self, key) -> int:
+        m_placed, imag, factors = key
+        self[key] = n = self.ids[m_placed, imag, tuple(sorted(factors, key=Factor.sort_key))]
+        return n
+
+
+class _SignedCounts:
+    """Signed occurrences of (group, ordering) pairs, counted in bulk.
+
+    A group is a ``(Matsubara-placed labels, imaginary integrals, factors
+    in Factor.sort_key order)`` triple; groups and orderings are numbered
+    as they arise, and a pair is the int ``group << 33 | ordering``.
+    ``Counter`` counts ints in C: it counts every occurrence under its pair,
+    so that the pairs come in the order in which they first arose whatever
+    their sign, and each negative occurrence again under its pair's
+    tally, the pair with bit 32 set.  A pair's count is its own count less
+    twice its tally's; only the pairs whose count is not zero become keys.
+    """
+
+    TALLY = 1 << 32
+
+    def __init__(self):
+        # shifted into place, and found again for the factors in any order
+        self.group = _Groups(_Ids(step=2 * self.TALLY))
+        self.orderings = _Ids()
+        self.total: Counter = Counter()
+
+    def ids(self, orderings: Iterable[tuple]) -> list[int]:
+        return list(map(self.orderings.__getitem__, orderings))
+
+    def add(self, sign: int, groups: Sequence[int], ids: Sequence[int]) -> None:
+        """One occurrence of each (group, ordering) pair of the two
+        sequences, shifted groups and ordering ids, all of sign ``sign``."""
+        self.total.update(map(operator.or_, groups, ids))
+        if sign < 0:
+            tally = itertools.repeat(self.TALLY)
+            self.total.update(map(operator.or_, groups, map(operator.or_, ids, tally)))
+
+    def normal_form(self) -> Counter:
+        """Normal-form keys ``(Matsubara-placed labels, imaginary
+        integrals, ordering, factors)`` with their non-zero counts."""
+        total = self.total
+        groups, orderings = list(self.group.ids), list(self.orderings)
+        keys: Counter = Counter()
+        for pair, n in total.items():
+            if not pair & self.TALLY:
+                n -= 2 * total.get(pair | self.TALLY, 0)
+                if n:
+                    m_placed, imag, factors = groups[pair >> 33]
+                    keys[m_placed, imag, orderings[pair & (self.TALLY - 1)], factors] = n
+        return keys
 
 
 def normal_form_equal(x: RealTimeExpression, y: RealTimeExpression, eq: ContourEquation) -> bool:
@@ -227,23 +305,10 @@ def placement_for_times(word: tuple[str, ...], times: dict[str, float]) -> Optio
     return None
 
 
-def _contour_word(
-    real_order: Sequence[str], branch: dict[str, str]
-) -> tuple[str, ...]:
-    """Contour-descending order of the real labels that have a branch.
-
-    ``real_order`` lists labels by descending real time; the backward
-    branch is later than the forward one and runs back toward t0.
-    """
-    bwd = [l for l in real_order if branch.get(l) == BWD]
-    fwd = [l for l in real_order if branch.get(l) == FWD]
-    return tuple(reversed(bwd)) + tuple(fwd)
-
-
 def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
     """The branch split's signed counts, keyed in the normal-form basis
     as ``(Matsubara-placed labels, imaginary integrals, ordering, component
-    factors)``, the factors in ``Factor.sort_key`` order.
+    factors)``, the factors in ``Factor.sort_key`` order; no count is 0.
 
     The loop of :func:`branch_split_oracle`, whose docstring gives the
     cancellation that leaves out most orderings.  The Matsubara-placed
@@ -252,18 +317,27 @@ def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
     external that no function carries is, as there, a real label of the
     orderings, with no branch and in no function's word.  Equal components
     of two functions are one interned ``Factor``, so they share a key.
+
+    The assignments with the same Matsubara internals share everything
+    but the forward or backward branch of each real internal: the
+    functions' Matsubara slots and horizontal labels, the orderings, and
+    each horizontal label's contour key in every ordering, ``i`` on F and
+    ``~i = -1 - i`` on B for its position ``i`` in the ordering (the
+    backward branch is later than the forward one and runs back toward
+    t0), so that a function's word is its horizontal labels in ascending
+    key order.  An external's branch is its placement's
+    (:func:`placement_for_times`), which the ordering fixes.  Per
+    assignment, each function is one column of components over the
+    orderings: a constant for fewer than two horizontal labels, one key
+    comparison for two, a sort by key for more; the rows are counted in
+    bulk (:func:`_counted`).
     """
     m_ext = target.mats_labels()
     carried = {l for f in eq.product for l in f.args}
     dangling = [l for l in m_ext if l not in carried]
-    nf: Counter = Counter()
-    # each distinct tuple of components is sorted once per call
-    sort_factors = functools.cache(_by_sort_key)
-    # a function's component depends only on its Matsubara labels and the
-    # contour order of its horizontal ones, which many orderings share; every
-    # horizontal label of a function is a real label with a branch, so it has
-    # a place in the contour word
-    induced: dict[tuple[int, tuple[str, ...], tuple[str, ...]], Factor] = {}
+    counts = _SignedCounts()
+    # the components of each (function, Matsubara slots), once per call
+    words: dict[tuple[int, tuple[str, ...]], _Words] = {}
     # the assignments with the same Matsubara internals share their orderings
     extensions = functools.cache(linear_extensions)
     for sign_t, chains_t, ext_word in expand_retarded(target.real_items()):
@@ -273,46 +347,109 @@ def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
             for order in itertools.permutations(ext_word)
         }
         in_word = frozenset(ext_word).__contains__
+        shared: dict = {}
         for assign in itertools.product(_branches(eq), repeat=len(eq.internal)):
             internal = dict(zip(eq.internal, assign))
-            m_labels = list(m_ext) + [l for l, b in internal.items() if b == MAT]
-            sign_b = (-1) ** assign.count(BWD)
             imag = frozenset(l for l, b in internal.items() if b == MAT)
-            real_int = frozenset(eq.internal) - imag
-            real_labels = tuple(sorted(real_int.union(ext_word, dangling)))
-            bfuncs: tuple[BFunc, ...] = tuple(
-                (f, tuple(l for l in m_labels if l in f.args)) for f in eq.product
-            )
-            horizontal = [set(f.args).difference(m) for f, m in bfuncs]
-            m_placed = imag.union(*(m for _, m in bfuncs))
-            # the orderings in which every real internal has a later
-            # neighbour: the others cancel between F and B
-            neighbours = tuple(
-                (u, frozenset().union(*(own for own in horizontal if u in own)) - {u})
-                for u in sorted(real_int)
-            )
-            for omega in extensions(real_labels, chains_t, neighbours):
-                placement = placements[tuple(filter(in_word, omega))]
-                if placement is None:
+            if imag not in shared:
+                shared[imag] = _shared_by_matsubara(
+                    eq, m_ext, internal, imag, dangling, ext_word, chains_t,
+                    placements, in_word, extensions, counts, words,
+                )
+            m_placed, tables, ids, keys = shared[imag]
+            if not ids:
+                continue
+            columns = []
+            for table in tables:
+                own = table.own
+                if len(own) < 2:
+                    columns.append(itertools.repeat(table[()], len(ids)))
                     continue
-                word = _contour_word(omega, {**placement, **internal})
-                rank = {l: k for k, l in enumerate(word)}
-                factors = []
-                for i, (bf, own) in enumerate(zip(bfuncs, horizontal)):
-                    # the function's word: its own labels in contour order
-                    sub = tuple(sorted(own, key=rank.__getitem__))
-                    if (i, bf[1], sub) not in induced:
-                        (induced[i, bf[1], sub],) = component_of_product((bf,), sub)
-                    factors.append(induced[i, bf[1], sub])
-                nf[m_placed, imag, omega, sort_factors(tuple(factors))] += sign_t * sign_b
-    return nf
+                by_label = [keys[l][internal.get(l) == BWD] for l in own]
+                columns.append(map(table.__getitem__, zip(*(
+                    map(operator.lt, by_label[a], by_label[b])
+                    for a, b in itertools.combinations(range(len(own)), 2)
+                ))))
+            groups = map(counts.group.__getitem__, zip(
+                itertools.repeat(m_placed), itertools.repeat(imag), zip(*columns)
+            ))
+            counts.add(sign_t * (-1) ** assign.count(BWD), list(groups), ids)
+    return counts.normal_form()
+
+
+class _Words(dict):
+    """The components of one function with its Matsubara slots, keyed by
+    the outcomes of ``key[a] < key[b]`` for each pair ``a < b`` of its
+    horizontal labels ``own`` (in ``itertools.combinations`` order), where
+    ``key`` is their contour keys; each is built on first use."""
+
+    def __init__(self, bf: BFunc, own: tuple[str, ...]):
+        super().__init__()
+        self.bf, self.own = bf, own
+
+    def __missing__(self, outcomes: tuple[bool, ...]) -> Factor:
+        # a label's place in the word is the number of labels before it
+        place = [0] * len(self.own)
+        for (a, b), before in zip(itertools.combinations(range(len(self.own)), 2), outcomes):
+            place[b if before else a] += 1
+        word = tuple(l for _, l in sorted(zip(place, self.own)))
+        (self[outcomes],) = component_of_product((self.bf,), word)
+        return self[outcomes]
+
+
+def _shared_by_matsubara(
+    eq, m_ext, internal, imag, dangling, ext_word, chains_t, placements, in_word,
+    extensions, counts, words,
+):
+    """What the branch assignments of one set of Matsubara internals
+    share, for :func:`_split_counts`: ``(Matsubara-placed labels, each
+    function's components, ordering ids, contour keys)``.
+
+    The orderings are those in which every real internal has a later
+    neighbour (the others cancel between F and B) and the externals have
+    a placement.  The keys map each horizontal label to its key column
+    over the orderings on F and on B, indexed by ``branch == B``; an
+    external's column follows its placement on both.
+    """
+    m_labels = list(m_ext) + [l for l, b in internal.items() if b == MAT]
+    real_int = frozenset(eq.internal) - imag
+    real_labels = tuple(sorted(real_int.union(ext_word, dangling)))
+    tables = []
+    for j, f in enumerate(eq.product):
+        bf = (f, tuple(l for l in m_labels if l in f.args))
+        if (j, bf[1]) not in words:
+            words[j, bf[1]] = _Words(bf, tuple(sorted(set(f.args).difference(bf[1]))))
+        tables.append(words[j, bf[1]])
+    m_placed = imag.union(*(t.bf[1] for t in tables))
+    # the orderings in which every real internal has a later neighbour
+    neighbours = tuple(
+        (u, frozenset().union(*(t.own for t in tables if u in t.own)) - {u})
+        for u in sorted(real_int)
+    )
+    live, places = [], []
+    for omega in extensions(real_labels, chains_t, neighbours):
+        placement = placements[tuple(filter(in_word, omega))]
+        if placement is not None:
+            live.append(omega)
+            places.append(placement)
+    keys = {}
+    if live:
+        labels = tuple(real_int.union(ext_word))
+        positions = zip(*(tuple(map(omega.index, labels)) for omega in live))
+        for l, column in zip(labels, positions):
+            if l in real_int:
+                keys[l] = (column, tuple(map(operator.invert, column)))
+            else:
+                ext = tuple(i if p[l] == FWD else ~i for i, p in zip(column, places))
+                keys[l] = (ext, ext)
+    return m_placed, tables, counts.ids(live), keys
 
 
 def branch_split_normal_form(eq: ContourEquation, target: SuperIndex) -> Counter:
     """``normal_form(branch_split_oracle(eq, target), eq)``, keys in the same
     order, counted by the split itself (:func:`_split_counts`), whose keys
     are already normal-form keys."""
-    return Counter({key: c for key, c in _split_counts(eq, target).items() if c})
+    return _split_counts(eq, target)
 
 
 def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpression:
@@ -1451,6 +1588,19 @@ class VerifyRecord:
         }
 
 
+def _mismatch(split_nf: Counter, rule_nf: Counter) -> str:
+    """Where two normal forms differ: how many of their keys have
+    different counts, out of how many, and the ordering of the first such
+    key, the split's keys first."""
+    keys = dict.fromkeys(itertools.chain(split_nf, rule_nf))
+    differ = [key for key in keys if split_nf.get(key, 0) != rule_nf.get(key, 0)]
+    omega = differ[0][2]
+    return (
+        f"{len(differ)} of {len(keys)} normal-form keys differ, "
+        f"first on ordering {'>'.join(omega) or '-'}"
+    )
+
+
 def _ordering_classes(
     eq: ContourEquation, target: SuperIndex
 ) -> tuple[list[tuple[str, ...]], set[tuple[str, ...]]]:
@@ -1537,10 +1687,12 @@ def verify(
     # normal forms hold no zero counts, so they agree as Counters exactly
     # when they agree as dicts, which hashes each key once rather than four
     # times
-    sym_ok = dict.__eq__(branch_split_normal_form(eq, target), rule_nf)
-    records = [
-        VerifyRecord(eq.lhs_name, name, "symbolic", None, 0.0 if sym_ok else np.inf, sym_ok)
-    ]
+    split_nf = branch_split_normal_form(eq, target)
+    sym_ok = dict.__eq__(split_nf, rule_nf)
+    records = [VerifyRecord(
+        eq.lhs_name, name, "symbolic", None, 0.0 if sym_ok else np.inf, sym_ok,
+        "" if sym_ok else _mismatch(split_nf, rule_nf),
+    )]
     grid = DiscreteContour(n_fwd=grid_size)
     worst = [0.0] * len(seeds)
     detail = [""] * len(seeds)

@@ -15,6 +15,7 @@ of ``normal_form`` of those terms in the same order.
 
 import dataclasses
 import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -139,6 +140,29 @@ def test_linear_extensions_with_neighbours_examples():
 def test_linear_extensions_reject_foreign_labels():
     with pytest.raises(ValueError):
         linear_extensions(["a", "b"], [("a", "z")])
+    with pytest.raises(ValueError):
+        linear_extensions("ab", [("z", "a", "b")], [("b", "a")])
+
+
+def test_linear_extensions_edge_cases():
+    # no labels: the one empty order, whatever the neighbours ask
+    assert linear_extensions((), []) == [()]
+    assert linear_extensions("", [], [("a", "b")]) == [()]
+    # a neighbour condition naming no label of the labels never holds
+    assert linear_extensions("ab", [], [("b", "xz")]) == []
+    assert linear_extensions("ab", [], [("b", "ax")]) == [("a", "b")]
+    # a cycle, of one label or of three, leaves no order
+    assert linear_extensions("ab", [("a", "a")]) == []
+    assert linear_extensions("abc", [("a", "b", "c"), ("c", "a")]) == []
+    # a repeated label of others counts once
+    assert linear_extensions("abc", [], [("c", "aab")]) == _filtered_permutations(
+        "abc", [], [("c", "ab")]
+    )
+    # the orders come in the order of itertools.permutations(labels),
+    # which follows the labels' given order, not their sorted one
+    got = linear_extensions("dbca", [("c", "a")], [("b", "cd")])
+    assert got == _filtered_permutations("dbca", [("c", "a")], [("b", "cd")])
+    assert got != sorted(got) and len(got) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -318,3 +342,72 @@ def test_chain6_symbolic_check(contour):
     wrong = RealTimeExpression((flipped,) + rule.terms[1:])
     (record,) = verify(eq, target, seeds=(), rule=wrong)
     assert not record.passed
+
+
+# ---------------------------------------------------------------------------
+# corrupted rules that keep every sign
+
+LADDER = "G[a,b] = int{c,d,e,f} : A[a,c]*B[a,d]*C[c,d]*D[c,e]*E[d,f]*F[e,f]*H[e,b]*K[f,b]"
+
+
+def _dropped_chain(rule):
+    """The rule with the step chains of its first chained term dropped."""
+    k = next(i for i, t in enumerate(rule.terms) if t.steps)
+    bad = dataclasses.replace(rule.terms[k], steps=())
+    return RealTimeExpression(rule.terms[:k] + (bad,) + rule.terms[k + 1:])
+
+
+def _swapped_component(rule):
+    """The rule with the first two-label component of its first term
+    swapped for the function's other component on the same labels."""
+    term = rule.terms[0]
+    j = next(
+        i for i, f in enumerate(term.factors)
+        if len(f.index.items) == 2 and all(isinstance(x, Plain) for x in f.index.items)
+    )
+    f = term.factors[j]
+    other = Factor(f.func, SuperIndex(tuple(reversed(f.index.items))))
+    bad = dataclasses.replace(term, factors=term.factors[:j] + (other,) + term.factors[j + 1:])
+    return RealTimeExpression((bad,) + rule.terms[1:])
+
+
+@pytest.mark.parametrize(
+    "text, contour, corrupt",
+    [
+        # chain4's rules carry no step chains; the extended ladder's do
+        (LADDER, "keldysh", _dropped_chain),
+        (LADDER, "extended", _dropped_chain),
+        (LADDER, "keldysh", _swapped_component),
+        (PROBES["chain4"], "extended", _swapped_component),
+    ],
+    ids=["ladder-keldysh-chain", "ladder-extended-chain", "ladder-keldysh-component",
+         "chain4-extended-component"],
+)
+def test_symbolic_check_rejects_corruption_that_keeps_signs(text, contour, corrupt):
+    eq = parse_equation(text, contour)
+    target = parse_superindex(">", eq)
+    rule = derive_rule(eq, target)
+    bad = corrupt(rule)
+    assert [t.sign for t in bad.terms] == [t.sign for t in rule.terms]
+    assert bad.terms != rule.terms
+    (record,) = verify(eq, target, seeds=(), rule=bad)
+    assert not record.passed
+
+
+def test_failing_symbolic_record_says_where():
+    eq = parse_equation(PROBES["chain4"], "extended")
+    target = parse_superindex(">", eq)
+    rule = derive_rule(eq, target)
+    (record,) = verify(eq, target, seeds=(), rule=rule)
+    assert record.passed and record.detail == ""
+    (record,) = verify(eq, target, seeds=(), rule=_swapped_component(rule))
+    assert not record.passed
+    match = re.fullmatch(
+        r"(\d+) of (\d+) normal-form keys differ, first on ordering ([a-z>]+)", record.detail
+    )
+    assert match, record.detail
+    differ, keys = int(match[1]), int(match[2])
+    # the swapped component moves the keys of the first term: it removes
+    # some and adds as many, on the orderings of six real labels
+    assert 0 < differ <= keys
+    assert sorted(match[3].split(">")) == list("abcdef")

@@ -31,7 +31,6 @@ from contourcalc.oracle import (
     DiscreteContour,
     GridTieError,
     UnknownComponent,
-    _contour_word,
     _sample_times,
     branch_count,
     branch_split_oracle,
@@ -75,6 +74,15 @@ def test_branch_split_product_greater():
         # A^> B^<: with B's arguments (b, a), its lesser component renders
         # with a later, i.e. as the word (a, b)
         assert sorted(str(f) for f in factors) == ["A^{ab}", "B^{ab}"]
+
+
+def _contour_word(real_order, branch):
+    """Contour-descending order of the real labels that have a branch:
+    ``real_order`` lists labels by descending real time, and the backward
+    branch is later than the forward one and runs back toward t0."""
+    bwd = [l for l in real_order if branch.get(l) == BWD]
+    fwd = [l for l in real_order if branch.get(l) == FWD]
+    return tuple(reversed(bwd)) + tuple(fwd)
 
 
 @pytest.mark.parametrize("n", range(4))
