@@ -9,9 +9,11 @@ nested commutators (and further into signed words), the latter into sums
 of nested retarded compositions obtained by pinning one retarded entry
 onto each of its siblings.
 
-``ordering_variants`` is the one place that enumerates the orderings of a
-retarded set; the compiler's telescope reads its swap trees directly, and
-every other expansion goes through ``expand_retarded``.
+``_variants`` is the one place that enumerates the orderings of a
+retarded set.  ``ordering_variants`` builds swap trees from it, which the
+compiler's telescope reads directly; ``expand_retarded`` builds each
+variant's signed words from it, level by level, without a tree; every
+other expansion goes through ``expand_retarded``.
 """
 
 from __future__ import annotations
@@ -143,7 +145,8 @@ def composition_representation(eq: ContourEquation, target: SuperIndex) -> list[
 # weighted by the step chain over the entries' top labels.  One ordering is
 # a nested commutator of the entries; its swap tree is left-nested, one
 # ``swap`` node per commutator level, and nested entries contribute their
-# own subtrees.  Every sign assignment to the swap nodes is one word.
+# own subtrees.  Every sign assignment to the swap nodes is one word, and
+# the words of a swap node are the commutator of its two sides' words.
 
 Tree = tuple  # ("leaf", label) | ("swap", dim_id, left, right)
 Variant = tuple[tuple[Chain, ...], Tree]

@@ -6,18 +6,26 @@ strategy:
 * a symbolic one that splits every contour integral over the branches,
   reduces each branch configuration with plain component calculus, and
   cancels -- the result is a normal form over total orderings of the real
-  time labels.  Both symbolic layers count keys on tuples of plain
-  component factors, which are interned (:mod:`contourcalc.ir`) and so
-  hash and compare by identity; each distinct tuple is put in
-  ``Factor.sort_key`` order once per call.  They enumerate the total
-  orderings of each distinct (real labels, step chains) pair once per
-  call.  The branch split builds only the orderings in which every real
-  internal has a later neighbour (a real label it shares a function
-  with); the others cancel between its forward and backward placements,
-  by the largest-time equation in local form
-  (:func:`branch_split_oracle`).  It counts its keys in the
-  normal-form basis itself (:func:`branch_split_normal_form`), so a
-  verdict computes one normal form, the rule's;
+  time labels.  Both symbolic layers enumerate the total orderings of
+  each distinct (real labels, step chains) pair once per call, as linear
+  extensions over bitmasks of placed labels
+  (:func:`~contourcalc.combinatorics.linear_extensions`), and count their
+  keys in bulk (:class:`_SignedCounts`): a key's group (its Matsubara
+  placement and its plain component factors, which are interned by
+  :mod:`contourcalc.ir` and put in ``Factor.sort_key`` order once per
+  call) and its ordering are numbered, so an occurrence is one int that
+  ``Counter`` counts in C, and only the keys whose count is not zero are
+  built, in the order in which they first arose.  The branch split
+  builds only the orderings in which every real internal has a later
+  neighbour (a real label it shares a function with); the others cancel
+  between its forward and backward placements, by the largest-time
+  equation in local form (:func:`branch_split_oracle`).  It picks each
+  function's component for all of a branch assignment's orderings at
+  once, by comparing its labels' contour keys (:func:`_split_counts`),
+  and counts its keys in the normal-form basis itself
+  (:func:`branch_split_normal_form`), so a verdict computes one normal
+  form, the rule's.  A failing symbolic record says how many keys differ
+  and the ordering of the first;
 * a numeric one that evaluates both sides of a rule on a shared discrete
   contour.  The rules are identities between integrands wherever the
   contour times are distinct, where the step-function algebra holds.
@@ -116,6 +124,7 @@ import hashlib
 import itertools
 import math
 import operator
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -236,21 +245,26 @@ class _SignedCounts:
 
     A group is a ``(Matsubara-placed labels, imaginary integrals, factors
     in Factor.sort_key order)`` triple; groups and orderings are numbered
-    as they arise, and a pair is the int ``group << 33 | ordering``.
-    ``Counter`` counts ints in C: it counts every occurrence under its pair,
-    so that the pairs come in the order in which they first arose whatever
-    their sign, and each negative occurrence again under its pair's
-    tally, the pair with bit 32 set.  A pair's count is its own count less
-    twice its tally's; only the pairs whose count is not zero become keys.
+    as they arise, and a pair is the int ``group << 32 | ordering``.
+    ``Counter`` counts every occurrence under its pair, in C, so that the
+    pairs come in the order in which they first arose whatever their
+    sign; the negative occurrences are kept again in an int64 array.  A
+    pair's count is its occurrences less twice its negative ones, found by
+    searching the sorted array for every pair at once; only the pairs
+    whose count is not zero become keys.  The occurrences wait in chunks
+    until ``WAITING`` of them are counted by one ``Counter.update`` call.
     """
 
-    TALLY = 1 << 32
+    WAITING = 1 << 12
 
     def __init__(self):
         # shifted into place, and found again for the factors in any order
-        self.group = _Groups(_Ids(step=2 * self.TALLY))
+        self.group = _Groups(_Ids(step=1 << 32))
         self.orderings = _Ids()
         self.total: Counter = Counter()
+        self.negative = array("q")
+        self.chunks: list[Iterable[int]] = []
+        self.waiting = 0
 
     def ids(self, orderings: Iterable[tuple]) -> list[int]:
         return list(map(self.orderings.__getitem__, orderings))
@@ -258,23 +272,36 @@ class _SignedCounts:
     def add(self, sign: int, groups: Sequence[int], ids: Sequence[int]) -> None:
         """One occurrence of each (group, ordering) pair of the two
         sequences, shifted groups and ordering ids, all of sign ``sign``."""
-        self.total.update(map(operator.or_, groups, ids))
+        self.chunks.append(map(operator.or_, groups, ids))
         if sign < 0:
-            tally = itertools.repeat(self.TALLY)
-            self.total.update(map(operator.or_, groups, map(operator.or_, ids, tally)))
+            self.negative.extend(map(operator.or_, groups, ids))
+        self.waiting += len(ids)
+        if self.waiting >= self.WAITING:
+            self.count()
+
+    def count(self) -> None:
+        self.total.update(itertools.chain.from_iterable(self.chunks))
+        self.chunks.clear()
+        self.waiting = 0
 
     def normal_form(self) -> Counter:
         """Normal-form keys ``(Matsubara-placed labels, imaginary
         integrals, ordering, factors)`` with their non-zero counts."""
-        total = self.total
+        self.count()
+        pairs = np.fromiter(self.total, np.int64, len(self.total))
+        counts = np.fromiter(self.total.values(), np.int64, len(self.total))
+        self.total.clear()
+        negative = np.frombuffer(self.negative, np.int64)
+        negative.sort()
+        counts -= 2 * (
+            np.searchsorted(negative, pairs, "right") - np.searchsorted(negative, pairs, "left")
+        )
+        live = counts != 0
         groups, orderings = list(self.group.ids), list(self.orderings)
         keys: Counter = Counter()
-        for pair, n in total.items():
-            if not pair & self.TALLY:
-                n -= 2 * total.get(pair | self.TALLY, 0)
-                if n:
-                    m_placed, imag, factors = groups[pair >> 33]
-                    keys[m_placed, imag, orderings[pair & (self.TALLY - 1)], factors] = n
+        for pair, n in zip(pairs[live].tolist(), counts[live].tolist()):
+            m_placed, imag, factors = groups[pair >> 32]
+            keys[m_placed, imag, orderings[pair & 0xFFFFFFFF], factors] = n
         return keys
 
 
@@ -318,19 +345,21 @@ def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
     orderings, with no branch and in no function's word.  Equal components
     of two functions are one interned ``Factor``, so they share a key.
 
-    The assignments with the same Matsubara internals share everything
-    but the forward or backward branch of each real internal: the
-    functions' Matsubara slots and horizontal labels, the orderings, and
-    each horizontal label's contour key in every ordering, ``i`` on F and
-    ``~i = -1 - i`` on B for its position ``i`` in the ordering (the
+    A label's contour key in an ordering is ``i`` on F and ``~i = -1 - i``
+    on B, for its position ``i`` in the ordering (latest first): the
     backward branch is later than the forward one and runs back toward
-    t0), so that a function's word is its horizontal labels in ascending
-    key order.  An external's branch is its placement's
-    (:func:`placement_for_times`), which the ordering fixes.  Per
-    assignment, each function is one column of components over the
-    orderings: a constant for fewer than two horizontal labels, one key
-    comparison for two, a sort by key for more; the rows are counted in
-    bulk (:func:`_counted`).
+    t0, so a function's word is its horizontal labels in ascending key
+    order.  An external's branch is its placement's
+    (:func:`placement_for_times`), which the ordering fixes.  The branch
+    assignments with the same Matsubara internals share everything but
+    the branch of each real internal: the functions' Matsubara slots and
+    horizontal labels, the orderings, and each horizontal label's key
+    column over the orderings on either branch.  Per assignment, each
+    function is one column of components over the orderings, picked by
+    the outcomes of one key comparison per pair of its horizontal labels
+    (:class:`_Words`), and the rows are counted in bulk
+    (:class:`_SignedCounts`).  No contour word, rank or sorted label tuple
+    is built per ordering.
     """
     m_ext = target.mats_labels()
     carried = {l for f in eq.product for l in f.args}
@@ -347,31 +376,69 @@ def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
             for order in itertools.permutations(ext_word)
         }
         in_word = frozenset(ext_word).__contains__
-        shared: dict = {}
+
+        def shared_by(imag: frozenset) -> tuple:
+            """``(Matsubara-placed labels, each function's components,
+            ordering ids, key columns)`` for the Matsubara internals
+            ``imag``.  The orderings are those in which every real internal
+            has a later neighbour and the externals have a placement; the
+            key columns of a horizontal label are ``(on F, on B)``, the
+            same column twice for an external."""
+            m_labels = list(m_ext) + [l for l in eq.internal if l in imag]
+            real_int = frozenset(eq.internal) - imag
+            tables = []
+            for j, f in enumerate(eq.product):
+                bf = (f, tuple(l for l in m_labels if l in f.args))
+                if (j, bf[1]) not in words:
+                    words[j, bf[1]] = _Words(bf, tuple(sorted(set(f.args).difference(bf[1]))))
+                tables.append(words[j, bf[1]])
+            # the others cancel between F and B
+            neighbours = tuple(
+                (u, frozenset().union(*(t.own for t in tables if u in t.own)) - {u})
+                for u in sorted(real_int)
+            )
+            real_labels = tuple(sorted(real_int.union(ext_word, dangling)))
+            live, places = [], []
+            for omega in extensions(real_labels, chains_t, neighbours):
+                placement = placements[tuple(filter(in_word, omega))]
+                if placement is not None:
+                    live.append(omega)
+                    places.append(placement)
+            columns = {}
+            if live:
+                labels = tuple(real_int.union(ext_word))
+                positions = zip(*(tuple(map(omega.index, labels)) for omega in live))
+                for l, column in zip(labels, positions):
+                    if l in real_int:
+                        columns[l] = (column, tuple(map(operator.invert, column)))
+                    else:
+                        ext = tuple(i if p[l] == FWD else ~i for i, p in zip(column, places))
+                        columns[l] = (ext, ext)
+            m_placed = imag.union(*(t.bf[1] for t in tables))
+            return m_placed, tables, counts.ids(live), columns
+
+        shared: dict[frozenset, tuple] = {}
         for assign in itertools.product(_branches(eq), repeat=len(eq.internal)):
             internal = dict(zip(eq.internal, assign))
             imag = frozenset(l for l, b in internal.items() if b == MAT)
             if imag not in shared:
-                shared[imag] = _shared_by_matsubara(
-                    eq, m_ext, internal, imag, dangling, ext_word, chains_t,
-                    placements, in_word, extensions, counts, words,
-                )
-            m_placed, tables, ids, keys = shared[imag]
+                shared[imag] = shared_by(imag)
+            m_placed, tables, ids, key_columns = shared[imag]
             if not ids:
                 continue
-            columns = []
+            factors = []
             for table in tables:
                 own = table.own
                 if len(own) < 2:
-                    columns.append(itertools.repeat(table[()], len(ids)))
+                    factors.append(itertools.repeat(table[()], len(ids)))
                     continue
-                by_label = [keys[l][internal.get(l) == BWD] for l in own]
-                columns.append(map(table.__getitem__, zip(*(
-                    map(operator.lt, by_label[a], by_label[b])
+                keys = [key_columns[l][internal.get(l) == BWD] for l in own]
+                factors.append(map(table.__getitem__, zip(*(
+                    map(operator.lt, keys[a], keys[b])
                     for a, b in itertools.combinations(range(len(own)), 2)
                 ))))
             groups = map(counts.group.__getitem__, zip(
-                itertools.repeat(m_placed), itertools.repeat(imag), zip(*columns)
+                itertools.repeat(m_placed), itertools.repeat(imag), zip(*factors)
             ))
             counts.add(sign_t * (-1) ** assign.count(BWD), list(groups), ids)
     return counts.normal_form()
@@ -395,54 +462,6 @@ class _Words(dict):
         word = tuple(l for _, l in sorted(zip(place, self.own)))
         (self[outcomes],) = component_of_product((self.bf,), word)
         return self[outcomes]
-
-
-def _shared_by_matsubara(
-    eq, m_ext, internal, imag, dangling, ext_word, chains_t, placements, in_word,
-    extensions, counts, words,
-):
-    """What the branch assignments of one set of Matsubara internals
-    share, for :func:`_split_counts`: ``(Matsubara-placed labels, each
-    function's components, ordering ids, contour keys)``.
-
-    The orderings are those in which every real internal has a later
-    neighbour (the others cancel between F and B) and the externals have
-    a placement.  The keys map each horizontal label to its key column
-    over the orderings on F and on B, indexed by ``branch == B``; an
-    external's column follows its placement on both.
-    """
-    m_labels = list(m_ext) + [l for l, b in internal.items() if b == MAT]
-    real_int = frozenset(eq.internal) - imag
-    real_labels = tuple(sorted(real_int.union(ext_word, dangling)))
-    tables = []
-    for j, f in enumerate(eq.product):
-        bf = (f, tuple(l for l in m_labels if l in f.args))
-        if (j, bf[1]) not in words:
-            words[j, bf[1]] = _Words(bf, tuple(sorted(set(f.args).difference(bf[1]))))
-        tables.append(words[j, bf[1]])
-    m_placed = imag.union(*(t.bf[1] for t in tables))
-    # the orderings in which every real internal has a later neighbour
-    neighbours = tuple(
-        (u, frozenset().union(*(t.own for t in tables if u in t.own)) - {u})
-        for u in sorted(real_int)
-    )
-    live, places = [], []
-    for omega in extensions(real_labels, chains_t, neighbours):
-        placement = placements[tuple(filter(in_word, omega))]
-        if placement is not None:
-            live.append(omega)
-            places.append(placement)
-    keys = {}
-    if live:
-        labels = tuple(real_int.union(ext_word))
-        positions = zip(*(tuple(map(omega.index, labels)) for omega in live))
-        for l, column in zip(labels, positions):
-            if l in real_int:
-                keys[l] = (column, tuple(map(operator.invert, column)))
-            else:
-                ext = tuple(i if p[l] == FWD else ~i for i, p in zip(column, places))
-                keys[l] = (ext, ext)
-    return m_placed, tables, counts.ids(live), keys
 
 
 def branch_split_normal_form(eq: ContourEquation, target: SuperIndex) -> Counter:
