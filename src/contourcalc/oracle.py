@@ -124,7 +124,6 @@ import hashlib
 import itertools
 import math
 import operator
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -206,10 +205,9 @@ def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
                 for sign, chains, factors in combos
                 for s, cs, c in expansions[f]
             ]
-        placed = (frozenset(m_placed), frozenset(term.imag_integrals))
+        groups = counts.group(frozenset(m_placed), frozenset(term.imag_integrals))
         for sign, chains, factors in combos:
-            ids = extensions(real_labels, chains)
-            counts.add(sign, (counts.group[placed + (factors,)],) * len(ids), ids)
+            counts.add(sign, itertools.repeat(groups[factors]), extensions(real_labels, chains))
     return counts.normal_form()
 
 
@@ -226,17 +224,19 @@ class _Ids(dict):
 
 
 class _Groups(dict):
-    """The group id of each ``(Matsubara-placed labels, imaginary
-    integrals, factors)`` triple: the id of the triple with its factors in
-    ``Factor.sort_key`` order, in ``ids``."""
+    """The group of each tuple of factors, in any order, under one
+    placement ``(Matsubara-placed labels, imaginary integrals)``: its id in
+    ``ids``, which numbers the placement with the factors in
+    ``Factor.sort_key`` order."""
 
-    def __init__(self, ids: _Ids):
+    def __init__(self, ids: _Ids, placement: tuple[frozenset, frozenset]):
         super().__init__()
-        self.ids = ids
+        self.ids, self.placement = ids, placement
 
-    def __missing__(self, key) -> int:
-        m_placed, imag, factors = key
-        self[key] = n = self.ids[m_placed, imag, tuple(sorted(factors, key=Factor.sort_key))]
+    def __missing__(self, factors: tuple[Factor, ...]) -> int:
+        self[factors] = n = self.ids[
+            (*self.placement, tuple(sorted(factors, key=Factor.sort_key)))
+        ]
         return n
 
 
@@ -245,63 +245,48 @@ class _SignedCounts:
 
     A group is a ``(Matsubara-placed labels, imaginary integrals, factors
     in Factor.sort_key order)`` triple; groups and orderings are numbered
-    as they arise, and a pair is the int ``group << 32 | ordering``.
-    ``Counter`` counts every occurrence under its pair, in C, so that the
-    pairs come in the order in which they first arose whatever their
-    sign; the negative occurrences are kept again in an int64 array.  A
-    pair's count is its occurrences less twice its negative ones, found by
-    searching the sorted array for every pair at once; only the pairs
-    whose count is not zero become keys.  The occurrences wait in chunks
-    until ``WAITING`` of them are counted by one ``Counter.update`` call.
+    as they arise, and a pair is the int ``group << 32 | ordering``.  One
+    ``Counter`` counts them: ``update`` adds the positive occurrences (in
+    C) and ``subtract`` takes the negative ones away, and either enters a
+    new pair after the others, so the pairs come in the order in which
+    they first arose, whatever their sign.  Only the pairs whose count is
+    not zero become keys.
     """
 
-    WAITING = 1 << 12
-
     def __init__(self):
-        # shifted into place, and found again for the factors in any order
-        self.group = _Groups(_Ids(step=1 << 32))
+        # groups shifted into place
+        self.groups = _Ids(step=1 << 32)
+        self.placed: dict[tuple[frozenset, frozenset], _Groups] = {}
         self.orderings = _Ids()
-        self.total: Counter = Counter()
-        self.negative = array("q")
-        self.chunks: list[Iterable[int]] = []
-        self.waiting = 0
+        self.counts: Counter = Counter()
+
+    def group(self, m_placed: frozenset, imag: frozenset) -> _Groups:
+        """The groups of one placement, by their factors in any order."""
+        if (m_placed, imag) not in self.placed:
+            self.placed[m_placed, imag] = _Groups(self.groups, (m_placed, imag))
+        return self.placed[m_placed, imag]
 
     def ids(self, orderings: Iterable[tuple]) -> list[int]:
         return list(map(self.orderings.__getitem__, orderings))
 
-    def add(self, sign: int, groups: Sequence[int], ids: Sequence[int]) -> None:
-        """One occurrence of each (group, ordering) pair of the two
-        sequences, shifted groups and ordering ids, all of sign ``sign``."""
-        self.chunks.append(map(operator.or_, groups, ids))
-        if sign < 0:
-            self.negative.extend(map(operator.or_, groups, ids))
-        self.waiting += len(ids)
-        if self.waiting >= self.WAITING:
-            self.count()
-
-    def count(self) -> None:
-        self.total.update(itertools.chain.from_iterable(self.chunks))
-        self.chunks.clear()
-        self.waiting = 0
+    def add(self, sign: int, groups: Iterable[int], ids: Iterable[int]) -> None:
+        """One occurrence of each (group, ordering) pair, from shifted
+        groups and ordering ids taken in step, all of sign ``sign``."""
+        pairs = map(operator.or_, groups, ids)
+        if sign > 0:
+            self.counts.update(pairs)
+        else:
+            self.counts.subtract(pairs)
 
     def normal_form(self) -> Counter:
         """Normal-form keys ``(Matsubara-placed labels, imaginary
         integrals, ordering, factors)`` with their non-zero counts."""
-        self.count()
-        pairs = np.fromiter(self.total, np.int64, len(self.total))
-        counts = np.fromiter(self.total.values(), np.int64, len(self.total))
-        self.total.clear()
-        negative = np.frombuffer(self.negative, np.int64)
-        negative.sort()
-        counts -= 2 * (
-            np.searchsorted(negative, pairs, "right") - np.searchsorted(negative, pairs, "left")
-        )
-        live = counts != 0
-        groups, orderings = list(self.group.ids), list(self.orderings)
+        groups, orderings = list(self.groups), list(self.orderings)
         keys: Counter = Counter()
-        for pair, n in zip(pairs[live].tolist(), counts[live].tolist()):
-            m_placed, imag, factors = groups[pair >> 32]
-            keys[m_placed, imag, orderings[pair & 0xFFFFFFFF], factors] = n
+        for pair, n in self.counts.items():
+            if n:
+                m_placed, imag, factors = groups[pair >> 32]
+                keys[m_placed, imag, orderings[pair & 0xFFFFFFFF], factors] = n
         return keys
 
 
@@ -354,68 +339,87 @@ def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
     assignments with the same Matsubara internals share everything but
     the branch of each real internal: the functions' Matsubara slots and
     horizontal labels, the orderings, and each horizontal label's key
-    column over the orderings on either branch.  Per assignment, each
-    function is one column of components over the orderings, picked by
-    the outcomes of one key comparison per pair of its horizontal labels
-    (:class:`_Words`), and the rows are counted in bulk
-    (:class:`_SignedCounts`).  No contour word, rank or sorted label tuple
-    is built per ordering.
+    column over the orderings on either branch.  Each function is one
+    column of components over the orderings, which depends only on which
+    of its labels are on B (:class:`_Columns`) and is picked by the
+    outcomes of one key comparison per pair of its horizontal labels
+    (:class:`_Words`); per assignment, the rows of the columns are counted
+    in bulk (:class:`_SignedCounts`).  No contour word, rank or sorted
+    label tuple is built per ordering, and an external order's placement
+    is found once per word.
     """
     m_ext = target.mats_labels()
     carried = {l for f in eq.product for l in f.args}
     dangling = [l for l in m_ext if l not in carried]
+    horizontal = frozenset(eq.external).difference(m_ext)
     counts = _SignedCounts()
     # the components of each (function, Matsubara slots), once per call
     words: dict[tuple[int, tuple[str, ...]], _Words] = {}
+    # what depends on the Matsubara internals alone, once per call
+    by_imag: dict[frozenset, tuple] = {}
+
+    def matsubara(imag: frozenset) -> tuple:
+        """``(Matsubara-placed labels, each function's components, real
+        internals, real labels, neighbours)`` for the Matsubara internals
+        ``imag``: a real internal's neighbours are the other horizontal
+        labels of its functions."""
+        m_labels = list(m_ext) + [l for l in eq.internal if l in imag]
+        real_int = frozenset(eq.internal) - imag
+        tables = []
+        for j, f in enumerate(eq.product):
+            bf = (f, tuple(l for l in m_labels if l in f.args))
+            if (j, bf[1]) not in words:
+                words[j, bf[1]] = _Words(bf, tuple(sorted(set(f.args).difference(bf[1]))))
+            tables.append(words[j, bf[1]])
+        neighbours = tuple(
+            (u, frozenset().union(*(t.own for t in tables if u in t.own)) - {u})
+            for u in sorted(real_int)
+        )
+        real_labels = tuple(sorted(real_int.union(horizontal, dangling)))
+        m_placed = imag.union(*(t.bf[1] for t in tables))
+        return m_placed, tables, real_int, real_labels, neighbours
+
     # the assignments with the same Matsubara internals share their orderings
     extensions = functools.cache(linear_extensions)
     for sign_t, chains_t, ext_word in expand_retarded(target.real_items()):
-        # placement for each real-time order of the word's labels, latest first
-        placements = {
-            order: placement_for_times(ext_word, {l: -i for i, l in enumerate(order)})
-            for order in itertools.permutations(ext_word)
-        }
+        # placement for each real-time order of the word's labels that
+        # arises, latest first
+        placements: dict[tuple[str, ...], Optional[dict[str, str]]] = {}
         in_word = frozenset(ext_word).__contains__
 
         def shared_by(imag: frozenset) -> tuple:
-            """``(Matsubara-placed labels, each function's components,
-            ordering ids, key columns)`` for the Matsubara internals
-            ``imag``.  The orderings are those in which every real internal
-            has a later neighbour and the externals have a placement; the
-            key columns of a horizontal label are ``(on F, on B)``, the
-            same column twice for an external."""
-            m_labels = list(m_ext) + [l for l in eq.internal if l in imag]
-            real_int = frozenset(eq.internal) - imag
-            tables = []
-            for j, f in enumerate(eq.product):
-                bf = (f, tuple(l for l in m_labels if l in f.args))
-                if (j, bf[1]) not in words:
-                    words[j, bf[1]] = _Words(bf, tuple(sorted(set(f.args).difference(bf[1]))))
-                tables.append(words[j, bf[1]])
-            # the others cancel between F and B
-            neighbours = tuple(
-                (u, frozenset().union(*(t.own for t in tables if u in t.own)) - {u})
-                for u in sorted(real_int)
-            )
-            real_labels = tuple(sorted(real_int.union(ext_word, dangling)))
+            """``(Matsubara-placed labels, each function's columns,
+            ordering ids)`` for the Matsubara internals ``imag``.  The
+            orderings are those in which every real internal has a later
+            neighbour (the others cancel between F and B) and the
+            externals have a placement."""
+            if imag not in by_imag:
+                by_imag[imag] = matsubara(imag)
+            m_placed, tables, real_int, real_labels, neighbours = by_imag[imag]
             live, places = [], []
             for omega in extensions(real_labels, chains_t, neighbours):
-                placement = placements[tuple(filter(in_word, omega))]
+                order = tuple(filter(in_word, omega))
+                if order not in placements:
+                    placements[order] = placement_for_times(
+                        ext_word, {l: -i for i, l in enumerate(order)}
+                    )
+                placement = placements[order]
                 if placement is not None:
                     live.append(omega)
                     places.append(placement)
-            columns = {}
+            # each horizontal label's key column over the orderings, on F
+            # and on B; an external's is the same column twice
+            keys = {}
             if live:
                 labels = tuple(real_int.union(ext_word))
                 positions = zip(*(tuple(map(omega.index, labels)) for omega in live))
                 for l, column in zip(labels, positions):
                     if l in real_int:
-                        columns[l] = (column, tuple(map(operator.invert, column)))
+                        keys[l] = (column, tuple(map(operator.invert, column)))
                     else:
                         ext = tuple(i if p[l] == FWD else ~i for i, p in zip(column, places))
-                        columns[l] = (ext, ext)
-            m_placed = imag.union(*(t.bf[1] for t in tables))
-            return m_placed, tables, counts.ids(live), columns
+                        keys[l] = (ext, ext)
+            return m_placed, [_Columns(t, keys, len(live)) for t in tables], counts.ids(live)
 
         shared: dict[frozenset, tuple] = {}
         for assign in itertools.product(_branches(eq), repeat=len(eq.internal)):
@@ -423,25 +427,37 @@ def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
             imag = frozenset(l for l, b in internal.items() if b == MAT)
             if imag not in shared:
                 shared[imag] = shared_by(imag)
-            m_placed, tables, ids, key_columns = shared[imag]
+            m_placed, columns, ids = shared[imag]
             if not ids:
                 continue
-            factors = []
-            for table in tables:
-                own = table.own
-                if len(own) < 2:
-                    factors.append(itertools.repeat(table[()], len(ids)))
-                    continue
-                keys = [key_columns[l][internal.get(l) == BWD] for l in own]
-                factors.append(map(table.__getitem__, zip(*(
-                    map(operator.lt, keys[a], keys[b])
-                    for a, b in itertools.combinations(range(len(own)), 2)
-                ))))
-            groups = map(counts.group.__getitem__, zip(
-                itertools.repeat(m_placed), itertools.repeat(imag), zip(*factors)
-            ))
-            counts.add(sign_t * (-1) ** assign.count(BWD), list(groups), ids)
+            on_b = frozenset(l for l, b in internal.items() if b == BWD).__contains__
+            factors = [c[tuple(map(on_b, c.own))] for c in columns]
+            groups = map(counts.group(m_placed, imag).__getitem__, zip(*factors))
+            counts.add(sign_t * (-1) ** assign.count(BWD), groups, ids)
     return counts.normal_form()
+
+
+class _Columns(dict):
+    """One function's component in each ordering, keyed by which of its
+    horizontal labels are on B: its components ``table`` picked by the
+    outcomes of the key comparisons of its labels' ``keys`` columns over
+    ``n`` orderings; each column is built on first use."""
+
+    def __init__(self, table: "_Words", keys: dict, n: int):
+        super().__init__()
+        self.table, self.keys, self.n, self.own = table, keys, n, table.own
+
+    def __missing__(self, on_b: tuple[bool, ...]) -> tuple[Factor, ...]:
+        own = self.own
+        if len(own) < 2:
+            column = (self.table[()],) * self.n
+        else:
+            keys = [self.keys[l][b] for l, b in zip(own, on_b)]
+            column = tuple(map(self.table.__getitem__, zip(*(
+                map(operator.lt, keys[a], keys[b]) for a, b in self.table.pairs
+            ))))
+        self[on_b] = column
+        return column
 
 
 class _Words(dict):
@@ -453,11 +469,12 @@ class _Words(dict):
     def __init__(self, bf: BFunc, own: tuple[str, ...]):
         super().__init__()
         self.bf, self.own = bf, own
+        self.pairs = tuple(itertools.combinations(range(len(own)), 2))
 
     def __missing__(self, outcomes: tuple[bool, ...]) -> Factor:
         # a label's place in the word is the number of labels before it
         place = [0] * len(self.own)
-        for (a, b), before in zip(itertools.combinations(range(len(self.own)), 2), outcomes):
+        for (a, b), before in zip(self.pairs, outcomes):
             place[b if before else a] += 1
         word = tuple(l for _, l in sorted(zip(place, self.own)))
         (self[outcomes],) = component_of_product((self.bf,), word)
