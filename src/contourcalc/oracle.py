@@ -423,15 +423,14 @@ def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
 
         shared: dict[frozenset, tuple] = {}
         for assign in itertools.product(_branches(eq), repeat=len(eq.internal)):
-            internal = dict(zip(eq.internal, assign))
-            imag = frozenset(l for l, b in internal.items() if b == MAT)
+            imag = frozenset(itertools.compress(eq.internal, map(MAT.__eq__, assign)))
             if imag not in shared:
                 shared[imag] = shared_by(imag)
             m_placed, columns, ids = shared[imag]
             if not ids:
                 continue
-            on_b = frozenset(l for l, b in internal.items() if b == BWD).__contains__
-            factors = [c[tuple(map(on_b, c.own))] for c in columns]
+            on_b = frozenset(itertools.compress(eq.internal, map(BWD.__eq__, assign)))
+            factors = [c[tuple(map(on_b.__contains__, c.own))] for c in columns]
             groups = map(counts.group(m_placed, imag).__getitem__, zip(*factors))
             counts.add(sign_t * (-1) ** assign.count(BWD), groups, ids)
     return counts.normal_form()
