@@ -341,10 +341,10 @@ def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
     horizontal labels, the orderings, and each horizontal label's key
     column over the orderings on either branch.  Each function is one
     column of components over the orderings, which depends only on which
-    of its labels are on B (:class:`_Columns`) and is picked by the
-    outcomes of one key comparison per pair of its horizontal labels
-    (:class:`_Words`); per assignment, the rows of the columns are counted
-    in bulk (:class:`_SignedCounts`).  No contour word, rank or sorted
+    of its labels are on B and is picked by the outcomes of one key
+    comparison per pair of its horizontal labels (:class:`_Words`); per
+    assignment, the rows of the columns are counted in bulk
+    (:class:`_SignedCounts`).  No contour word, rank or sorted
     label tuple is built per ordering, and an external order's placement
     is found once per word.
     """
@@ -379,8 +379,8 @@ def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
         m_placed = imag.union(*(t.bf[1] for t in tables))
         return m_placed, tables, real_int, real_labels, neighbours
 
-    # the assignments with the same Matsubara internals share their orderings
-    extensions = functools.cache(linear_extensions)
+    # the orderings of each (real labels, chains, neighbours), once per call
+    extensions: dict[tuple, list[tuple]] = {}
     for sign_t, chains_t, ext_word in expand_retarded(target.real_items()):
         # placement for each real-time order of the word's labels that
         # arises, latest first
@@ -388,16 +388,21 @@ def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
         in_word = frozenset(ext_word).__contains__
 
         def shared_by(imag: frozenset) -> tuple:
-            """``(Matsubara-placed labels, each function's columns,
-            ordering ids)`` for the Matsubara internals ``imag``.  The
-            orderings are those in which every real internal has a later
-            neighbour (the others cancel between F and B) and the
-            externals have a placement."""
+            """``(Matsubara-placed labels, each function's components, key
+            columns, ordering ids, component columns)`` for the Matsubara
+            internals ``imag``, the last filled as the assignments need
+            them.  The orderings are those in which every real internal
+            has a later neighbour (the others cancel between F and B) and
+            the externals have a placement."""
             if imag not in by_imag:
                 by_imag[imag] = matsubara(imag)
             m_placed, tables, real_int, real_labels, neighbours = by_imag[imag]
+            if (real_labels, chains_t, neighbours) not in extensions:
+                extensions[real_labels, chains_t, neighbours] = linear_extensions(
+                    real_labels, chains_t, neighbours
+                )
             live, places = [], []
-            for omega in extensions(real_labels, chains_t, neighbours):
+            for omega in extensions[real_labels, chains_t, neighbours]:
                 order = tuple(filter(in_word, omega))
                 if order not in placements:
                     placements[order] = placement_for_times(
@@ -419,44 +424,27 @@ def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
                     else:
                         ext = tuple(i if p[l] == FWD else ~i for i, p in zip(column, places))
                         keys[l] = (ext, ext)
-            return m_placed, [_Columns(t, keys, len(live)) for t in tables], counts.ids(live)
+            return m_placed, tables, keys, counts.ids(live), {}
 
         shared: dict[frozenset, tuple] = {}
         for assign in itertools.product(_branches(eq), repeat=len(eq.internal)):
             imag = frozenset(itertools.compress(eq.internal, map(MAT.__eq__, assign)))
             if imag not in shared:
                 shared[imag] = shared_by(imag)
-            m_placed, columns, ids = shared[imag]
+            m_placed, tables, keys, ids, columns = shared[imag]
             if not ids:
                 continue
             on_b = frozenset(itertools.compress(eq.internal, map(BWD.__eq__, assign)))
-            factors = [c[tuple(map(on_b.__contains__, c.own))] for c in columns]
+            # a function's column depends only on which of its labels are on B
+            factors = []
+            for j, table in enumerate(tables):
+                pattern = (j, tuple(map(on_b.__contains__, table.own)))
+                if pattern not in columns:
+                    columns[pattern] = table.column(keys, pattern[1], len(ids))
+                factors.append(columns[pattern])
             groups = map(counts.group(m_placed, imag).__getitem__, zip(*factors))
             counts.add(sign_t * (-1) ** assign.count(BWD), groups, ids)
     return counts.normal_form()
-
-
-class _Columns(dict):
-    """One function's component in each ordering, keyed by which of its
-    horizontal labels are on B: its components ``table`` picked by the
-    outcomes of the key comparisons of its labels' ``keys`` columns over
-    ``n`` orderings; each column is built on first use."""
-
-    def __init__(self, table: "_Words", keys: dict, n: int):
-        super().__init__()
-        self.table, self.keys, self.n, self.own = table, keys, n, table.own
-
-    def __missing__(self, on_b: tuple[bool, ...]) -> tuple[Factor, ...]:
-        own = self.own
-        if len(own) < 2:
-            column = (self.table[()],) * self.n
-        else:
-            keys = [self.keys[l][b] for l, b in zip(own, on_b)]
-            column = tuple(map(self.table.__getitem__, zip(*(
-                map(operator.lt, keys[a], keys[b]) for a, b in self.table.pairs
-            ))))
-        self[on_b] = column
-        return column
 
 
 class _Words(dict):
@@ -478,6 +466,17 @@ class _Words(dict):
         word = tuple(l for _, l in sorted(zip(place, self.own)))
         (self[outcomes],) = component_of_product((self.bf,), word)
         return self[outcomes]
+
+    def column(self, keys: dict, on_b: tuple[bool, ...], n: int) -> tuple[Factor, ...]:
+        """The component in each of ``n`` orderings, the labels of ``own``
+        on B where ``on_b`` says, from their ``keys`` columns (on F, on
+        B)."""
+        if len(self.own) < 2:
+            return (self[()],) * n
+        by_label = [keys[l][b] for l, b in zip(self.own, on_b)]
+        return tuple(map(self.__getitem__, zip(*(
+            map(operator.lt, by_label[a], by_label[b]) for a, b in self.pairs
+        ))))
 
 
 def branch_split_normal_form(eq: ContourEquation, target: SuperIndex) -> Counter:
