@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Optional
 
 from .combinatorics import RangeError, commutator_words
 from .ir import (
@@ -171,42 +172,36 @@ def ordering_variants(item: Item, edges=None) -> list[Variant]:
     connected to anything on its left are pruned (they cancel identically
     for that product structure).
     """
-    ids = itertools.count(1)
-    return _variants(
-        item, edges, lambda label: ("leaf", label), lambda p, e: ("swap", next(ids), p, e)
-    )
+    return _variants(item, edges, itertools.count(1))
 
 
-def _variants(item: Item, edges, leaf, swap) -> list:
-    """The ordering variants of ``item`` as ``(step chains, value)``: a
-    label's value is ``leaf(label)``, and each commutator level's, left
-    nested, is ``swap(left value, right value)``, called after the right
-    entry's own levels."""
+def _variants(item: Item, edges, ids: Optional[itertools.count]) -> list:
+    """The ordering variants of ``item`` as ``(step chains, swap tree)``,
+    its swap nodes numbered from ``ids``; with ``ids`` None, as ``(step
+    chains, signed words)``, each commutator level's words the commutator
+    of its two sides' words, which is what the tree's words would be."""
     if isinstance(item, Plain):
-        return [((), leaf(item.label))]
+        return [((), ("leaf", item.label) if ids else [(1, (item.label,))])]
     if not isinstance(item, Ret):
         raise CoverError("Matsubara sets cannot be expanded over real orderings")
     out = []
-    # a plain label is one variant, and makes no swap
-    plain_top = [((), leaf(item.top.label))] if isinstance(item.top, Plain) else None
     for perm in itertools.permutations(item.rest):
         seq = (item.top,) + perm
         if edges is not None and _prune_seq(seq, edges):
             continue
-        chain = tuple(map(top_label, seq))
+        chain = tuple(top_label(e) for e in seq)
         chain_part = (chain,) if len(chain) > 1 else ()
-        for top_chains, top in plain_top or _variants(item.top, edges, leaf, swap):
+        for top_chains, top in _variants(item.top, edges, ids):
             partials = [(top_chains + chain_part, top)]
             for entry in perm:
-                if isinstance(entry, Plain):
-                    e = leaf(entry.label)
-                    partials = [(p_chains, swap(p, e)) for p_chains, p in partials]
-                    continue
-                partials = [
-                    (p_chains + e_chains, swap(p, e))
-                    for e_chains, e in _variants(entry, edges, leaf, swap)
-                    for p_chains, p in partials
-                ]
+                nxt = []
+                for e_chains, e in _variants(entry, edges, ids):
+                    for p_chains, p in partials:
+                        nxt.append((
+                            p_chains + e_chains,
+                            ("swap", next(ids), p, e) if ids else commutator_words(p, e),
+                        ))
+                partials = nxt
             out.extend(partials)
     return out
 
@@ -236,10 +231,6 @@ def tree_dims(tree: Tree) -> list[tuple[int, frozenset, frozenset]]:
     )
 
 
-def _word(label: str) -> list[tuple[int, Word]]:
-    return [(1, (label,))]
-
-
 def expand_retarded(items: tuple[Item, ...] | SuperIndex, edges=None) -> list[SignedWord]:
     """Fully expand the real items into ``(sign, theta chains, word)`` terms.
 
@@ -255,9 +246,7 @@ def expand_retarded(items: tuple[Item, ...] | SuperIndex, edges=None) -> list[Si
         # the words of its swap tree, without the tree
         ex = [(1, (), (item.label,))] if isinstance(item, Plain) else [
             (s, chains, w)
-            for chains, words in _variants(
-                normalize_item(item), edges, _word, commutator_words
-            )
+            for chains, words in _variants(normalize_item(item), edges, None)
             for s, w in words
         ]
         # the product with the terms so far, of which the first item's are its own
