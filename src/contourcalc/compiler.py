@@ -18,6 +18,20 @@ the rest is reduced by a fixpoint of:
 
 Blocks that none of these rules touch are expanded into step-weighted
 words of plain components; the result is then exact but not compact.
+
+The telescope builds each function's factors once per ordering variant,
+keyed by (function, its pinned signs, the dimensions it carries).
+Per-call memos aside, bounded caches live as long as the process, each
+on a pure helper whose key is interned: the step pairs implied by each
+factor index (``_support_pairs``, keyed by the index, 4096 entries); the
+closed step pairs implied by each tuple of factors of a telescope term
+(``_implied``, 4096); the step pairs of every ordering variant of each
+nested difference candidate (``_built_pairs``, keyed by the item, 1024);
+the shorthand key of each two-point item tuple per argument pair
+(``_two_point_kinds``, 1024); and the text of each (factor, format,
+naming) (``_render_factor``, 4096).  Each value is a frozen set, a dict
+never changed after it is built, or a string; no cache holds a block, a
+rule or an ordering variant's swap tree.
 """
 
 from __future__ import annotations
@@ -25,7 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .ir import (
     ContourEquation,
@@ -240,16 +254,22 @@ def _try_bridge(funcs: Sequence[BFunc], items: Sequence[Item]):
 # and their swap trees come from ``engine.ordering_variants``.
 
 
-def _closure(pairs: set[tuple[str, str]]) -> set[tuple[str, str]]:
-    done = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(done):
-            for (c, d) in list(done):
-                if b == c and (a, d) not in done:
-                    done.add((a, d))
-                    changed = True
+def _closure(pairs: Iterable[tuple[str, str]]) -> set[tuple[str, str]]:
+    """Transitive closure: ``(a, d)`` for every path of one or more pairs
+    from ``a`` to ``d``, by one graph search from each label."""
+    succ: dict[str, list[str]] = {}
+    for a, b in pairs:
+        succ.setdefault(a, []).append(b)
+    done: set[tuple[str, str]] = set()
+    for a, nxt in succ.items():
+        reached: set[str] = set()
+        stack = list(nxt)
+        while stack:
+            b = stack.pop()
+            if b not in reached:
+                reached.add(b)
+                stack.extend(succ.get(b, ()))
+        done.update((a, b) for b in reached)
     return done
 
 
@@ -267,11 +287,15 @@ def _support_pairs(index: SuperIndex) -> frozenset:
     return frozenset(common or set())
 
 
+@functools.lru_cache(maxsize=4096)
+def _implied(factors: tuple[Factor, ...]) -> frozenset:
+    """Order relations that hold wherever every one of these factors is non-zero."""
+    return frozenset(_closure(set().union(*(_support_pairs(f.index) for f in factors))))
+
+
 def _strip_implied(chains, factors) -> tuple:
     """Drop step pairs already enforced by the factors' supports."""
-    implied = _closure(
-        set().union(*(_support_pairs(f.index) for f in factors)) if factors else set()
-    )
+    implied = _implied(factors)
     out = []
     for chain in chains:
         run: list[str] = []
@@ -323,10 +347,15 @@ def _delta_candidate(word, deltas, support):
                 placed = True
         else:
             items.append(Plain(l))
-    for chains, _ in ordering_variants(built):
-        if not _chain_pairs(chains) <= support:
-            return None
+    if not _built_pairs(built) <= support:
+        return None
     return tuple(items)
+
+
+@functools.lru_cache(maxsize=1024)
+def _built_pairs(built: Item) -> frozenset:
+    """The step pairs of every ordering variant of a nested candidate."""
+    return frozenset(p for chains, _ in ordering_variants(built) for p in _chain_pairs(chains))
 
 
 def _multilinear_reduce(funcs: tuple[BFunc, ...], items: tuple[Item, ...]):
@@ -352,6 +381,7 @@ def _multilinear_reduce(funcs: tuple[BFunc, ...], items: tuple[Item, ...]):
     if len(variants) > 8:
         return None
 
+    ksets = [frozenset(_kargs(bf)) for bf in funcs]
     out: list[PartTerm] = []
     for chains, tree in variants:
         dims = tree_dims(tree)
@@ -359,17 +389,17 @@ def _multilinear_reduce(funcs: tuple[BFunc, ...], items: tuple[Item, ...]):
         sides = {d: (left, right) for d, left, right in dims}
         depth = {d: i for i, d in enumerate(dim_ids)}
 
-        def block_word(signs: dict[int, int]) -> tuple[str, ...]:
+        def induced(signs: dict[int, int], ks: frozenset) -> tuple[str, ...]:
+            """The function's labels in the block word of these signs."""
             w: list[str] = []
             for i, item in enumerate(items):
                 w.extend(tree_word(tree, signs) if i == set_idx else item_labels(item))
-            return tuple(w)
+            return tuple(l for l in w if l in ks)
 
         dep: dict[int, list[int]] = {d: [] for d in dim_ids}
         for d in dim_ids:
             left, right = sides[d]
-            for j, bf in enumerate(funcs):
-                ks = set(_kargs(bf))
+            for j, ks in enumerate(ksets):
                 if ks & left and ks & right:
                     dep[d].append(j)
         if any(not dep[d] for d in dim_ids):
@@ -380,8 +410,30 @@ def _multilinear_reduce(funcs: tuple[BFunc, ...], items: tuple[Item, ...]):
 
         support = _closure(_chain_pairs(chains))
 
+        def factor_list(j: int, pin: dict[int, int], delta: list[int]) -> list[tuple[int, Factor]]:
+            """Function j's signed factors: its component at the pinned
+            corner, or its difference over the dimensions it carries."""
+            bf, ks = funcs[j], ksets[j]
+            if not delta:
+                return [(1, _factor(bf, tuple(Plain(l) for l in induced(pin, ks))))]
+            ds = sorted(delta, key=lambda d: depth[d], reverse=True)
+            deltas = [(ks & sides[d][0], ks & sides[d][1]) for d in ds]
+            candidate = _delta_candidate(
+                induced({**pin, **{d: 1 for d in ds}}, ks), deltas, support
+            )
+            if candidate is not None:
+                return [(1, _factor(bf, candidate))]
+            words: list[tuple[int, Factor]] = []
+            for signs in itertools.product((1, -1), repeat=len(ds)):
+                w = induced({**pin, **dict(zip(ds, signs))}, ks)
+                words.append((math.prod(signs), _factor(bf, tuple(Plain(l) for l in w))))
+            return words
+
         # choose one difference carrier per dimension; everything else is
-        # pinned to a telescope corner
+        # pinned to a telescope corner.  A function's factors depend only
+        # on its own pins and carried dimensions, so each is built once
+        # per variant.
+        made: dict[tuple, list[tuple[int, Factor]]] = {}
         for choice in itertools.product(*(dep[d] for d in dim_ids)):
             pins: dict[int, dict[int, int]] = {j: {} for j in range(len(funcs))}
             delta_dims: dict[int, list[int]] = {j: [] for j in range(len(funcs))}
@@ -392,35 +444,12 @@ def _multilinear_reduce(funcs: tuple[BFunc, ...], items: tuple[Item, ...]):
                     else:
                         pins[j][d] = -1 if j < k else 1
             factor_lists: list[list[tuple[int, Factor]]] = []
-            for j, bf in enumerate(funcs):
-                ks = set(_kargs(bf))
-                if not delta_dims[j]:
-                    word = block_word(pins[j])
-                    factor_lists.append([(1, component_of_product([bf], word)[0])])
-                    continue
-                ds = sorted(delta_dims[j], key=lambda d: depth[d], reverse=True)
-                deltas = [
-                    (frozenset(ks & sides[d][0]), frozenset(ks & sides[d][1]))
-                    for d in ds
-                ]
-                plus_word = block_word({**pins[j], **{d: 1 for d in ds}})
-                induced = tuple(l for l in plus_word if l in ks)
-                candidate = _delta_candidate(induced, deltas, support)
-                if candidate is not None:
-                    mats = bf[1]
-                    idx: tuple[Item, ...] = candidate
-                    if mats:
-                        idx = (Mats(mats),) + idx
-                    factor_lists.append([(1, Factor(bf[0], SuperIndex(idx)))])
-                    continue
-                words: list[tuple[int, Factor]] = []
-                for signs in itertools.product((1, -1), repeat=len(ds)):
-                    sgn = 1
-                    for s in signs:
-                        sgn *= s
-                    w = block_word({**pins[j], **dict(zip(ds, signs))})
-                    words.append((sgn, component_of_product([bf], w)[0]))
-                factor_lists.append(words)
+            for j in range(len(funcs)):
+                key = (j, tuple(pins[j].items()), tuple(delta_dims[j]))
+                fl = made.get(key)
+                if fl is None:
+                    fl = made[key] = factor_list(j, pins[j], delta_dims[j])
+                factor_lists.append(fl)
             for picks in itertools.product(*factor_lists):
                 sign = 1
                 factors = []

@@ -3,12 +3,13 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contourcalc import catalog
+from contourcalc import catalog, compiler
 from contourcalc.compiler import (
     NamingUnavailable,
+    _closure,
     _fuse_chain_sets,
     _merge_theta,
     _reduce_block,
@@ -18,6 +19,8 @@ from contourcalc.compiler import (
 )
 from contourcalc.engine import expand_retarded
 from contourcalc.ir import (
+    EXTENDED,
+    KELDYSH,
     ContourEquation,
     CoverError,
     Mats,
@@ -455,3 +458,77 @@ def test_merge_theta_fuses_a_transposition_in_place():
         (1, (("a", "c"), ("b", "c")), ("A",)),
         (-1, (("b", "a"),), ("A",)),
     ]
+
+
+def _fixpoint_closure(pairs):
+    """The transitive closure by a fixpoint over all pairs of pairs, added
+    until nothing is new: the result ``_closure``'s graph search must keep."""
+    done = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(done):
+            for (c, d) in list(done):
+                if b == c and (a, d) not in done:
+                    done.add((a, d))
+                    changed = True
+    return done
+
+
+# pairs over few labels, so that long paths, self-pairs and cycles are common
+_LABEL = st.sampled_from("abcde")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.tuples(_LABEL, _LABEL), max_size=12))
+@example(set())
+@example({("a", "a")})
+@example({("a", "b"), ("b", "c"), ("c", "a")})
+@example({("a", "b"), ("b", "b"), ("c", "d")})
+def test_closure_matches_fixpoint(pairs):
+    assert _closure(pairs) == _fixpoint_closure(pairs)
+
+
+# the ladder telescopes on four internal labels, X on three horizontal
+# externals; every function is two-point, so every rule has Langreth
+# names.  Between them they reach every process-wide compiler cache
+CACHE_PROBES = (
+    "G[a,b] = int{c,d,e,f} : A[a,c]*B[a,d]*C[c,d]*D[c,e]*E[d,f]*F[e,f]*H[e,b]*K[f,b]",
+    "X[a,b,c] = int{u,v} : A[a,u]*B[u,b]*C[u,v]*D[v,c]",
+)
+
+
+def _compiler_caches():
+    return {
+        name: fn for name, fn in vars(compiler).items()
+        if callable(getattr(fn, "cache_clear", None)) and hasattr(fn, "cache_info")
+    }
+
+
+def _probe_texts(clear):
+    """The emitted text of every probe target on both contours, each target
+    derived with every compiler cache emptied first when ``clear``."""
+    texts = []
+    for contour in (EXTENDED, KELDYSH):
+        for src in CACHE_PROBES:
+            eq = parse_equation(src, contour)
+            for name in catalog.all_targets(eq):
+                if clear:
+                    for fn in _compiler_caches().values():
+                        fn.cache_clear()
+                rule = derive_rule(eq, parse_superindex(name, eq))
+                texts.append((contour, src, name) + tuple(
+                    emit(rule, fmt, naming)
+                    for fmt in ("text", "latex") for naming in ("hacek", "langreth")
+                ))
+    return texts
+
+
+def test_compiler_caches_are_bounded_and_change_no_output():
+    caches = _compiler_caches()
+    assert {"_support_pairs", "_implied", "_built_pairs", "_render_factor"} <= set(caches)
+    assert all(fn.cache_info().maxsize is not None for fn in caches.values())
+    cold = _probe_texts(clear=True)
+    _probe_texts(clear=False)
+    assert all(fn.cache_info().currsize > 0 for fn in caches.values())
+    assert _probe_texts(clear=False) == cold
