@@ -14,7 +14,7 @@ from . import catalog
 from .combinatorics import RangeError
 from .compiler import NamingUnavailable, derive_rule, emit
 from .ir import EXTENDED, KELDYSH, ContourEquation, ContourError
-from .oracle import verify
+from .oracle import np, verify
 from .parser import parse_file, parse_superindex
 
 
@@ -137,6 +137,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # NumPy loads on first use: load it before the workers fork, so that
+        # they inherit it instead of each importing it again
+        np.ndarray
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             all_records = list(pool.map(_verify_one, jobs))
     else:

@@ -22,16 +22,21 @@ words of plain components; the result is then exact but not compact.
 The telescope builds each function's factors once per ordering variant,
 keyed by (function, its pinned signs, the dimensions it carries).
 Per-call memos aside, bounded caches live as long as the process, each
-on a pure helper whose key is interned: the step pairs implied by each
-factor index (``_support_pairs``, keyed by the index, 4096 entries); the
+on a pure helper whose key is interned or a tuple of interned parts: the
+horizontal arguments of each (function, Matsubara labels) (``_kargs``,
+4096 entries); the ordering variants of each retarded set of at most 8
+variants, counted before any is built (``_capped_variants``, keyed by the
+item, 1024); the step pairs implied by each factor index
+(``_support_pairs``, keyed by the index, 4096); the
 closed step pairs implied by each tuple of factors of a telescope term
 (``_implied``, 4096); the step pairs of every ordering variant of each
 nested difference candidate (``_built_pairs``, keyed by the item, 1024);
 the shorthand key of each two-point item tuple per argument pair
 (``_two_point_kinds``, 1024); and the text of each (factor, format,
 naming) (``_render_factor``, 4096).  Each value is a frozen set, a dict
-never changed after it is built, or a string; no cache holds a block, a
-rule or an ordering variant's swap tree.
+never changed after it is built, a string, or a tuple of strings or of
+ordering variants (step chains and a swap tree, all tuples); no cache
+holds a block or a rule.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ from .engine import (
     representation,
     tree_dims,
     tree_word,
+    variant_count,
     _validate_target,
 )
 
@@ -84,6 +90,7 @@ BFunc = tuple[SubFunction, tuple[str, ...]]
 PartTerm = tuple[int, tuple[tuple[str, ...], ...], tuple[Factor, ...]]
 
 
+@functools.lru_cache(maxsize=4096)
 def _kargs(bf: BFunc) -> tuple[str, ...]:
     func, mats = bf
     return tuple(a for a in func.args if a not in mats)
@@ -358,6 +365,16 @@ def _built_pairs(built: Item) -> frozenset:
     return frozenset(p for chains, _ in ordering_variants(built) for p in _chain_pairs(chains))
 
 
+@functools.lru_cache(maxsize=1024)
+def _capped_variants(item: Ret) -> Optional[tuple]:
+    """The ordering variants of a retarded set, or None where it has more
+    than 8, which are then never built."""
+    # without this cap 28 golden probe rows change (X R(1,23): 1 term to 3 chained)
+    if variant_count(item) > 8:
+        return None
+    return tuple(ordering_variants(item))
+
+
 def _multilinear_reduce(funcs: tuple[BFunc, ...], items: tuple[Item, ...]):
     """Compact reduction of a block with one retarded set among plain items.
 
@@ -376,9 +393,8 @@ def _multilinear_reduce(funcs: tuple[BFunc, ...], items: tuple[Item, ...]):
             set_idx = i
     if set_idx is None:
         return None
-    variants = ordering_variants(items[set_idx])
-    # without this cap 28 golden probe rows change (X R(1,23): 1 term to 3 chained)
-    if len(variants) > 8:
+    variants = _capped_variants(items[set_idx])
+    if variants is None:
         return None
 
     ksets = [frozenset(_kargs(bf)) for bf in funcs]

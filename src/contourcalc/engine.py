@@ -19,6 +19,7 @@ other expansion goes through ``expand_retarded``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -173,6 +174,17 @@ def ordering_variants(item: Item, edges=None) -> list[Variant]:
     for that product structure).
     """
     return _variants(item, edges, itertools.count(1))
+
+
+def variant_count(item: Item) -> int:
+    """``len(ordering_variants(item))`` without building them: one for a
+    plain label; for a retarded set, the orderings of its entries times the
+    variants of its top and of each entry."""
+    if isinstance(item, Plain):
+        return 1
+    return math.factorial(len(item.rest)) * math.prod(
+        variant_count(e) for e in (item.top,) + item.rest
+    )
 
 
 def _variants(item: Item, edges, ids: Optional[itertools.count]) -> list:

@@ -90,13 +90,20 @@ strategy:
   at a time, or the one piece all terms share.  A run is as long as
   keeps the arrays that hold the term axis, sample axis included, within
   ``CONTRACTION_ELEMENTS`` together at every step of the path, the
-  copies its steps make among them (:func:`_run_steps`).  Both sides'
-  paths come from ``np.einsum_path`` and are lowered when planned: each
+  copies its steps make among them (:func:`_run_steps`); where one term
+  of the whole batch exceeds that, the samples are taken in chunks.  Both
+  sides' paths come from ``np.einsum_path`` and are lowered when planned: each
   pairwise step is a transpose and a reshape of each operand into a
   stack of matrices over its batch axes (the sample and term axes among
   them), one ``np.matmul`` (or, where no letter is contracted and one
   operand alone keeps free letters, a broadcast ``np.multiply``) and a
   reshape of the result (:class:`_Step`).
+
+Only the numeric oracle uses NumPy, and this module is the only one of
+the package that refers to it: ``np`` is a lazy module
+(:func:`_lazy_numpy`), so importing the package, parsing, deriving,
+emitting and the symbolic check never load NumPy, and the first numeric
+call does.
 
 Per-call memos aside, bounded caches live as long as the process: the
 component table of each (equation, seed), 64 entries; the contour plan
@@ -121,14 +128,14 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib.util
 import itertools
 import math
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from .combinatorics import linear_extensions
 from .compiler import BFunc, component_of_product, derive_rule
@@ -143,6 +150,25 @@ from .ir import (
     SubFunction,
     SuperIndex,
 )
+
+
+def _lazy_numpy():
+    """NumPy, loaded on first use: the module itself if it is already
+    imported, else a lazy module (``importlib.util.LazyLoader``) under its
+    name in ``sys.modules``, which runs NumPy's import on its first
+    attribute access and is a plain module from then on."""
+    module = sys.modules.get("numpy")
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec("numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 FWD, BWD, MAT = "F", "B", "M"
 
@@ -1351,23 +1377,53 @@ def evaluate_realtime_batch(
         ]
         for i in layout.last:
             del arrays[i]
+        # each column's shape in one term, the sample axis first
         shapes = tuple(column[0].shape[1:] for column in columns)
-        if shapes not in layout.paths:
-            layout.paths[shapes] = _run_steps(layout, shapes, nodes_max)
-        steps, per_term = layout.paths[shapes]
         weight = grid.real_weights[0] ** len(layout.reals) * grid.mats_weights[0] ** len(
             layout.imags
         )
-        run_length = max(1, CONTRACTION_ELEMENTS // per_term)
-        for start in range(0, len(layout.phases), run_length):
-            run = slice(start, start + run_length)
-            # a stacked column is gathered one run at a time, and only the
-            # contraction holds it, which frees it once it is used
-            total += weight * _contract([layout.phases[run]] + [
-                column[0][0] if index is None else np.concatenate([column[i] for i in index[run]])
-                for column, (_, index) in zip(columns, layout.columns)
-            ], steps)
+        # the samples, or 1 where no operand varies over them; where one
+        # term of all of them holds more than the bound, they are taken a
+        # chunk at a time, down to one
+        varying = max(shape[0] for shape in shapes)
+        chunk = varying
+        steps, per_term = _layout_path(layout, shapes, nodes_max)
+        while chunk > 1 and per_term > CONTRACTION_ELEMENTS:
+            chunk = max(1, chunk * CONTRACTION_ELEMENTS // per_term)
+            steps, per_term = _layout_path(layout, _on_samples(shapes, chunk), nodes_max)
+        for first in range(0, varying, chunk):
+            part, cut = slice(None), columns
+            if chunk < varying:
+                part = slice(first, first + chunk)
+                cut = [[a[:, part] if a.shape[1] > 1 else a for a in column] for column in columns]
+                steps, per_term = _layout_path(
+                    layout, _on_samples(shapes, min(chunk, varying - first)), nodes_max
+                )
+            run_length = max(1, CONTRACTION_ELEMENTS // per_term)
+            for start in range(0, len(layout.phases), run_length):
+                run = slice(start, start + run_length)
+                # a stacked column is gathered one run at a time, and only
+                # the contraction holds it, which frees it once it is used
+                total[part] += weight * _contract([layout.phases[run]] + [
+                    column[0][0] if index is None
+                    else np.concatenate([column[i] for i in index[run]])
+                    for column, (_, index) in zip(cut, layout.columns)
+                ], steps)
     return total
+
+
+def _layout_path(layout, shapes: tuple[tuple[int, ...], ...], grow: int) -> tuple:
+    """The :func:`_run_steps` of ``layout`` on ``shapes``, planned once
+    per shapes."""
+    if shapes not in layout.paths:
+        layout.paths[shapes] = _run_steps(layout, shapes, grow)
+    return layout.paths[shapes]
+
+
+def _on_samples(shapes: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, ...], ...]:
+    """``shapes``, whose first axis is the sample axis, for ``n`` of the
+    samples: an axis that does not vary over them keeps its size 1."""
+    return tuple((min(shape[0], n),) + shape[1:] for shape in shapes)
 
 
 def _piece_value(piece: _Piece, values: _BatchValues, grid: DiscreteContour) -> np.ndarray:
@@ -1394,7 +1450,10 @@ def _run_steps(layout, shapes: tuple[tuple[int, ...], ...], grow: int) -> tuple:
     used, those it uses, the copies it makes (:class:`_Step`) and its
     result.  A run of
     CONTRACTION_ELEMENTS // per_term terms holds no more than that bound
-    at once, whatever the number of samples.
+    at once.  ``per_term`` counts the sample axis, so where one term
+    exceeds the bound, :func:`evaluate_realtime_batch` takes the samples
+    in chunks small enough that a one-term run fits; only a term that
+    exceeds it for a single sample is not held to it.
 
     The greedy path is planned on runs whose largest operand times
     ``grow``, its limit on any intermediate, fills CONTRACTION_ELEMENTS;

@@ -348,3 +348,34 @@ def test_verify_parallel_jobs_independent_of_hash_seed():
     runs = [run_cli(args, hash_seed=seed) for seed in ("0", "2")]
     assert all(proc.returncode == 0 for proc in runs)
     assert runs[0].stdout == runs[1].stdout and runs[0].stdout
+
+
+_WITHOUT_NUMPY = """
+import sys
+from pathlib import Path
+import contourcalc
+from contourcalc import catalog, cli, compiler, oracle, parser
+corpus = parser.parse_file(Path("perfbench/inputs/corpus.ctr").read_text(encoding="utf-8"))
+eq = catalog.CORPUS["convolution"]()
+for name in catalog.all_targets(eq):
+    compiler.emit(compiler.derive_rule(eq, parser.parse_superindex(name, eq)))
+cli.render_tables(cli.RunConfig("tables"))
+print(len(corpus), sorted(m for m in sys.modules if m.startswith("numpy.")))
+records = oracle.verify(eq, parser.parse_superindex(">", eq), seeds=range(1), grid_size=8)
+print([r.passed for r in records], "numpy.linalg" in sys.modules)
+"""
+
+
+def test_compiler_never_loads_numpy():
+    # parsing, deriving, emitting and the tables run without NumPy; the
+    # numeric check loads it on its first call, in the same interpreter
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY],
+        text=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        check=True,
+    )
+    assert proc.stdout.splitlines() == ["6 []", "[True, True] True"]

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contourcalc.combinatorics import RangeError
 from contourcalc.engine import (
@@ -12,7 +14,9 @@ from contourcalc.engine import (
     expand_retarded,
     nested_expand,
     normalize_item,
+    ordering_variants,
     representation,
+    variant_count,
 )
 from contourcalc.ir import (
     ContourEquation,
@@ -326,3 +330,43 @@ def test_normalize_item():
     assert normalize_item(Ret(Plain("a"), ())) == Plain("a")
     nested = Ret(Ret(Plain("a"), ()), (Ret(Plain("b"), ()),))
     assert normalize_item(nested) == Ret(Plain("a"), (Plain("b"),))
+
+
+def _draw_item(draw, names, budget: int, nested: bool):
+    """An item of at most ``budget`` labels, taken from ``names``, and the
+    number it holds: a retarded set, or where ``nested`` allows it, perhaps
+    a plain label."""
+    if budget < 2 or (nested and draw(st.booleans())):
+        return Plain(next(names)), 1
+    top, used = _draw_item(draw, names, budget - 1, True)
+    rest = []
+    while True:
+        entry, n = _draw_item(draw, names, budget - used, True)
+        rest.append(entry)
+        used += n
+        if used >= budget or not draw(st.booleans()):
+            return Ret(top, tuple(rest)), used
+
+
+@st.composite
+def _retarded_sets(draw):
+    return _draw_item(draw, iter("abcdef"), draw(st.integers(2, 6)), False)[0]
+
+
+A, B, C, D, E, F = (Plain(l) for l in "abcdef")
+# R(a, bcdef): 5! = 120 variants, as many as the largest set that one
+# derive pass of the benchmark's compile workload meets
+FLAT_FIVE = Ret(A, (B, C, D, E, F))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_retarded_sets())
+@example(FLAT_FIVE)
+@example(Ret(Ret(A, (B, C)), (Ret(D, (E,)), F)))
+@example(Ret(A, (Ret(B, (C,)), Ret(D, (E,)), F)))
+def test_variant_count_matches_the_variants(item):
+    assert variant_count(item) == len(ordering_variants(item))
+
+
+def test_variant_count_of_flat_five():
+    assert variant_count(FLAT_FIVE) == len(ordering_variants(FLAT_FIVE)) == 120

@@ -1131,6 +1131,36 @@ def test_realtime_side_intermediates_stay_within_bound(monkeypatch):
         assert sizes and max(sizes) <= oracle.CONTRACTION_ELEMENTS
 
 
+@pytest.mark.parametrize(
+    "source, contour",
+    [(LADDER, "keldysh"), (CHAIN4, "extended")],
+    ids=["ladder-keldysh", "chain4-extended"],
+)
+def test_realtime_batch_in_chunks_of_samples(source, contour, monkeypatch):
+    # a bound below one term of the whole batch takes the samples a chunk
+    # at a time; the sum is the same
+    eq = parse_equation(source, contour=contour)
+    rule = derive_rule(eq, parse_superindex(">", eq))
+    grid = DiscreteContour(n_fwd=6)
+    tables, samples = _one_class_batch(eq, {"a": 1.95, "b": 0.52})
+    chunks = []
+    on_samples = oracle._on_samples
+    monkeypatch.setattr(
+        oracle, "_on_samples", lambda shapes, n: chunks.append(n) or on_samples(shapes, n)
+    )
+    whole = evaluate_realtime_batch(rule, eq, tables, grid, samples)
+    assert chunks == []
+    # the most elements one term of the whole batch holds, in any layout
+    layouts = oracle._rule_plan(rule)[1]
+    most = max(per_term for layout in layouts for _, per_term in layout.paths.values())
+    for elements in (1, most // 2):
+        chunks.clear()
+        monkeypatch.setattr(oracle, "CONTRACTION_ELEMENTS", elements)
+        chunked = evaluate_realtime_batch(rule, eq, tables, grid, samples)
+        assert chunks and min(chunks) < len(samples)
+        assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
 # (operand subscripts, operand shapes, letters the result keeps): each
 # pattern of a lowered step, on complex operands; "a" is the sample axis
 # and "A" the term axis, each of size 1 on one side where it broadcasts
