@@ -37,24 +37,31 @@ strategy:
   branches of one label use the same nodes, so all the cancellation
   lemmas hold node-by-node and agreement is limited only by
   floating-point rounding, not quadrature error.  Both sides evaluate
-  a batch of samples at once (:func:`evaluate_contour_batch`,
-  :func:`evaluate_realtime_batch`; a single sample is the batch of one):
-  :func:`verify` draws every seed's external times first and runs each
-  order class of the horizontal externals, every seed's samples
-  together, through both sides once.  Every array carries a leading
-  sample axis, of size 1 where it does not vary over the samples, and
-  every contraction keeps it.  Both sides evaluate each function with the
-  masked sum over component orders of :func:`_ordered_sum`, whose
-  entries carry a mask the caller has built and the steps left to
-  compare, and which takes every component value from one per-batch
-  table (:class:`_BatchValues`): each component is evaluated once per
-  batch, keyed by (function name, Matsubara slots, order, arguments)
+  a batch of samples of one order class of the horizontal externals at
+  once (:func:`evaluate_contour_batch`, :func:`evaluate_realtime_batch`;
+  a single sample is the batch of one): :func:`verify` draws every
+  seed's external times first and runs each order class, every seed's
+  samples together, through both sides once.  Every array carries a
+  leading sample axis, of size 1 where it does not vary over the
+  samples, and every contraction keeps it.  Both sides evaluate each
+  function with the masked sum over component orders of
+  :func:`_ordered_sum`, whose entries carry a mask the caller has built
+  and the steps left to compare, and which takes every component value
+  from one value table per verdict (:class:`_BatchValues`; a batch
+  outside a verdict has its own, :func:`_batch`), over the samples of
+  every class, class by class: each component is evaluated once per
+  verdict, keyed by (function name, Matsubara slots, order, arguments)
   with an external argument standing for its label and an internal one
   for its node set (its label's real nodes or the vertical nodes), on
   the sample axis and a sparse mesh over the function's own node
-  arguments, from the samples' tables' coefficients stacked over
-  (sample, term, argument) (:func:`_components`); the contour side puts
-  it onto its own mesh by a transpose.  The contour side and the sampled
+  arguments (:func:`_components`).  A value with an external argument
+  spans the class that first reads it and every later one, and each
+  class reads its own rows as a view; one with none is the same in
+  every class and spans one class's samples.  The samples' tables'
+  coefficients are stacked over (sample, term) once per (tables,
+  component) (:func:`_coefficient_stack`), so a call only evaluates;
+  the contour side puts a value onto its own mesh by a transpose.  The
+  contour side and the sampled
   orderings take the live external words and their placements from
   :func:`_placed_words`, which the samples of one class share.  The
   contour side gives each internal label a branch axis (2 or 3 branches)
@@ -106,7 +113,10 @@ emitting and the symbolic check never load NumPy, and the first numeric
 call does.
 
 Per-call memos aside, bounded caches live as long as the process: the
-component table of each (equation, seed), 64 entries; the contour plan
+component table of each (equation, seed), 64 entries; the coefficient
+stack of each (tables, component), ``COEFFICIENT_STACKS_KEPT`` (1024);
+the grid of each (t0, t_max, grid size), 16, which :func:`verify` and
+the contour plans share; the contour plan
 of each (equation, grid), 64, each holding its lowered contraction path
 and the blocks of each (function, branches of its external arguments)
 it has met, at most B**E per function of E external arguments on B branches;
@@ -118,10 +128,12 @@ the coefficients of each component.
 Each holds values that are never changed after they are built, but for
 the function plans a contour plan adds as it meets new external
 branches and the lowered paths and run sizes a rule plan adds as it
-meets new operand shapes.  The per-batch value table has a one-entry
-cache keyed by (each sample's component table, grid, each sample's
-external times): the two sides of one batch share it, and a new batch
-replaces it, so only one batch's values are ever held.
+meets new operand shapes.  The value table has a one-entry cache keyed
+by (one class's component tables, grid, each sample's external times):
+the two sides of every class of a verdict, or of one batch outside a
+verdict, share it, and the next batch replaces it.  A verdict's table
+holds all of its classes at once and is dropped when :func:`verify`
+returns, so no verdict reuses another's values.
 """
 
 from __future__ import annotations
@@ -733,23 +745,42 @@ def _components(
     per argument of the function, in its argument order (imaginary depths
     at Matsubara positions), each over (sample, axes), of size 1 along an
     axis it does not vary on.  The tables' coefficients are stacked over
-    the samples, so every sample and term is one broadcast."""
-    c, x = zip(*(t._coeffs(fname, mset, korder) for t in tables))
+    the samples (:func:`_coefficient_stack`), so every sample and term is
+    one broadcast."""
+    c, x = _coefficient_stack(tuple(tables), fname, mset, korder)
     # (sample, term), then a unit axis per axis of the times
     unit = (len(tables), -1) + (1,) * (np.ndim(times[0]) - 1)
-    x = np.array(x)
     n = len(times)
     times = [t[:, None] for t in times]
-    value = np.array(c).reshape(unit)
+    value = c.reshape(unit)
     for i, t in enumerate(times):
         if (i + 1) not in mset:
-            value = value * np.cos(x[:, :, i].reshape(unit) * t + x[:, :, n + i].reshape(unit))
+            value = value * np.cos(x[i].reshape(unit) * t + x[n + i].reshape(unit))
     if mset:
         s1 = sum(times[i - 1] for i in mset)
         s2 = sum(times[i - 1] * times[i - 1] for i in mset)
-        wm1, wm2, pm = (x[:, :, 2 * n + j].reshape(unit) for j in range(3))
+        wm1, wm2, pm = (x[2 * n + j].reshape(unit) for j in range(3))
         value = value * np.cos(wm1 * s1 + wm2 * s2 + pm)
     return value.sum(axis=1)
+
+
+# the coefficient stacks kept, one per (tables, component); a verify pass
+# over the corpus at three seeds meets about 500
+COEFFICIENT_STACKS_KEPT = 1024
+
+
+@functools.lru_cache(maxsize=COEFFICIENT_STACKS_KEPT)
+def _coefficient_stack(
+    tables: tuple[ComponentTable, ...], fname: str, mset: frozenset, korder: tuple
+) -> tuple:
+    """One component's coefficients (:meth:`ComponentTable._coeffs`) of
+    each of ``tables``, stacked over (table, term), as ``(c, columns)``:
+    the amplitudes, and each column of the coefficient arrays; built once
+    per process while it stays among the ``COEFFICIENT_STACKS_KEPT`` most
+    recently used."""
+    c, x = zip(*(t._coeffs(fname, mset, korder) for t in tables))
+    x = np.array(x)
+    return np.array(c), tuple(np.ascontiguousarray(x[:, :, j]) for j in range(x.shape[2]))
 
 
 @functools.lru_cache(maxsize=64)
@@ -770,38 +801,90 @@ MATS_NODES = "vertical nodes"
 
 
 class _BatchValues:
-    """The component values of one batch of samples, each evaluated once.
+    """The component values of the samples of one verdict, or of one
+    batch, each evaluated once.
 
-    A value is keyed by ``(function name, mset, korder, args)``; each entry
-    of ``args`` is an external label, whose time in each sample ``times``
-    holds, or the node set of an internal argument: its label's real
-    nodes, named by the label, or :data:`MATS_NODES`.  The value is an
-    array over the samples and a sparse mesh over the function's own node
-    arguments, in argument order, so every caller whose labels sit on
-    those node sets shares it."""
+    The samples come in order classes of ``len(tables)`` samples each,
+    sample ``i`` of every class on the component table ``tables[i]``;
+    ``times`` holds each external label's times over all the samples,
+    class by class, and class ``c`` reads the table through
+    ``of_class(c)`` (:class:`_ClassValues`).  A value is keyed by
+    ``(function name, mset, korder, args)``; each entry of ``args`` is an
+    external label, whose time in each sample ``times`` holds, or the
+    node set of an internal argument: its label's real nodes, named by
+    the label, or :data:`MATS_NODES`.  The value is an array over samples
+    and a sparse mesh over the function's own node arguments, in argument
+    order, so every caller whose labels sit on those node sets shares it.
+    A value with an external argument is evaluated over the samples of
+    the class that first reads it and of every later class, which read
+    their own rows as views; no earlier class reads it.  A value with
+    none is the same in every class, and is evaluated over one class's
+    samples."""
 
     def __init__(
         self,
         tables: tuple[ComponentTable, ...],
         grid: DiscreteContour,
         times: dict[str, np.ndarray],
+        classes: int,
     ):
         self.tables = tables
         self.grid = grid
         self.times = times
-        self.values: dict[tuple, np.ndarray] = {}
+        # key -> (the first class whose samples it spans, or None, value)
+        self.values: dict[tuple, tuple[Optional[int], np.ndarray]] = {}
+        # each class's values, as read by it (:class:`_ClassValues`)
+        self.views: list[dict[tuple, np.ndarray]] = [{} for _ in range(classes)]
+
+    def entry(self, key: tuple, c: int) -> tuple[Optional[int], np.ndarray]:
+        """``(first, value)`` of ``key``, evaluated when class ``c`` first
+        reads it: over the samples of class ``first`` and every later
+        class, or, ``first`` None, over one class's samples."""
+        entry = self.values.get(key)
+        if entry is None:
+            fname, mset, korder, args = key
+            nodes = tuple(a for a in args if a not in self.times)
+            axes = iter(_sparse_mesh(self.grid, nodes))
+            if len(nodes) == len(args):
+                first, tables, times = None, self.tables, {}
+            else:
+                n = len(self.tables)
+                first, tables = c, self.tables * (len(self.views) - c)
+                times = _on_axes({l: t[c * n:] for l, t in self.times.items()}, len(nodes))
+            entry = self.values[key] = first, _components(
+                tables, fname, mset, korder,
+                [times[a] if a in times else next(axes) for a in args],
+            )
+        return entry
+
+    def of_class(self, c: int) -> _ClassValues:
+        return _ClassValues(self, c)
+
+
+class _ClassValues:
+    """The samples of order class ``c`` of a value table
+    (:class:`_BatchValues`): their component tables, their external times
+    (views) and, called with a key, their component values, each read
+    from the table once per class and kept as a view in ``table.views``,
+    which the table owns, so no reference cycle outlives it."""
+
+    def __init__(self, table: _BatchValues, c: int):
+        self.table, self.c = table, c
+        self.tables = table.tables
+        n = len(table.tables)
+        self.times = {l: t[c * n:(c + 1) * n] for l, t in table.times.items()}
+        self.values = table.views[c]
 
     def __call__(self, fname: str, mset: frozenset, korder: tuple, args: tuple):
         key = (fname, mset, korder, args)
-        if key not in self.values:
-            nodes = tuple(a for a in args if a not in self.times)
-            axes = iter(_sparse_mesh(self.grid, nodes))
-            times = _on_axes(self.times, len(nodes))
-            self.values[key] = _components(
-                self.tables, fname, mset, korder,
-                [times[a] if a in times else next(axes) for a in args],
-            )
-        return self.values[key]
+        value = self.values.get(key)
+        if value is None:
+            first, value = self.table.entry(key, self.c)
+            if first is not None:
+                n = len(self.tables)
+                value = value[(self.c - first) * n:(self.c - first + 1) * n]
+            self.values[key] = value
+        return value
 
 
 def _on_axes(times: dict[str, np.ndarray], n_axes: int) -> dict[str, np.ndarray]:
@@ -832,11 +915,27 @@ def _sparse_mesh(grid: DiscreteContour, node_sets: tuple[str, ...]) -> tuple[np.
 def _batch_values(
     tables: tuple[ComponentTable, ...], grid: DiscreteContour, samples: tuple
 ) -> _BatchValues:
-    """The value table of one batch, ``samples`` holding each sample's
-    external times as sorted items.  One entry: the two sides of a batch
-    share it, and only the latest batch's values are held."""
+    """The value table of ``samples``, each sample's external times as
+    sorted items, in order classes of ``len(tables)`` samples each, sample
+    ``i`` of every class on ``tables[i]``: a verdict's samples
+    (:data:`_VERDICT_CLASSES`), or one batch.  One entry: the two sides of
+    every class share it, and only the latest table's values are held;
+    :func:`verify` drops its table when it returns."""
     times = [dict(items) for items in samples]
-    return _BatchValues(tables, grid, {l: np.array([t[l] for t in times]) for l in times[0]})
+    return _BatchValues(
+        tables,
+        grid,
+        {l: np.array([t[l] for t in times]) for l in times[0]},
+        len(samples) // len(tables),
+    )
+
+
+# the batches of the verdict that verify is checking, each keyed as in
+# _batch_values, with the key of the verdict's value table and the batch's
+# class in it; empty outside verify.  verify calls the public batch
+# functions, whose signatures carry no table, through the module (a tracer
+# wraps them), so they find the verdict's table here
+_VERDICT_CLASSES: dict[tuple, tuple[tuple, int]] = {}
 
 
 def _batch(
@@ -844,9 +943,11 @@ def _batch(
     grid: DiscreteContour,
     samples: Sequence[dict[str, float]],
     ordered: Sequence[str],
-) -> _BatchValues:
-    """The value table of a batch whose samples all order the labels
-    ``ordered`` alike; any other batch, and an empty one, is refused."""
+) -> _ClassValues:
+    """The values of a batch whose samples all order the labels
+    ``ordered`` alike, as one class of a value table: of the verdict's
+    table where the batch is one of its classes, else of the batch's own;
+    any other batch, and an empty one, is refused."""
     if len(tables) != len(samples):
         raise ValueError(f"{len(tables)} tables for {len(samples)} samples")
     classes = {
@@ -857,9 +958,9 @@ def _batch(
             f"a batch takes samples of one order class of {', '.join(ordered) or 'no labels'}, "
             f"not {len(classes)}"
         )
-    return _batch_values(
-        tuple(tables), grid, tuple(tuple(sorted(t.items())) for t in samples)
-    )
+    key = (tuple(tables), grid, tuple(tuple(sorted(t.items())) for t in samples))
+    table, c = _VERDICT_CLASSES.get(key, (key, 0))
+    return _batch_values(*table).of_class(c)
 
 
 def _steps(mask, pairs, keys):
@@ -871,7 +972,7 @@ def _steps(mask, pairs, keys):
 
 
 def _ordered_sum(
-    values: _BatchValues,
+    values: _ClassValues,
     func: SubFunction,
     mset: frozenset,
     orders: Iterable[tuple[object, tuple, tuple[int, ...]]],
@@ -1032,12 +1133,20 @@ class _ContourPlan:
 def _contour_plan(eq: ContourEquation, t0: float, t_max: float, n_fwd: int) -> _ContourPlan:
     """The contour plan of ``eq`` on the grid ``(t0, t_max, n_fwd)``, built
     once per process while it stays among the 64 most recently used."""
-    return _ContourPlan(eq, DiscreteContour(t0, t_max, n_fwd))
+    return _ContourPlan(eq, _shared_grid(t0, t_max, n_fwd))
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_grid(t0: float, t_max: float, n_fwd: int) -> DiscreteContour:
+    """The grid ``(t0, t_max, n_fwd)`` that :func:`verify` and the contour
+    plans share, so its label nodes and its sparse meshes are built once;
+    kept while it stays among the 16 most recently used."""
+    return DiscreteContour(t0, t_max, n_fwd)
 
 
 def _contour_operands(
     plan: _ContourPlan,
-    values: _BatchValues,
+    values: _ClassValues,
     kinds: dict[str, str],
     weights: dict[str, np.ndarray],
     filled: dict,
@@ -1299,8 +1408,9 @@ def evaluate_contour_batch(
     as an array over the samples (and one of the scales when requested).
 
     The samples must be of one order class of the horizontal externals;
-    any other batch is refused.  They then share their live external words
-    and placements, and so the planned blocks and the contraction, which
+    any other batch is refused.  The batch is one class of a value table
+    (:func:`_batch`); its samples share their live external words and
+    placements, and so the planned blocks and the contraction, which
     carry the sample axis."""
     m_ext = target.mats_labels()
     horizontal = [l for l in eq.external if l not in m_ext]
@@ -1360,7 +1470,8 @@ def evaluate_realtime_batch(
     sample axis and its own labels' axes, of size 1 along the sample axis
     where it does not vary.  The terms of one layout are summed by one
     contraction whose operands are the phases and the pieces of each slot
-    (:class:`_Layout`), in runs of terms (:func:`_run_steps`)."""
+    (:class:`_Layout`), in runs of terms (:func:`_run_steps`).  The batch
+    is one class of a value table (:func:`_batch`)."""
     pieces, layouts, compared = _rule_plan(expr)
     values = _batch(tables, grid, samples, compared)
     arrays: dict[int, np.ndarray] = {}
@@ -1426,7 +1537,7 @@ def _on_samples(shapes: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int,
     return tuple((min(shape[0], n),) + shape[1:] for shape in shapes)
 
 
-def _piece_value(piece: _Piece, values: _BatchValues, grid: DiscreteContour) -> np.ndarray:
+def _piece_value(piece: _Piece, values: _ClassValues, grid: DiscreteContour) -> np.ndarray:
     """The value of ``piece`` for the batch of ``values``: an array over
     the sample axis, of size 1 where it does not vary, and its labels'
     node axes."""
@@ -1761,7 +1872,13 @@ def verify(
 ) -> list[VerifyRecord]:
     """Check one rule symbolically and numerically; failures are records,
     not exceptions.  The numeric check evaluates each order class of the
-    horizontal externals once, as one batch of every seed's samples."""
+    horizontal externals once, as one batch of every seed's samples, on
+    the grid of its size that the contour plans share
+    (:func:`_shared_grid`).  All classes read one value table
+    (:class:`_BatchValues`), built over every class's samples, each
+    class's rows contiguous, so each component is evaluated once per
+    verdict: each class's batch finds its rows through
+    :data:`_VERDICT_CLASSES`, and the table is dropped on return."""
     name = target_name or str(target)
     rule = derive_rule(eq, target) if rule is None else rule
     classes, blocked = _ordering_classes(eq, target)
@@ -1786,7 +1903,8 @@ def verify(
         eq.lhs_name, name, "symbolic", None, 0.0 if sym_ok else np.inf, sym_ok,
         "" if sym_ok else _mismatch(split_nf, rule_nf),
     )]
-    grid = DiscreteContour(n_fwd=grid_size)
+    # the grid of DiscreteContour's default span, shared with the plans
+    grid = _shared_grid(0.0, 2.0, grid_size)
     worst = [0.0] * len(seeds)
     detail = [""] * len(seeds)
     # every seed's table and external times, drawn from its own stream by
@@ -1802,25 +1920,37 @@ def verify(
             ]
         except ContourError as exc:
             worst[k], detail[k] = np.inf, str(exc)
-    # each order class evaluates every seed's samples as one batch
-    for c, omega in enumerate(classes):
-        batch = [(k, times) for k in draws for times in draws[k][c]]
-        if not batch:
-            break
+    # one value table for every class's samples, class by class, each
+    # class holding every seed's samples in the same order; each class's
+    # batch reads its rows
+    batch = [(k, times) for c in range(len(classes)) for k in draws for times in draws[k][c]]
+    per_class = len(draws) * SAMPLES_PER_CLASS
+    if batch:
         ks, samples = zip(*batch)
-        batch_tables = [tables[k] for k in ks]
-        try:
-            lhs = evaluate_contour_batch(eq, target, batch_tables, grid, samples)
-            rhs = evaluate_realtime_batch(rule, eq, batch_tables, grid, samples)
-        except ContourError as exc:
-            for k in set(ks):
-                worst[k], detail[k] = np.inf, str(exc)
-                del draws[k]
-            continue
-        errors = np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
-        for k, err in zip(ks, errors.tolist()):
-            if err > worst[k]:
-                worst[k], detail[k] = err, f"ordering {'>'.join(omega) or '-'}"
+        class_tables = tuple(tables[k] for k in ks[:per_class])
+        items = tuple(tuple(sorted(t.items())) for t in samples)
+        for c in range(len(classes)):
+            key = (class_tables, grid, items[c * per_class:(c + 1) * per_class])
+            _VERDICT_CLASSES[key] = (class_tables, grid, items), c
+    try:
+        for c, omega in enumerate(classes if batch else ()):
+            rows = slice(c * per_class, (c + 1) * per_class)
+            try:
+                lhs = evaluate_contour_batch(eq, target, class_tables, grid, samples[rows])
+                rhs = evaluate_realtime_batch(rule, eq, class_tables, grid, samples[rows])
+            except ContourError as exc:
+                # every seed has samples in the class, so it fails them all
+                for k in draws:
+                    worst[k], detail[k] = np.inf, str(exc)
+                break
+            errors = np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
+            for k, err in zip(ks[rows], errors.tolist()):
+                if err > worst[k]:
+                    worst[k], detail[k] = err, f"ordering {'>'.join(omega) or '-'}"
+    finally:
+        # no verdict's values outlive it
+        _VERDICT_CLASSES.clear()
+        _batch_values.cache_clear()
     records += [
         VerifyRecord(eq.lhs_name, name, "numeric", int(seed), worst[k], worst[k] <= tol, detail[k])
         for k, seed in enumerate(seeds)

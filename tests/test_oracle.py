@@ -1,10 +1,13 @@
 """Branch-splitting oracle, normal forms, and the discrete-contour evaluators."""
 
+import gc
 import itertools
+import json
 import os
 import pickle
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -973,6 +976,146 @@ def test_a_structural_error_fails_every_seed(monkeypatch):
     for r in records[1:]:
         assert r.max_error == np.inf and not r.passed
         assert r.detail.startswith("no component ")
+
+
+def _records_class_by_class(eq, target, name, seeds, grid_size, rule):
+    """The records of ``verify``, its numeric check made one order class
+    at a time by the public batch functions, on its draws: each seed draws
+    from its own stream, class by class, and each class is one batch of
+    every seed's samples.  The symbolic record is ``verify``'s with no
+    seed, which has no numeric check."""
+    (symbolic,) = verify(eq, target, name, seeds=(), grid_size=grid_size, rule=rule)
+    classes, _ = oracle._ordering_classes(eq, target)
+    grid = DiscreteContour(n_fwd=grid_size)
+    tables = [ComponentTable(eq, seed) for seed in seeds]
+    draws = []
+    for seed in seeds:
+        rng = np.random.default_rng(oracle._stable_seed("verify", seed, eq.lhs_name, name))
+        draws.append([
+            [_sample_times(eq, target, omega, grid, rng) for _ in range(oracle.SAMPLES_PER_CLASS)]
+            for omega in classes
+        ])
+    worst, detail = [0.0] * len(seeds), [""] * len(seeds)
+    for c, omega in enumerate(classes):
+        ks = [k for k in range(len(seeds)) for _ in draws[k][c]]
+        samples = [times for k in range(len(seeds)) for times in draws[k][c]]
+        batch_tables = [tables[k] for k in ks]
+        lhs = evaluate_contour_batch(eq, target, batch_tables, grid, samples)
+        rhs = evaluate_realtime_batch(rule, eq, batch_tables, grid, samples)
+        errors = np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
+        for k, err in zip(ks, errors.tolist()):
+            if err > worst[k]:
+                worst[k], detail[k] = err, f"ordering {'>'.join(omega) or '-'}"
+    return [symbolic] + [
+        oracle.VerifyRecord(eq.lhs_name, name, "numeric", seed, worst[k], worst[k] <= 1e-8, detail[k])
+        for k, seed in enumerate(seeds)
+    ]
+
+
+# (equation, target, grid size): one value table for all of a verdict's
+# order classes
+VERDICT_CASES = [
+    (parse_equation(CHAIN4), ">", 12),
+    (parse_equation(LADDER, contour="keldysh"), ">", 6),
+    (parse_equation(THREE_EXTERNAL), "R(1,23)", 24),
+    (parse_equation(THREE_EXTERNAL), "M(1)23", 24),
+    (catalog.double_triangle(), ">", 24),
+    (_keldysh(catalog.double_triangle()), ">", 24),
+]
+
+
+@pytest.mark.parametrize("case", range(len(VERDICT_CASES)))
+def test_verify_equals_its_classes_one_batch_at_a_time(case, monkeypatch):
+    eq, tname, grid_size = VERDICT_CASES[case]
+    target = parse_superindex(tname, eq)
+    rule = derive_rule(eq, target)
+    seeds = (3, 4, 5)
+    calls = _component_keys(monkeypatch)
+    records = verify(eq, target, tname, seeds=seeds, grid_size=grid_size, rule=rule)
+    # no component key is evaluated twice within one verdict
+    assert calls and len(set(calls)) == len(calls)
+    want = _records_class_by_class(eq, target, tname, seeds, grid_size, rule)
+    assert json.dumps([r.as_dict() for r in records]) == json.dumps([r.as_dict() for r in want])
+    assert all(r.passed for r in records)
+    # the case has more than one order class, so the table is shared
+    assert len(oracle._ordering_classes(eq, target)[0]) > 1
+
+
+def test_verify_calls_at_one_grid_size_share_one_grid(monkeypatch):
+    eq = catalog.double_triangle()
+    target = parse_superindex(">", eq)
+    rule = derive_rule(eq, target)
+    grids = []
+
+    class Recording(DiscreteContour):
+        def __init__(self, *args):
+            super().__init__(*args)
+            grids.append(self)
+
+    oracle._shared_grid.cache_clear()
+    oracle._contour_plan.cache_clear()
+    monkeypatch.setattr(oracle, "DiscreteContour", Recording)
+    first = verify(eq, target, ">", seeds=(0, 1), grid_size=7, rule=rule)
+    assert len(grids) == 1
+    misses = oracle._sparse_mesh.cache_info().misses
+    # the second call adds no grid and no sparse mesh
+    assert verify(eq, target, ">", seeds=(0, 1), grid_size=7, rule=rule) == first
+    assert len(grids) == 1
+    assert oracle._sparse_mesh.cache_info().misses == misses
+    assert oracle._contour_plan(eq, 0.0, 2.0, 7).grid is grids[0]
+    # another size, and another t0, get their own grid
+    verify(eq, target, ">", seeds=(0, 1), grid_size=8, rule=rule)
+    assert len(grids) == 2 and grids[1].n_fwd == 8
+    other = oracle._contour_plan(eq, 0.5, 2.0, 7).grid
+    assert len(grids) == 3 and other is grids[2] and other.t0 == 0.5
+    assert oracle._shared_grid(0.0, 2.0, 7) is grids[0]
+    oracle._shared_grid.cache_clear()
+    oracle._contour_plan.cache_clear()
+
+
+def test_a_verdict_frees_its_value_table_when_it_returns(monkeypatch):
+    # the table and its classes hold no reference cycle, so its arrays go
+    # when verify drops it, not at some later garbage collection
+    eq = catalog.double_triangle()
+    target = parse_superindex(">", eq)
+    tables = []
+
+    class Recording(oracle._BatchValues):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(weakref.ref(self))
+
+    monkeypatch.setattr(oracle, "_BatchValues", Recording)
+    gc.disable()
+    try:
+        records = verify(eq, target, ">", seeds=(0, 1), grid_size=6)
+        assert len(tables) == 1 and tables[0]() is None
+    finally:
+        gc.enable()
+    assert all(r.passed for r in records)
+
+
+def test_coefficient_stacks_are_built_once_per_tables_and_component(monkeypatch):
+    eq = _keldysh(catalog.double_triangle())
+    target = parse_superindex(">", eq)
+    rule = derive_rule(eq, target)
+    first = verify(eq, target, ">", seeds=(6, 7), grid_size=6, rule=rule)
+    coeffs = Counter()
+    table_coeffs = ComponentTable._coeffs
+
+    def counting(self, fname, mset, korder):
+        coeffs[fname, mset, korder] += 1
+        return table_coeffs(self, fname, mset, korder)
+
+    monkeypatch.setattr(ComponentTable, "_coeffs", counting)
+    calls = _component_keys(monkeypatch)
+    # the same verdict again evaluates every component, from its stacks
+    assert verify(eq, target, ">", seeds=(6, 7), grid_size=6, rule=rule) == first
+    assert calls and not coeffs
+    # no verdict's value table outlives its verify call
+    assert oracle._batch_values.cache_info().currsize == 0
+    info = oracle._coefficient_stack.cache_info()
+    assert info.maxsize == oracle.COEFFICIENT_STACKS_KEPT and info.currsize > 0
 
 
 def test_contour_side_evaluates_no_order_with_forward_before_backward(monkeypatch):
