@@ -49,21 +49,20 @@ strategy:
   and the steps left to compare, and which takes every component value
   from one value table per verdict (:class:`_BatchValues`; a batch
   outside a verdict has its own, :func:`_batch`), over the samples of
-  every class, class by class: each component is evaluated once per
-  verdict, keyed by (function name, Matsubara slots, order, arguments)
-  with an external argument standing for its label and an internal one
-  for its node set (its label's real nodes or the vertical nodes), on
-  the sample axis and a sparse mesh over the function's own node
-  arguments (:func:`_components`).  A value with an external argument
-  spans the class that first reads it and every later one, and each
-  class reads its own rows as a view; one with none is the same in
-  every class and spans one class's samples.  The samples' tables'
-  coefficients are stacked over (sample, term) once per (tables,
-  component) (:func:`_coefficient_stack`), so a call only evaluates;
-  the contour side puts a value onto its own mesh by a transpose.  The
-  contour side and the sampled
-  orderings take the live external words and their placements from
-  :func:`_placed_words`, which the samples of one class share.  The
+  every class, class by class.  A value is keyed by (function name,
+  Matsubara slots, order, arguments) with an external argument standing
+  for its label and an internal one for its node set (its label's real
+  nodes or the vertical nodes), and is an array over the sample axis and
+  a sparse mesh over the function's own node arguments, from the
+  samples' tables' coefficients stacked over (sample, term, argument)
+  (:func:`_components`).  A value with no external argument is the same
+  in every class and is evaluated once per verdict; one with an external
+  argument is evaluated once per class that reads it, over that class's
+  samples, and dropped when the next class is read.  The contour side
+  puts a value onto its own mesh by a transpose.  The contour side and
+  the sampled orderings take the live external words and their
+  placements from :func:`_placed_words`, which the samples of one class
+  share.  The
   contour side gives each internal label a branch axis (2 or 3 branches)
   and a node axis (N nodes), so there is no loop over branch
   assignments: each function is one tensor over the sample axis and the
@@ -113,13 +112,11 @@ emitting and the symbolic check never load NumPy, and the first numeric
 call does.
 
 Per-call memos aside, bounded caches live as long as the process: the
-component table of each (equation, seed), 64 entries; the coefficient
-stack of each (tables, component), ``COEFFICIENT_STACKS_KEPT`` (1024);
-the grid of each (t0, t_max, grid size), 16, which :func:`verify` and
-the contour plans share; the contour plan
-of each (equation, grid), 64, each holding its lowered contraction path
-and the blocks of each (function, branches of its external arguments)
-it has met, at most B**E per function of E external arguments on B branches;
+component table of each (equation, seed), 64 entries; the grid of each
+(t0, t_max, grid size), 16, which :func:`verify` and the contour plans
+share; the contour plan of each (equation, grid), 64, each holding its
+lowered contraction path and the blocks of each (function, branches of
+its external arguments) it has met, at most B**E per function of E external arguments on B branches;
 the plan of each factor, 4096; the real-time plan of each rule, 64; and
 the sparse mesh of each (grid, node sets of some internal labels), 64.
 A grid keeps the nodes of each label it is asked for and the nodes that
@@ -129,11 +126,12 @@ Each holds values that are never changed after they are built, but for
 the function plans a contour plan adds as it meets new external
 branches and the lowered paths and run sizes a rule plan adds as it
 meets new operand shapes.  The value table has a one-entry cache keyed
-by (one class's component tables, grid, each sample's external times):
+by (one class's component tables, grid, every sample's external times):
 the two sides of every class of a verdict, or of one batch outside a
 verdict, share it, and the next batch replaces it.  A verdict's table
-holds all of its classes at once and is dropped when :func:`verify`
-returns, so no verdict reuses another's values.
+holds its values with no external argument and those of the class read
+last, and is dropped when :func:`verify` returns, so no verdict reuses
+another's values.
 """
 
 from __future__ import annotations
@@ -592,6 +590,11 @@ def branch_count(eq: ContourEquation) -> int:
 # discrete contour and component tables
 
 
+# the real span of a grid where none is given, as in verify
+GRID_T0 = 0.0
+GRID_T_MAX = 2.0
+
+
 class DiscreteContour:
     """Discretisation of the two-branch (plus vertical) contour.
 
@@ -607,7 +610,7 @@ class DiscreteContour:
     times stay off them as off every label's nodes.
     """
 
-    def __init__(self, t0: float = 0.0, t_max: float = 2.0, n_fwd: int = 24):
+    def __init__(self, t0: float = GRID_T0, t_max: float = GRID_T_MAX, n_fwd: int = 24):
         if n_fwd < 2:
             raise ValueError("the grid size must be at least 2")
         if not (0.0 <= t0 < t_max):
@@ -745,42 +748,23 @@ def _components(
     per argument of the function, in its argument order (imaginary depths
     at Matsubara positions), each over (sample, axes), of size 1 along an
     axis it does not vary on.  The tables' coefficients are stacked over
-    the samples (:func:`_coefficient_stack`), so every sample and term is
-    one broadcast."""
-    c, x = _coefficient_stack(tuple(tables), fname, mset, korder)
+    the samples, so every sample and term is one broadcast."""
+    c, x = zip(*(t._coeffs(fname, mset, korder) for t in tables))
     # (sample, term), then a unit axis per axis of the times
     unit = (len(tables), -1) + (1,) * (np.ndim(times[0]) - 1)
+    x = np.array(x)
     n = len(times)
     times = [t[:, None] for t in times]
-    value = c.reshape(unit)
+    value = np.array(c).reshape(unit)
     for i, t in enumerate(times):
         if (i + 1) not in mset:
-            value = value * np.cos(x[i].reshape(unit) * t + x[n + i].reshape(unit))
+            value = value * np.cos(x[:, :, i].reshape(unit) * t + x[:, :, n + i].reshape(unit))
     if mset:
         s1 = sum(times[i - 1] for i in mset)
         s2 = sum(times[i - 1] * times[i - 1] for i in mset)
-        wm1, wm2, pm = (x[2 * n + j].reshape(unit) for j in range(3))
+        wm1, wm2, pm = (x[:, :, 2 * n + j].reshape(unit) for j in range(3))
         value = value * np.cos(wm1 * s1 + wm2 * s2 + pm)
     return value.sum(axis=1)
-
-
-# the coefficient stacks kept, one per (tables, component); a verify pass
-# over the corpus at three seeds meets about 500
-COEFFICIENT_STACKS_KEPT = 1024
-
-
-@functools.lru_cache(maxsize=COEFFICIENT_STACKS_KEPT)
-def _coefficient_stack(
-    tables: tuple[ComponentTable, ...], fname: str, mset: frozenset, korder: tuple
-) -> tuple:
-    """One component's coefficients (:meth:`ComponentTable._coeffs`) of
-    each of ``tables``, stacked over (table, term), as ``(c, columns)``:
-    the amplitudes, and each column of the coefficient arrays; built once
-    per process while it stays among the ``COEFFICIENT_STACKS_KEPT`` most
-    recently used."""
-    c, x = zip(*(t._coeffs(fname, mset, korder) for t in tables))
-    x = np.array(x)
-    return np.array(c), tuple(np.ascontiguousarray(x[:, :, j]) for j in range(x.shape[2]))
 
 
 @functools.lru_cache(maxsize=64)
@@ -812,50 +796,49 @@ class _BatchValues:
     ``(function name, mset, korder, args)``; each entry of ``args`` is an
     external label, whose time in each sample ``times`` holds, or the
     node set of an internal argument: its label's real nodes, named by
-    the label, or :data:`MATS_NODES`.  The value is an array over samples
-    and a sparse mesh over the function's own node arguments, in argument
-    order, so every caller whose labels sit on those node sets shares it.
-    A value with an external argument is evaluated over the samples of
-    the class that first reads it and of every later class, which read
-    their own rows as views; no earlier class reads it.  A value with
-    none is the same in every class, and is evaluated over one class's
-    samples."""
+    the label, or :data:`MATS_NODES`.  The value is an array over one
+    class's samples and a sparse mesh over the function's own node
+    arguments, in argument order, so every caller whose labels sit on
+    those node sets shares it.  A value with no external argument is the
+    same in every class: it is evaluated once and held with the table.  A
+    value with one is evaluated over the samples of the class that reads
+    it and held until another class reads the table, since the classes
+    are read one after another and no class reads another's values."""
 
     def __init__(
         self,
         tables: tuple[ComponentTable, ...],
         grid: DiscreteContour,
         times: dict[str, np.ndarray],
-        classes: int,
     ):
         self.tables = tables
         self.grid = grid
         self.times = times
-        # key -> (the first class whose samples it spans, or None, value)
-        self.values: dict[tuple, tuple[Optional[int], np.ndarray]] = {}
-        # each class's values, as read by it (:class:`_ClassValues`)
-        self.views: list[dict[tuple, np.ndarray]] = [{} for _ in range(classes)]
+        # the values with no external argument
+        self.shared: dict[tuple, np.ndarray] = {}
+        # the class read last, and its values with an external argument
+        self.read: Optional[int] = None
+        self.values: dict[tuple, np.ndarray] = {}
 
-    def entry(self, key: tuple, c: int) -> tuple[Optional[int], np.ndarray]:
-        """``(first, value)`` of ``key``, evaluated when class ``c`` first
-        reads it: over the samples of class ``first`` and every later
-        class, or, ``first`` None, over one class's samples."""
-        entry = self.values.get(key)
-        if entry is None:
+    def value(self, c: int, key: tuple) -> np.ndarray:
+        """The value of ``key`` over the samples of class ``c``."""
+        value = self.shared.get(key)
+        if value is None:
+            if c != self.read:
+                self.read, self.values = c, {}
+            value = self.values.get(key)
+        if value is None:
             fname, mset, korder, args = key
             nodes = tuple(a for a in args if a not in self.times)
             axes = iter(_sparse_mesh(self.grid, nodes))
-            if len(nodes) == len(args):
-                first, tables, times = None, self.tables, {}
-            else:
-                n = len(self.tables)
-                first, tables = c, self.tables * (len(self.views) - c)
-                times = _on_axes({l: t[c * n:] for l, t in self.times.items()}, len(nodes))
-            entry = self.values[key] = first, _components(
-                tables, fname, mset, korder,
+            n = len(self.tables)
+            times = _on_axes({l: t[c * n:(c + 1) * n] for l, t in self.times.items()}, len(nodes))
+            value = _components(
+                self.tables, fname, mset, korder,
                 [times[a] if a in times else next(axes) for a in args],
             )
-        return entry
+            (self.shared if len(nodes) == len(args) else self.values)[key] = value
+        return value
 
     def of_class(self, c: int) -> _ClassValues:
         return _ClassValues(self, c)
@@ -864,27 +847,16 @@ class _BatchValues:
 class _ClassValues:
     """The samples of order class ``c`` of a value table
     (:class:`_BatchValues`): their component tables, their external times
-    (views) and, called with a key, their component values, each read
-    from the table once per class and kept as a view in ``table.views``,
-    which the table owns, so no reference cycle outlives it."""
+    (views) and, called with a key, their component values."""
 
     def __init__(self, table: _BatchValues, c: int):
         self.table, self.c = table, c
         self.tables = table.tables
         n = len(table.tables)
         self.times = {l: t[c * n:(c + 1) * n] for l, t in table.times.items()}
-        self.values = table.views[c]
 
     def __call__(self, fname: str, mset: frozenset, korder: tuple, args: tuple):
-        key = (fname, mset, korder, args)
-        value = self.values.get(key)
-        if value is None:
-            first, value = self.table.entry(key, self.c)
-            if first is not None:
-                n = len(self.tables)
-                value = value[(self.c - first) * n:(self.c - first + 1) * n]
-            self.values[key] = value
-        return value
+        return self.table.value(self.c, (fname, mset, korder, args))
 
 
 def _on_axes(times: dict[str, np.ndarray], n_axes: int) -> dict[str, np.ndarray]:
@@ -919,15 +891,10 @@ def _batch_values(
     sorted items, in order classes of ``len(tables)`` samples each, sample
     ``i`` of every class on ``tables[i]``: a verdict's samples
     (:data:`_VERDICT_CLASSES`), or one batch.  One entry: the two sides of
-    every class share it, and only the latest table's values are held;
+    every class share it, and only the latest table is held;
     :func:`verify` drops its table when it returns."""
     times = [dict(items) for items in samples]
-    return _BatchValues(
-        tables,
-        grid,
-        {l: np.array([t[l] for t in times]) for l in times[0]},
-        len(samples) // len(tables),
-    )
+    return _BatchValues(tables, grid, {l: np.array([t[l] for t in times]) for l in times[0]})
 
 
 # the batches of the verdict that verify is checking, each keyed as in
@@ -1875,9 +1842,10 @@ def verify(
     horizontal externals once, as one batch of every seed's samples, on
     the grid of its size that the contour plans share
     (:func:`_shared_grid`).  All classes read one value table
-    (:class:`_BatchValues`), built over every class's samples, each
-    class's rows contiguous, so each component is evaluated once per
-    verdict: each class's batch finds its rows through
+    (:class:`_BatchValues`), keyed over every class's samples, each
+    class's rows contiguous, so a value with no external argument is
+    evaluated once per verdict and one with an external argument once
+    per class: each class's batch finds its rows through
     :data:`_VERDICT_CLASSES`, and the table is dropped on return."""
     name = target_name or str(target)
     rule = derive_rule(eq, target) if rule is None else rule
@@ -1903,8 +1871,7 @@ def verify(
         eq.lhs_name, name, "symbolic", None, 0.0 if sym_ok else np.inf, sym_ok,
         "" if sym_ok else _mismatch(split_nf, rule_nf),
     )]
-    # the grid of DiscreteContour's default span, shared with the plans
-    grid = _shared_grid(0.0, 2.0, grid_size)
+    grid = _shared_grid(GRID_T0, GRID_T_MAX, grid_size)
     worst = [0.0] * len(seeds)
     detail = [""] * len(seeds)
     # every seed's table and external times, drawn from its own stream by

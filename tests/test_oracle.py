@@ -1095,27 +1095,41 @@ def test_a_verdict_frees_its_value_table_when_it_returns(monkeypatch):
     assert all(r.passed for r in records)
 
 
-def test_coefficient_stacks_are_built_once_per_tables_and_component(monkeypatch):
-    eq = _keldysh(catalog.double_triangle())
-    target = parse_superindex(">", eq)
+def test_a_verdict_table_holds_the_external_values_of_one_class(monkeypatch):
+    # a value with no external argument is evaluated once per verdict, and
+    # one with an external argument once per class that reads it; the
+    # next class drops the last one's
+    eq = parse_equation(THREE_EXTERNAL)
+    target = parse_superindex("R(1,23)", eq)
     rule = derive_rule(eq, target)
-    first = verify(eq, target, ">", seeds=(6, 7), grid_size=6, rule=rule)
-    coeffs = Counter()
-    table_coeffs = ComponentTable._coeffs
+    tables, held = [], []
 
-    def counting(self, fname, mset, korder):
-        coeffs[fname, mset, korder] += 1
-        return table_coeffs(self, fname, mset, korder)
+    class Recording(oracle._BatchValues):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
 
-    monkeypatch.setattr(ComponentTable, "_coeffs", counting)
+    realtime = oracle.evaluate_realtime_batch
+
+    def holding(*args):
+        value = realtime(*args)
+        (table,) = tables
+        held.append((table.read, set(table.values), set(table.shared)))
+        return value
+
+    monkeypatch.setattr(oracle, "_BatchValues", Recording)
+    monkeypatch.setattr(oracle, "evaluate_realtime_batch", holding)
     calls = _component_keys(monkeypatch)
-    # the same verdict again evaluates every component, from its stacks
-    assert verify(eq, target, ">", seeds=(6, 7), grid_size=6, rule=rule) == first
-    assert calls and not coeffs
-    # no verdict's value table outlives its verify call
-    assert oracle._batch_values.cache_info().currsize == 0
-    info = oracle._coefficient_stack.cache_info()
-    assert info.maxsize == oracle.COEFFICIENT_STACKS_KEPT and info.currsize > 0
+    records = verify(eq, target, "R(1,23)", seeds=(0, 1), grid_size=6, rule=rule)
+    assert all(r.passed for r in records)
+    n_classes = len(oracle._ordering_classes(eq, target)[0])
+    assert n_classes > 1 and [c for c, _, _ in held] == list(range(n_classes))
+    external = set(eq.external)
+    shared = held[-1][2]
+    assert shared and not any(external & set(key[3]) for key in shared)
+    for _, values, _ in held:
+        assert values and all(external & set(key[3]) for key in values)
+    assert len(calls) == len(shared) + sum(len(values) for _, values, _ in held)
 
 
 def test_contour_side_evaluates_no_order_with_forward_before_backward(monkeypatch):
