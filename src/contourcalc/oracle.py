@@ -21,89 +21,29 @@ strategy:
   between its forward and backward placements, by the largest-time
   equation in local form (:func:`branch_split_oracle`).  It picks each
   function's component for all of a branch assignment's orderings at
-  once, by comparing its labels' contour keys (:func:`_split_counts`),
-  and counts its keys in the normal-form basis itself
-  (:func:`branch_split_normal_form`), so a verdict computes one normal
-  form, the rule's.  A failing symbolic record says how many keys differ
-  and the ordering of the first;
+  once, by comparing its labels' contour keys, and so counts its keys in
+  the normal-form basis itself (:func:`branch_split_normal_form`): a
+  verdict computes one normal form, the rule's.  A failing symbolic
+  record says how many keys differ and the ordering of the first;
 * a numeric one that evaluates both sides of a rule on a shared discrete
   contour.  The rules are identities between integrands wherever the
   contour times are distinct, where the step-function algebra holds.
-  Each internal label has its own real nodes, shifted by a fraction of
-  the spacing that its name fixes (:class:`DiscreteContour`), so no two
-  labels ever share a node; imaginary times are never compared, and
-  external times are drawn off every node
-  (:meth:`DiscreteContour.check_external`).  The forward and backward
-  branches of one label use the same nodes, so all the cancellation
-  lemmas hold node-by-node and agreement is limited only by
-  floating-point rounding, not quadrature error.  Both sides evaluate
-  a batch of samples of one order class of the horizontal externals at
-  once (:func:`evaluate_contour_batch`, :func:`evaluate_realtime_batch`;
-  a single sample is the batch of one): :func:`verify` draws every
-  seed's external times first and runs each order class, every seed's
-  samples together, through both sides once.  Every array carries a
-  leading sample axis, of size 1 where it does not vary over the
-  samples, and every contraction keeps it.  Both sides evaluate each
-  function with the masked sum over component orders of
-  :func:`_ordered_sum`, whose entries carry a mask the caller has built
-  and the steps left to compare, and which takes every component value
-  from one value table per verdict (:class:`_BatchValues`; a batch
-  outside a verdict has its own, :func:`_batch`), over the samples of
-  every class, class by class.  A value is keyed by (function name,
-  Matsubara slots, order, arguments) with an external argument standing
-  for its label and an internal one for its node set (its label's real
-  nodes or the vertical nodes), and is an array over the sample axis and
-  a sparse mesh over the function's own node arguments, from the
-  samples' tables' coefficients stacked over (sample, term, argument)
-  (:func:`_components`).  A value with no external argument is the same
-  in every class and is evaluated once per verdict; one with an external
-  argument is evaluated once per class that reads it, over that class's
-  samples, and dropped when the next class is read.  The contour side
-  puts a value onto its own mesh by a transpose.  The contour side and
-  the sampled orderings take the live external words and their
-  placements from :func:`_placed_words`, which the samples of one class
-  share.  The
-  contour side gives each internal label a branch axis (2 or 3 branches)
-  and a node axis (N nodes), so there is no loop over branch
-  assignments: each function is one tensor over the sample axis and the
-  (branch, node) axes of its internal arguments, and each label's weight
-  (+dt, -dt or -i*dm) is folded into the first tensor that carries it;
-  the external words of one call share a function's tensor wherever its
-  external arguments sit on the same branches.  Everything but the
-  external times is planned once per (equation, grid)
-  (:class:`_ContourPlan`): per (function, branches of its external
-  arguments), one block per branch pattern of its internal labels
-  (:class:`_Block`), holding its slot, argument template and the contour
-  orders that can hold on its branches -- none puts a forward argument
-  later than a backward one -- each with its steps between two internal
-  labels already multiplied into a mask on the block's mesh; an order
-  whose mask is zero everywhere is left out.  A batch computes the
-  external contour keys, compares them with the planned keys of the
-  internal labels, reads the values and folds in the weights, and sums
-  the product of the tensors by one contraction along a planned path.
-  The real-time side is planned once per rule (:func:`_rule_plan`, found
-  by identity).  Each factor is one piece, an array over the sample axis
-  and its own internal labels keyed by the factor and the node set of
-  each of those labels, so the layouts of a rule share it; a term's step
-  comparisons among one set of internal labels are another piece, with
-  a sample axis of size 1 unless they compare an external label.  A
-  batch computes a piece when the first layout that uses it comes and
-  drops it after the last.  A
-  layout (a term's sorted real and sorted imaginary integrals) sums its
-  terms by one contraction, in runs of terms, along a greedy path that
-  pairs every operand: the terms' phases, and per slot (a function, or
-  one set of step labels) its pieces gathered along a term axis one run
-  at a time, or the one piece all terms share.  A run is as long as
-  keeps the arrays that hold the term axis, sample axis included, within
-  ``CONTRACTION_ELEMENTS`` together at every step of the path, the
-  copies its steps make among them (:func:`_run_steps`); where one term
-  of the whole batch exceeds that, the samples are taken in chunks.  Both
-  sides' paths come from ``np.einsum_path`` and are lowered when planned: each
-  pairwise step is a transpose and a reshape of each operand into a
-  stack of matrices over its batch axes (the sample and term axes among
-  them), one ``np.matmul`` (or, where no letter is contracted and one
-  operand alone keeps free letters, a broadcast ``np.multiply``) and a
-  reshape of the result (:class:`_Step`).
+  Each internal label has its own real nodes (:class:`DiscreteContour`),
+  so no two labels ever share a node, and the forward and backward
+  branches of one label use the same nodes: all the cancellation lemmas
+  hold node by node, and agreement is limited only by floating-point
+  rounding, not quadrature error.  Both sides evaluate a batch of
+  samples of one order class of the horizontal externals at once
+  (:func:`evaluate_contour_batch`, :func:`evaluate_realtime_batch`; a
+  single sample is the batch of one), every array carrying a leading
+  sample axis, of size 1 where it does not vary over the samples.  Both
+  evaluate a function as the masked sum over component orders of
+  :func:`_ordered_sum`, which reads every component value from one value
+  table (:class:`_BatchValues`).  The contour side is planned once per
+  (equation, grid) (:class:`_ContourPlan`) and the real-time side once
+  per rule (:func:`_plan_rule`); both contract their operands along
+  paths lowered to matrix products when they are planned
+  (:class:`_Step`).
 
 Only the numeric oracle uses NumPy, and this module is the only one of
 the package that refers to it: ``np`` is a lazy module
@@ -113,25 +53,13 @@ call does.
 
 Per-call memos aside, bounded caches live as long as the process: the
 component table of each (equation, seed), 64 entries; the grid of each
-(t0, t_max, grid size), 16, which :func:`verify` and the contour plans
-share; the contour plan of each (equation, grid), 64, each holding its
-lowered contraction path and the blocks of each (function, branches of
-its external arguments) it has met, at most B**E per function of E external arguments on B branches;
-the plan of each factor, 4096; the real-time plan of each rule, 64; and
-the sparse mesh of each (grid, node sets of some internal labels), 64.
-A grid keeps the nodes of each label it is asked for and the nodes that
-external times keep off for each tuple of labels, and a component table
-the coefficients of each component.
-Each holds values that are never changed after they are built, but for
-the function plans a contour plan adds as it meets new external
-branches and the lowered paths and run sizes a rule plan adds as it
-meets new operand shapes.  The value table has a one-entry cache keyed
-by (one class's component tables, grid, every sample's external times):
-the two sides of every class of a verdict, or of one batch outside a
-verdict, share it, and the next batch replaces it.  A verdict's table
-holds its values with no external argument and those of the class read
-last, and is dropped when :func:`verify` returns, so no verdict reuses
-another's values.
+(t0, t_max, grid size), 16; the contour plan of each (equation, grid),
+64; the plan of each factor, 4096; the real-time plan of each rule, 64;
+the sparse mesh of each (grid, node sets), 64; and the value table of
+the component tables and grid read last, 1, which :func:`verify` empties
+when it returns.  An entry adds what it is asked for (a grid its label
+nodes, a contour plan its function plans, a rule plan its paths, the
+value table its values) but never changes a value once built.
 """
 
 from __future__ import annotations
@@ -353,10 +281,12 @@ def placement_for_times(word: tuple[str, ...], times: dict[str, float]) -> Optio
     return None
 
 
-def _split_counts(eq: ContourEquation, target: SuperIndex) -> Counter:
-    """The branch split's signed counts, keyed in the normal-form basis
-    as ``(Matsubara-placed labels, imaginary integrals, ordering, component
-    factors)``, the factors in ``Factor.sort_key`` order; no count is 0.
+def branch_split_normal_form(eq: ContourEquation, target: SuperIndex) -> Counter:
+    """``normal_form(branch_split_oracle(eq, target), eq)``, keys in the
+    same order, counted by the split itself: its signed counts, keyed in
+    the normal-form basis as ``(Matsubara-placed labels, imaginary
+    integrals, ordering, component factors)``, the factors in
+    ``Factor.sort_key`` order; no count is 0.
 
     The loop of :func:`branch_split_oracle`, whose docstring gives the
     cancellation that leaves out most orderings.  The Matsubara-placed
@@ -515,13 +445,6 @@ class _Words(dict):
         ))))
 
 
-def branch_split_normal_form(eq: ContourEquation, target: SuperIndex) -> Counter:
-    """``normal_form(branch_split_oracle(eq, target), eq)``, keys in the same
-    order, counted by the split itself (:func:`_split_counts`), whose keys
-    are already normal-form keys."""
-    return _split_counts(eq, target)
-
-
 def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpression:
     """Real-time expression for a target, by brute-force branch splitting.
 
@@ -532,7 +455,8 @@ def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpr
     :func:`placement_for_times` for their order within the total ordering;
     orders with no placement are skipped.  The output is fully expanded and
     cancelled, its terms in the order they first arise, each key's count
-    from :func:`_split_counts` giving that many terms of its sign.
+    from :func:`branch_split_normal_form` giving that many terms of its
+    sign.
 
     The orderings that cancel are never visited.  This is the largest-time
     equation (Veltman, Physica 29, 186 (1963)) in local form.  Call a real
@@ -566,7 +490,7 @@ def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpr
     ordering leaves out only keys whose count is 0, so the other keys
     keep their order of first arising.
     """
-    counts = _split_counts(eq, target)
+    counts = branch_split_normal_form(eq, target)
     internal = frozenset(eq.internal)
     return RealTimeExpression(tuple(
         RealTimeTerm(1 if coeff > 0 else -1, (omega,), factors, internal - imag, imag)
@@ -780,83 +704,62 @@ def _component_table(eq: ContourEquation, seed: int) -> ComponentTable:
 
 
 # the node set of an internal argument on the vertical branch, in the keys
-# of the per-batch table; on a real branch it is the label's name
+# of the value table; on a real branch it is the label's name
 MATS_NODES = "vertical nodes"
 
 
 class _BatchValues:
-    """The component values of the samples of one verdict, or of one
-    batch, each evaluated once.
+    """The component values of the batches on one tuple of component
+    tables and one grid, sample ``i`` of every batch on ``tables[i]``;
+    called with a key, the value of the batch read last (:meth:`read`).
 
-    The samples come in order classes of ``len(tables)`` samples each,
-    sample ``i`` of every class on the component table ``tables[i]``;
-    ``times`` holds each external label's times over all the samples,
-    class by class, and class ``c`` reads the table through
-    ``of_class(c)`` (:class:`_ClassValues`).  A value is keyed by
-    ``(function name, mset, korder, args)``; each entry of ``args`` is an
-    external label, whose time in each sample ``times`` holds, or the
-    node set of an internal argument: its label's real nodes, named by
-    the label, or :data:`MATS_NODES`.  The value is an array over one
-    class's samples and a sparse mesh over the function's own node
-    arguments, in argument order, so every caller whose labels sit on
-    those node sets shares it.  A value with no external argument is the
-    same in every class: it is evaluated once and held with the table.  A
-    value with one is evaluated over the samples of the class that reads
-    it and held until another class reads the table, since the classes
-    are read one after another and no class reads another's values."""
+    A value is keyed by ``(function name, mset, korder, args)``; each entry
+    of ``args`` is an external label of the equation, whose time in each
+    sample ``times`` holds, or the node set of an internal argument: its
+    label's real nodes, named by the label, or :data:`MATS_NODES`.  The
+    value is an array over the samples and a sparse mesh over the
+    function's own node arguments, in argument order, so every caller
+    whose labels sit on those node sets shares it.  A value with no
+    external argument depends only on the tables, the grid and its key,
+    and is held in ``shared`` for every batch.  One with an external
+    argument depends on the samples' times too: it is held in ``values``
+    until another batch is read."""
 
-    def __init__(
-        self,
-        tables: tuple[ComponentTable, ...],
-        grid: DiscreteContour,
-        times: dict[str, np.ndarray],
-    ):
+    def __init__(self, tables: tuple[ComponentTable, ...], grid: DiscreteContour):
         self.tables = tables
         self.grid = grid
-        self.times = times
-        # the values with no external argument
+        self.external = frozenset(tables[0].eq.external)
         self.shared: dict[tuple, np.ndarray] = {}
-        # the class read last, and its values with an external argument
-        self.read: Optional[int] = None
+        # the batch read last, as each sample's external times in sorted
+        # items, its times over the samples and its values with an
+        # external argument
+        self.samples: Optional[tuple] = None
+        self.times: dict[str, np.ndarray] = {}
         self.values: dict[tuple, np.ndarray] = {}
 
-    def value(self, c: int, key: tuple) -> np.ndarray:
-        """The value of ``key`` over the samples of class ``c``."""
+    def read(self, samples: Sequence[dict[str, float]]) -> _BatchValues:
+        """The table, reading the batch of ``samples``, each sample's
+        external times."""
+        key = tuple(tuple(sorted(t.items())) for t in samples)
+        if key != self.samples:
+            self.samples, self.values = key, {}
+            self.times = {l: np.array([t[l] for t in samples]) for l in samples[0]}
+        return self
+
+    def __call__(self, fname: str, mset: frozenset, korder: tuple, args: tuple) -> np.ndarray:
+        key = (fname, mset, korder, args)
         value = self.shared.get(key)
         if value is None:
-            if c != self.read:
-                self.read, self.values = c, {}
             value = self.values.get(key)
         if value is None:
-            fname, mset, korder, args = key
-            nodes = tuple(a for a in args if a not in self.times)
+            nodes = tuple(a for a in args if a not in self.external)
             axes = iter(_sparse_mesh(self.grid, nodes))
-            n = len(self.tables)
-            times = _on_axes({l: t[c * n:(c + 1) * n] for l, t in self.times.items()}, len(nodes))
-            value = _components(
-                self.tables, fname, mset, korder,
-                [times[a] if a in times else next(axes) for a in args],
-            )
+            times = _on_axes(self.times, len(nodes))
+            value = _components(self.tables, fname, mset, korder, [
+                times[a] if a in self.external else next(axes) for a in args
+            ])
             (self.shared if len(nodes) == len(args) else self.values)[key] = value
         return value
-
-    def of_class(self, c: int) -> _ClassValues:
-        return _ClassValues(self, c)
-
-
-class _ClassValues:
-    """The samples of order class ``c`` of a value table
-    (:class:`_BatchValues`): their component tables, their external times
-    (views) and, called with a key, their component values."""
-
-    def __init__(self, table: _BatchValues, c: int):
-        self.table, self.c = table, c
-        self.tables = table.tables
-        n = len(table.tables)
-        self.times = {l: t[c * n:(c + 1) * n] for l, t in table.times.items()}
-
-    def __call__(self, fname: str, mset: frozenset, korder: tuple, args: tuple):
-        return self.table.value(self.c, (fname, mset, korder, args))
 
 
 def _on_axes(times: dict[str, np.ndarray], n_axes: int) -> dict[str, np.ndarray]:
@@ -884,25 +787,13 @@ def _sparse_mesh(grid: DiscreteContour, node_sets: tuple[str, ...]) -> tuple[np.
 
 
 @functools.lru_cache(maxsize=1)
-def _batch_values(
-    tables: tuple[ComponentTable, ...], grid: DiscreteContour, samples: tuple
-) -> _BatchValues:
-    """The value table of ``samples``, each sample's external times as
-    sorted items, in order classes of ``len(tables)`` samples each, sample
-    ``i`` of every class on ``tables[i]``: a verdict's samples
-    (:data:`_VERDICT_CLASSES`), or one batch.  One entry: the two sides of
-    every class share it, and only the latest table is held;
-    :func:`verify` drops its table when it returns."""
-    times = [dict(items) for items in samples]
-    return _BatchValues(tables, grid, {l: np.array([t[l] for t in times]) for l in times[0]})
-
-
-# the batches of the verdict that verify is checking, each keyed as in
-# _batch_values, with the key of the verdict's value table and the batch's
-# class in it; empty outside verify.  verify calls the public batch
-# functions, whose signatures carry no table, through the module (a tracer
-# wraps them), so they find the verdict's table here
-_VERDICT_CLASSES: dict[tuple, tuple[tuple, int]] = {}
+def _batch_values(tables: tuple[ComponentTable, ...], grid: DiscreteContour) -> _BatchValues:
+    """The value table of ``tables`` on ``grid``.  One entry: the batches
+    on one tables tuple and grid, such as the order classes of a verdict,
+    share its values with no external argument, and a batch on other
+    tables or another grid replaces it; :func:`verify` empties it when it
+    returns."""
+    return _BatchValues(tables, grid)
 
 
 def _batch(
@@ -910,11 +801,10 @@ def _batch(
     grid: DiscreteContour,
     samples: Sequence[dict[str, float]],
     ordered: Sequence[str],
-) -> _ClassValues:
-    """The values of a batch whose samples all order the labels
-    ``ordered`` alike, as one class of a value table: of the verdict's
-    table where the batch is one of its classes, else of the batch's own;
-    any other batch, and an empty one, is refused."""
+) -> _BatchValues:
+    """The value table (:func:`_batch_values`) reading a batch whose
+    samples all order the labels ``ordered`` alike; any other batch, and
+    an empty one, is refused."""
     if len(tables) != len(samples):
         raise ValueError(f"{len(tables)} tables for {len(samples)} samples")
     classes = {
@@ -925,9 +815,7 @@ def _batch(
             f"a batch takes samples of one order class of {', '.join(ordered) or 'no labels'}, "
             f"not {len(classes)}"
         )
-    key = (tuple(tables), grid, tuple(tuple(sorted(t.items())) for t in samples))
-    table, c = _VERDICT_CLASSES.get(key, (key, 0))
-    return _batch_values(*table).of_class(c)
+    return _batch_values(tuple(tables), grid).read(samples)
 
 
 def _steps(mask, pairs, keys):
@@ -939,7 +827,7 @@ def _steps(mask, pairs, keys):
 
 
 def _ordered_sum(
-    values: _ClassValues,
+    values: _BatchValues,
     func: SubFunction,
     mset: frozenset,
     orders: Iterable[tuple[object, tuple, tuple[int, ...]]],
@@ -1113,7 +1001,7 @@ def _shared_grid(t0: float, t_max: float, n_fwd: int) -> DiscreteContour:
 
 def _contour_operands(
     plan: _ContourPlan,
-    values: _ClassValues,
+    values: _BatchValues,
     kinds: dict[str, str],
     weights: dict[str, np.ndarray],
     filled: dict,
@@ -1375,8 +1263,8 @@ def evaluate_contour_batch(
     as an array over the samples (and one of the scales when requested).
 
     The samples must be of one order class of the horizontal externals;
-    any other batch is refused.  The batch is one class of a value table
-    (:func:`_batch`); its samples share their live external words and
+    any other batch is refused.  The values come from the value table
+    (:func:`_batch`).  The samples share their live external words and
     placements, and so the planned blocks and the contraction, which
     carry the sample axis."""
     m_ext = target.mats_labels()
@@ -1437,8 +1325,8 @@ def evaluate_realtime_batch(
     sample axis and its own labels' axes, of size 1 along the sample axis
     where it does not vary.  The terms of one layout are summed by one
     contraction whose operands are the phases and the pieces of each slot
-    (:class:`_Layout`), in runs of terms (:func:`_run_steps`).  The batch
-    is one class of a value table (:func:`_batch`)."""
+    (:class:`_Layout`), in runs of terms (:func:`_run_steps`).  The values
+    come from the value table (:func:`_batch`)."""
     pieces, layouts, compared = _rule_plan(expr)
     values = _batch(tables, grid, samples, compared)
     arrays: dict[int, np.ndarray] = {}
@@ -1460,51 +1348,23 @@ def evaluate_realtime_batch(
         weight = grid.real_weights[0] ** len(layout.reals) * grid.mats_weights[0] ** len(
             layout.imags
         )
-        # the samples, or 1 where no operand varies over them; where one
-        # term of all of them holds more than the bound, they are taken a
-        # chunk at a time, down to one
-        varying = max(shape[0] for shape in shapes)
-        chunk = varying
-        steps, per_term = _layout_path(layout, shapes, nodes_max)
-        while chunk > 1 and per_term > CONTRACTION_ELEMENTS:
-            chunk = max(1, chunk * CONTRACTION_ELEMENTS // per_term)
-            steps, per_term = _layout_path(layout, _on_samples(shapes, chunk), nodes_max)
-        for first in range(0, varying, chunk):
-            part, cut = slice(None), columns
-            if chunk < varying:
-                part = slice(first, first + chunk)
-                cut = [[a[:, part] if a.shape[1] > 1 else a for a in column] for column in columns]
-                steps, per_term = _layout_path(
-                    layout, _on_samples(shapes, min(chunk, varying - first)), nodes_max
-                )
-            run_length = max(1, CONTRACTION_ELEMENTS // per_term)
-            for start in range(0, len(layout.phases), run_length):
-                run = slice(start, start + run_length)
-                # a stacked column is gathered one run at a time, and only
-                # the contraction holds it, which frees it once it is used
-                total[part] += weight * _contract([layout.phases[run]] + [
-                    column[0][0] if index is None
-                    else np.concatenate([column[i] for i in index[run]])
-                    for column, (_, index) in zip(cut, layout.columns)
-                ], steps)
+        if shapes not in layout.paths:
+            layout.paths[shapes] = _run_steps(layout, shapes, nodes_max)
+        steps, per_term = layout.paths[shapes]
+        run_length = max(1, CONTRACTION_ELEMENTS // per_term)
+        for start in range(0, len(layout.phases), run_length):
+            run = slice(start, start + run_length)
+            # a stacked column is gathered one run at a time, and only the
+            # contraction holds it, which frees it once it is used
+            total += weight * _contract([layout.phases[run]] + [
+                column[0][0] if index is None
+                else np.concatenate([column[i] for i in index[run]])
+                for column, (_, index) in zip(columns, layout.columns)
+            ], steps)
     return total
 
 
-def _layout_path(layout, shapes: tuple[tuple[int, ...], ...], grow: int) -> tuple:
-    """The :func:`_run_steps` of ``layout`` on ``shapes``, planned once
-    per shapes."""
-    if shapes not in layout.paths:
-        layout.paths[shapes] = _run_steps(layout, shapes, grow)
-    return layout.paths[shapes]
-
-
-def _on_samples(shapes: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, ...], ...]:
-    """``shapes``, whose first axis is the sample axis, for ``n`` of the
-    samples: an axis that does not vary over them keeps its size 1."""
-    return tuple((min(shape[0], n),) + shape[1:] for shape in shapes)
-
-
-def _piece_value(piece: _Piece, values: _ClassValues, grid: DiscreteContour) -> np.ndarray:
+def _piece_value(piece: _Piece, values: _BatchValues, grid: DiscreteContour) -> np.ndarray:
     """The value of ``piece`` for the batch of ``values``: an array over
     the sample axis, of size 1 where it does not vary, and its labels'
     node axes."""
@@ -1528,10 +1388,9 @@ def _run_steps(layout, shapes: tuple[tuple[int, ...], ...], grow: int) -> tuple:
     used, those it uses, the copies it makes (:class:`_Step`) and its
     result.  A run of
     CONTRACTION_ELEMENTS // per_term terms holds no more than that bound
-    at once.  ``per_term`` counts the sample axis, so where one term
-    exceeds the bound, :func:`evaluate_realtime_batch` takes the samples
-    in chunks small enough that a one-term run fits; only a term that
-    exceeds it for a single sample is not held to it.
+    at once.  ``per_term`` counts the sample axis, so where one term of
+    the whole batch exceeds the bound, a run is that one term and is not
+    held to it.
 
     The greedy path is planned on runs whose largest operand times
     ``grow``, its limit on any intermediate, fills CONTRACTION_ELEMENTS;
@@ -1565,8 +1424,9 @@ def _run_steps(layout, shapes: tuple[tuple[int, ...], ...], grow: int) -> tuple:
 
 
 # the most elements that the arrays of a real-time side contraction which
-# hold the term axis reach together; 1 MiB of complex numbers, at which the
-# ladder's and the vertex's batches ran faster than at 2**18
+# hold the term axis reach together in one run of terms, except where one
+# term of the whole batch exceeds it; 1 MiB of complex numbers, at which
+# the ladder's and the vertex's batches ran faster than at 2**18
 CONTRACTION_ELEMENTS = 2**16
 
 
@@ -1839,14 +1699,12 @@ def verify(
 ) -> list[VerifyRecord]:
     """Check one rule symbolically and numerically; failures are records,
     not exceptions.  The numeric check evaluates each order class of the
-    horizontal externals once, as one batch of every seed's samples, on
-    the grid of its size that the contour plans share
-    (:func:`_shared_grid`).  All classes read one value table
-    (:class:`_BatchValues`), keyed over every class's samples, each
-    class's rows contiguous, so a value with no external argument is
-    evaluated once per verdict and one with an external argument once
-    per class: each class's batch finds its rows through
-    :data:`_VERDICT_CLASSES`, and the table is dropped on return."""
+    horizontal externals once, as one batch of every seed's samples in
+    seed order, on the grid of its size that the contour plans share
+    (:func:`_shared_grid`).  So every class's batch is on the same
+    component tables, and the classes share one value table
+    (:func:`_batch_values`) and its values with no external argument;
+    the table is emptied on return."""
     name = target_name or str(target)
     rule = derive_rule(eq, target) if rule is None else rule
     classes, blocked = _ordering_classes(eq, target)
@@ -1887,36 +1745,26 @@ def verify(
             ]
         except ContourError as exc:
             worst[k], detail[k] = np.inf, str(exc)
-    # one value table for every class's samples, class by class, each
-    # class holding every seed's samples in the same order; each class's
-    # batch reads its rows
-    batch = [(k, times) for c in range(len(classes)) for k in draws for times in draws[k][c]]
-    per_class = len(draws) * SAMPLES_PER_CLASS
-    if batch:
-        ks, samples = zip(*batch)
-        class_tables = tuple(tables[k] for k in ks[:per_class])
-        items = tuple(tuple(sorted(t.items())) for t in samples)
-        for c in range(len(classes)):
-            key = (class_tables, grid, items[c * per_class:(c + 1) * per_class])
-            _VERDICT_CLASSES[key] = (class_tables, grid, items), c
+    # the seed of each sample of a class, and its table
+    ks = [k for k in draws for _ in range(SAMPLES_PER_CLASS)]
+    class_tables = tuple(tables[k] for k in ks)
     try:
-        for c, omega in enumerate(classes if batch else ()):
-            rows = slice(c * per_class, (c + 1) * per_class)
+        for c, omega in enumerate(classes if draws else ()):
+            samples = [times for k in draws for times in draws[k][c]]
             try:
-                lhs = evaluate_contour_batch(eq, target, class_tables, grid, samples[rows])
-                rhs = evaluate_realtime_batch(rule, eq, class_tables, grid, samples[rows])
+                lhs = evaluate_contour_batch(eq, target, class_tables, grid, samples)
+                rhs = evaluate_realtime_batch(rule, eq, class_tables, grid, samples)
             except ContourError as exc:
                 # every seed has samples in the class, so it fails them all
                 for k in draws:
                     worst[k], detail[k] = np.inf, str(exc)
                 break
             errors = np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
-            for k, err in zip(ks[rows], errors.tolist()):
+            for k, err in zip(ks, errors.tolist()):
                 if err > worst[k]:
                     worst[k], detail[k] = err, f"ordering {'>'.join(omega) or '-'}"
     finally:
         # no verdict's values outlive it
-        _VERDICT_CLASSES.clear()
         _batch_values.cache_clear()
     records += [
         VerifyRecord(eq.lhs_name, name, "numeric", int(seed), worst[k], worst[k] <= tol, detail[k])

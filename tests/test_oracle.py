@@ -1,5 +1,6 @@
 """Branch-splitting oracle, normal forms, and the discrete-contour evaluators."""
 
+import ast
 import gc
 import itertools
 import json
@@ -789,22 +790,83 @@ def test_each_component_is_evaluated_once_per_sample(case, monkeypatch):
 
 
 def test_value_table_holds_one_batch(monkeypatch):
+    # a value with no external argument is evaluated once per tables tuple
+    # and grid; one with an external argument once per batch that reads
+    # it, and dropped when another batch is read
     eq = catalog.double_triangle()
     target = parse_superindex(">", eq)
     grid = DiscreteContour(n_fwd=5)
+    external = set(eq.external)
     tables, first = _one_class_batch(eq, {"a": 1.31, "b": 0.52})
     second = tuple({"a": t["a"], "b": t["b"] - 0.1} for t in first)
     calls = _component_keys(monkeypatch)
     value = evaluate_contour_batch(eq, target, tables, grid, first)
-    n_first = len(calls)
+    table = oracle._batch_values(tables, grid)
+    shared, held = set(table.shared), set(table.values)
+    assert shared and not any(external & set(key[3]) for key in shared)
+    assert held and all(external & set(key[3]) for key in held)
+    assert len(calls) == len(shared) + len(held)
+    # the same batch reads its table
     assert np.array_equal(evaluate_contour_batch(eq, target, tables, grid, first), value)
-    assert len(calls) == n_first  # the same batch reads its table
-    evaluate_contour_batch(eq, target, tables, grid, second)
-    assert oracle._batch_values.cache_info().currsize <= 1
-    # the second batch replaced the first, whose values are made again
+    assert len(calls) == len(shared) + len(held)
+    # a second batch on the same tables makes its values with an external
+    # argument, and none of the shared ones
+    before = len(calls)
+    assert not np.array_equal(evaluate_contour_batch(eq, target, tables, grid, second), value)
+    assert oracle._batch_values(tables, grid) is table
+    assert set(table.shared) == shared and set(table.values) == held
+    assert len(calls) - before == len(held)
+    # reading the first batch again makes its values with an external
+    # argument again, and only those
     before = len(calls)
     assert np.array_equal(evaluate_contour_batch(eq, target, tables, grid, first), value)
-    assert len(calls) - before == n_first
+    assert len(calls) - before == len(held)
+    # a batch on other tables replaces the table
+    others, _ = _one_class_batch(eq, {"a": 1.31, "b": 0.52}, seeds=(7, 8, 9))
+    evaluate_contour_batch(eq, target, others, grid, first)
+    assert oracle._batch_values.cache_info().currsize <= 1
+    assert oracle._batch_values(others, grid) is not table
+    before = len(calls)
+    assert np.array_equal(evaluate_contour_batch(eq, target, tables, grid, first), value)
+    assert len(calls) - before == len(shared) + len(held)
+    assert oracle._batch_values.cache_info().currsize <= 1
+
+
+def test_batches_read_back_to_back_equal_fresh_tables():
+    # batches on one tables tuple share the values with no external
+    # argument; each equals, bit for bit, the batch on a fresh table, so
+    # no value with an external argument, a Matsubara one included, is
+    # shared: two order classes, then two Matsubara depths
+    grid = DiscreteContour(n_fwd=5)
+    cases = [
+        (catalog.double_triangle(), ">", [{"a": 1.31, "b": 0.52}, {"a": 0.52, "b": 1.31}]),
+        (
+            parse_equation(THREE_EXTERNAL), "M(1)23",
+            [{"a": 0.4, "b": 1.2, "c": 0.3}, {"a": 0.8, "b": 1.2, "c": 0.3}],
+        ),
+    ]
+    for eq, tname, times in cases:
+        target = parse_superindex(tname, eq)
+        rule = derive_rule(eq, target)
+        tables, _ = _one_class_batch(eq, times[0])
+        batches = [_one_class_batch(eq, t)[1] for t in times]
+
+        def sides(samples):
+            return (
+                evaluate_contour_batch(eq, target, tables, grid, samples),
+                evaluate_realtime_batch(rule, eq, tables, grid, samples),
+            )
+
+        oracle._batch_values.cache_clear()
+        back_to_back = [sides(samples) for samples in batches]
+        assert oracle._batch_values(tables, grid).shared
+        for samples, got in zip(batches, back_to_back):
+            oracle._batch_values.cache_clear()
+            want = sides(samples)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        # the two batches differ
+        assert not np.array_equal(back_to_back[0][0], back_to_back[1][0])
+    oracle._batch_values.cache_clear()
 
 
 def test_cached_meshes_give_bit_identical_values(monkeypatch):
@@ -1114,7 +1176,7 @@ def test_a_verdict_table_holds_the_external_values_of_one_class(monkeypatch):
     def holding(*args):
         value = realtime(*args)
         (table,) = tables
-        held.append((table.read, set(table.values), set(table.shared)))
+        held.append((table.samples, set(table.values), set(table.shared)))
         return value
 
     monkeypatch.setattr(oracle, "_BatchValues", Recording)
@@ -1123,7 +1185,7 @@ def test_a_verdict_table_holds_the_external_values_of_one_class(monkeypatch):
     records = verify(eq, target, "R(1,23)", seeds=(0, 1), grid_size=6, rule=rule)
     assert all(r.passed for r in records)
     n_classes = len(oracle._ordering_classes(eq, target)[0])
-    assert n_classes > 1 and [c for c, _, _ in held] == list(range(n_classes))
+    assert n_classes > 1 and len({samples for samples, _, _ in held}) == len(held) == n_classes
     external = set(eq.external)
     shared = held[-1][2]
     assert shared and not any(external & set(key[3]) for key in shared)
@@ -1240,17 +1302,24 @@ def test_realtime_plan_is_built_once_per_rule(monkeypatch):
 @pytest.mark.parametrize("case", [6, 8])
 def test_realtime_side_in_runs_of_terms(case, monkeypatch):
     # a small bound on intermediates splits each contraction into runs of
-    # terms, down to one term per run
+    # terms, down to one term per run, for one sample and for a batch of
+    # six, one term of which can exceed the bound
     eq, tname, times, nodes = REALTIME_CASES[case]
-    rule = derive_rule(eq, parse_superindex(tname, eq))
+    target = parse_superindex(tname, eq)
+    rule = derive_rule(eq, target)
     grid = DiscreteContour(n_fwd=nodes)
     tables = ComponentTable(eq, 0)
     whole = evaluate_realtime_side(rule, eq, tables, grid, times)
     want, scale = _literal_realtime_sum(rule, tables, grid, times)
     assert abs(whole - want) <= 1e-12 * scale
+    batch_tables, samples = _one_class_batch(eq, times)
+    batch = evaluate_realtime_batch(rule, eq, batch_tables, grid, samples)
+    _, scales = evaluate_contour_batch(eq, target, batch_tables, grid, samples, with_scale=True)
     for elements in (1, 200):
         monkeypatch.setattr(oracle, "CONTRACTION_ELEMENTS", elements)
         assert abs(evaluate_realtime_side(rule, eq, tables, grid, times) - whole) <= 1e-12 * scale
+        bounded = evaluate_realtime_batch(rule, eq, batch_tables, grid, samples)
+        assert np.all(np.abs(bounded - batch) <= 1e-12 * scales)
 
 
 # the general vertex: its R(1,23) rule has 396 terms over four real internals
@@ -1286,36 +1355,6 @@ def test_realtime_side_intermediates_stay_within_bound(monkeypatch):
         sizes.clear()
         evaluate_realtime_batch(rule, eq, tables, grid, samples)
         assert sizes and max(sizes) <= oracle.CONTRACTION_ELEMENTS
-
-
-@pytest.mark.parametrize(
-    "source, contour",
-    [(LADDER, "keldysh"), (CHAIN4, "extended")],
-    ids=["ladder-keldysh", "chain4-extended"],
-)
-def test_realtime_batch_in_chunks_of_samples(source, contour, monkeypatch):
-    # a bound below one term of the whole batch takes the samples a chunk
-    # at a time; the sum is the same
-    eq = parse_equation(source, contour=contour)
-    rule = derive_rule(eq, parse_superindex(">", eq))
-    grid = DiscreteContour(n_fwd=6)
-    tables, samples = _one_class_batch(eq, {"a": 1.95, "b": 0.52})
-    chunks = []
-    on_samples = oracle._on_samples
-    monkeypatch.setattr(
-        oracle, "_on_samples", lambda shapes, n: chunks.append(n) or on_samples(shapes, n)
-    )
-    whole = evaluate_realtime_batch(rule, eq, tables, grid, samples)
-    assert chunks == []
-    # the most elements one term of the whole batch holds, in any layout
-    layouts = oracle._rule_plan(rule)[1]
-    most = max(per_term for layout in layouts for _, per_term in layout.paths.values())
-    for elements in (1, most // 2):
-        chunks.clear()
-        monkeypatch.setattr(oracle, "CONTRACTION_ELEMENTS", elements)
-        chunked = evaluate_realtime_batch(rule, eq, tables, grid, samples)
-        assert chunks and min(chunks) < len(samples)
-        assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))
 
 
 # (operand subscripts, operand shapes, letters the result keeps): each
@@ -1368,3 +1407,24 @@ def test_path_steps_take_a_group_two_at_a_time():
     want = np.einsum(",".join(subscripts) + "->a", *operands)
     got = oracle._contract(operands, steps)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_oracle_takes_only_its_inputs_from_the_compiler_and_engine():
+    # the oracles share nothing with the compiler's reduction: the module
+    # takes from the compiler only the rule to check, the component of a
+    # product and the type of a function with its Matsubara slots, and from
+    # the engine only the expansion of retarded components
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported: dict[str, set] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = ".".join(filter(None, ["contourcalc", module]))
+            imported.setdefault(module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                imported.setdefault(a.name, set())
+    assert imported["contourcalc.compiler"] == {"BFunc", "component_of_product", "derive_rule"}
+    assert imported["contourcalc.engine"] == {"expand_retarded"}
+    assert not {"compiler", "engine"} & imported.get("contourcalc", set())

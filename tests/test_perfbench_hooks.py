@@ -89,9 +89,11 @@ def test_verify_reaches_symbolic_layers_through_the_module(monkeypatch):
 
 
 def test_verify_reaches_numeric_sides_through_the_module(monkeypatch):
-    # a tracer times the numeric sides by wrapping these module attributes:
-    # verify must call both through the module, once per order class, with
-    # every seed's samples of that class in one batch
+    # verify must call both batch sides through the module, once per order
+    # class, with every seed's samples of that class in one batch, so that
+    # a tracer can time them by wrapping these attributes.  The benchmark's
+    # tracer still wraps the one-sample sides, which verify does not call;
+    # this hook is kept for a tracer of the batches
     from contourcalc import catalog, oracle
     from contourcalc.parser import parse_superindex
 
