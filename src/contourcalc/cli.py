@@ -120,6 +120,9 @@ def _verify_one(job):
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    # the numeric check multiplies small matrices, on which a second BLAS
+    # thread only spins; set before NumPy loads, and a value the user set wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     failed = False
     try:
         equations = _load_equations(cfg)
@@ -137,9 +140,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # NumPy loads on first use: load it before the workers fork, so that
-        # they inherit it instead of each importing it again
-        np.ndarray
+        # NumPy loads on first numeric use: load it before the workers fork,
+        # so that they inherit it instead of each importing it again
+        if cfg.seeds:
+            np.ndarray
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             all_records = list(pool.map(_verify_one, jobs))
     else:

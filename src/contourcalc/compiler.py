@@ -482,8 +482,9 @@ def _multilinear_reduce(funcs: tuple[BFunc, ...], items: tuple[Item, ...]):
     if any(abs(v) > 1 for v in merged.values()):
         return None
     out = [(v, c, f) for (c, f), v in merged.items() if v]
-    stripped = [(s, _strip_implied(c, f), f) for s, c, f in out]
-    return [(s, _strip_implied(c, f), f) for s, c, f in _merge_theta(stripped)]
+    # fusing needs no second strip: each pair it leaves adjacent was adjacent
+    # in one of the stripped chains it fused, next to the same factors
+    return _merge_theta([(s, _strip_implied(c, f), f) for s, c, f in out])
 
 
 def _merge_theta(parts: list[PartTerm]) -> list[PartTerm]:
@@ -698,9 +699,9 @@ def emit(
     expr: RealTimeExpression,
     format: str = "text",
     naming: str = "hacek",
-    lhs: str | None = None,
 ) -> str:
-    """Deterministic rendering of a canonical expression.
+    """Deterministic rendering of a canonical expression: the signed sum
+    of its terms, without a left-hand side.
 
     ``naming='langreth'`` uses the seven two-point shorthands and raises
     :class:`NamingUnavailable` on factors of higher arity; ``'hacek'``
@@ -710,7 +711,4 @@ def emit(
         raise ValueError(f"unknown format {format!r}")
     if naming not in ("langreth", "hacek", "labeled"):
         raise ValueError(f"unknown naming {naming!r}")
-    body = _signed_sum((t.sign, _render_term(t, format, naming)) for t in expr.terms)
-    if lhs is None:
-        return body
-    return f"{lhs} = {body}"
+    return _signed_sum((t.sign, _render_term(t, format, naming)) for t in expr.terms)

@@ -48,18 +48,19 @@ strategy:
 Only the numeric oracle uses NumPy, and this module is the only one of
 the package that refers to it: ``np`` is a lazy module
 (:func:`_lazy_numpy`), so importing the package, parsing, deriving,
-emitting and the symbolic check never load NumPy, and the first numeric
-call does.
+emitting and the symbolic check (:func:`verify` with no seeds among
+them) never load NumPy, and the first numeric call does.
 
 Per-call memos aside, bounded caches live as long as the process: the
 component table of each (equation, seed), 64 entries; the grid of each
 (t0, t_max, grid size), 16; the contour plan of each (equation, grid),
-64; the plan of each factor, 4096; the real-time plan of each rule, 64;
-the sparse mesh of each (grid, node sets), 64; and the value table of
-the component tables and grid read last, 1, which :func:`verify` empties
-when it returns.  An entry adds what it is asked for (a grid its label
-nodes, a contour plan its function plans, a rule plan its paths, the
-value table its values) but never changes a value once built.
+64; the plan of each factor, 4096; the real-time plan of each rule,
+keyed by the rule, so equal rules share one, 64; the sparse mesh of
+each (grid, node sets), 64; and the value table of the component tables
+and grid read last, 1, which :func:`verify` empties when it returns.
+An entry adds what it is asked for (a grid its label nodes, a contour
+plan its function plans, a rule plan its paths, the value table its
+values) but never changes a value once built.
 """
 
 from __future__ import annotations
@@ -552,8 +553,6 @@ class DiscreteContour:
         self.mats_nodes = (np.arange(n_mats) + mshift) * dm
         self.mats_weights = np.full(n_mats, dm)
         self._label_nodes: dict[str, np.ndarray] = {}
-        # the nodes node_gap compares with, per tuple of labels, as a column
-        self._gap_nodes: dict[tuple[str, ...], np.ndarray] = {}
 
     def label_nodes(self, label: str) -> np.ndarray:
         """The real nodes of ``label``: t0 + (k + s) dt for each cell k,
@@ -571,12 +570,9 @@ class DiscreteContour:
 
     def node_gap(self, times, labels: tuple[str, ...]) -> float:
         """The least distance from any of ``times`` to ``real_nodes`` or to
-        a node of one of ``labels`` (inf for no times)."""
-        nodes = self._gap_nodes.get(labels)
-        if nodes is None:
-            nodes = np.concatenate([self.real_nodes, *map(self.label_nodes, labels)])[:, None]
-            nodes.flags.writeable = False
-            nodes = self._gap_nodes.setdefault(labels, nodes)
+        a node of one of ``labels`` (inf for no times); the nodes are
+        gathered on each call."""
+        nodes = np.concatenate([self.real_nodes, *map(self.label_nodes, labels)])[:, None]
         return float(np.min(np.abs(nodes - np.asarray(times)), initial=np.inf))
 
     def contour_key(self, branch: str, t):
@@ -1320,14 +1316,15 @@ def evaluate_realtime_batch(
     as an array over the samples.
 
     The samples must order alike the external labels that the rule
-    compares with each other; any other batch is refused.  Each piece of
-    the rule's plan (:func:`_rule_plan`) is computed once per call, on the
-    sample axis and its own labels' axes, of size 1 along the sample axis
-    where it does not vary.  The terms of one layout are summed by one
-    contraction whose operands are the phases and the pieces of each slot
-    (:class:`_Layout`), in runs of terms (:func:`_run_steps`).  The values
-    come from the value table (:func:`_batch`)."""
-    pieces, layouts, compared = _rule_plan(expr)
+    compares with each other; any other batch is refused.  The rule's
+    plan is cached by the rule (:func:`_plan_rule`), and each of its
+    pieces is computed once per call, on the sample axis and its own
+    labels' axes, of size 1 along the sample axis where it does not
+    vary.  The terms of one layout are summed by one contraction whose
+    operands are the phases and the pieces of each slot
+    (:class:`_Layout`), in runs of terms (:func:`_run_steps`).  The
+    values come from the value table (:func:`_batch`)."""
+    pieces, layouts, compared = _plan_rule(expr)
     values = _batch(tables, grid, samples, compared)
     arrays: dict[int, np.ndarray] = {}
     nodes_max = max(grid.n_fwd, grid.n_mats)
@@ -1474,10 +1471,13 @@ class _Layout(NamedTuple):
     paths: dict
 
 
+@functools.lru_cache(maxsize=64)
 def _plan_rule(expr: RealTimeExpression):
     """The pieces of ``expr``, numbered, its layouts (:class:`_Layout`)
     and the external labels it compares with each other, sorted, as
-    ``(pieces, layouts, compared)``."""
+    ``(pieces, layouts, compared)``; built once per process while the
+    rule stays among the 64 most recently planned, and shared by equal
+    rules."""
     # (reals, imags) -> per term: its sign and its piece in each of its slots;
     # a slot is ("f", function name, arguments, repeat) or ("s", labels)
     groups: dict[tuple, list[tuple[int, dict]]] = {}
@@ -1553,25 +1553,6 @@ def _plan_rule(expr: RealTimeExpression):
     return list(pieces), layouts, tuple(sorted(compared - internal))
 
 
-# the plans of the rules evaluated last, keyed by id: an entry holds its
-# rule, so no other rule can take that id while it is kept
-_RULE_PLANS: dict[int, tuple[RealTimeExpression, tuple]] = {}
-RULE_PLANS_KEPT = 64
-
-
-def _rule_plan(expr: RealTimeExpression):
-    """:func:`_plan_rule` of ``expr``, built once while it stays among the
-    most recently evaluated rules; found by identity, so a rule is not
-    hashed per call."""
-    entry = _RULE_PLANS.pop(id(expr), None)
-    if entry is None:
-        entry = (expr, _plan_rule(expr))
-        if len(_RULE_PLANS) >= RULE_PLANS_KEPT:
-            del _RULE_PLANS[next(iter(_RULE_PLANS))]
-    _RULE_PLANS[id(expr)] = entry
-    return entry[1]
-
-
 @functools.lru_cache(maxsize=4096)
 def _factor_plan(factor: Factor):
     """A factor's vertical slots and its plain components, as ``(mset,
@@ -1613,7 +1594,8 @@ class VerifyRecord:
             "target": self.target,
             "mode": self.mode,
             "seed": None if self.seed is None else int(self.seed),
-            "max_error": float(self.max_error),
+            # strict JSON has no infinity: a failure with no error found is null
+            "max_error": float(self.max_error) if math.isfinite(self.max_error) else None,
             "passed": bool(self.passed),
             "detail": self.detail,
         }
@@ -1697,14 +1679,15 @@ def verify(
     tol: float = 1e-8,
     rule: Optional[RealTimeExpression] = None,
 ) -> list[VerifyRecord]:
-    """Check one rule symbolically and numerically; failures are records,
-    not exceptions.  The numeric check evaluates each order class of the
-    horizontal externals once, as one batch of every seed's samples in
-    seed order, on the grid of its size that the contour plans share
-    (:func:`_shared_grid`).  So every class's batch is on the same
-    component tables, and the classes share one value table
-    (:func:`_batch_values`) and its values with no external argument;
-    the table is emptied on return."""
+    """Check one rule symbolically and, once per seed, numerically;
+    failures are records, not exceptions.  With no seeds the check is
+    symbolic alone and loads no NumPy.  The numeric check evaluates each
+    order class of the horizontal externals once, as one batch of every
+    seed's samples in seed order, on the grid of its size that the
+    contour plans share (:func:`_shared_grid`).  So every class's batch
+    is on the same component tables, and the classes share one value
+    table (:func:`_batch_values`) and its values with no external
+    argument; the table is emptied on return."""
     name = target_name or str(target)
     rule = derive_rule(eq, target) if rule is None else rule
     classes, blocked = _ordering_classes(eq, target)
@@ -1726,9 +1709,11 @@ def verify(
     split_nf = branch_split_normal_form(eq, target)
     sym_ok = dict.__eq__(split_nf, rule_nf)
     records = [VerifyRecord(
-        eq.lhs_name, name, "symbolic", None, 0.0 if sym_ok else np.inf, sym_ok,
+        eq.lhs_name, name, "symbolic", None, 0.0 if sym_ok else math.inf, sym_ok,
         "" if sym_ok else _mismatch(split_nf, rule_nf),
     )]
+    if not seeds:
+        return records
     grid = _shared_grid(GRID_T0, GRID_T_MAX, grid_size)
     worst = [0.0] * len(seeds)
     detail = [""] * len(seeds)

@@ -269,6 +269,53 @@ def test_verify_oracle_error_is_fail_record_exit_2(monkeypatch, capsys):
         assert "max_error=inf" in line and "no tie-free external times" in line
 
 
+def test_verify_json_is_strict_for_a_failing_rule(monkeypatch, capsys):
+    # a failure with no error found (the symbolic record of a wrong rule, a
+    # seed whose numeric check raised) writes max_error as null: Infinity
+    # is not JSON
+    from contourcalc import cli, oracle
+    from contourcalc.ir import RealTimeExpression
+
+    derive_rule = cli.derive_rule
+
+    def not_json(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    def one_term_dropped(eq, target):
+        return RealTimeExpression(derive_rule(eq, target).terms[1:])
+
+    def no_times(*args, **kwargs):
+        raise oracle.GridTieError("no tie-free external times")
+
+    args = ["verify", "--input", "convolution", "--target", ">", "--grid", "6", "--seeds", "1"]
+    monkeypatch.setattr(cli, "derive_rule", one_term_dropped)
+    assert main(args + ["--json"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    records = [json.loads(line, parse_constant=not_json) for line in out]
+    assert [r["passed"] for r in records] == [False, False]
+    assert records[0]["max_error"] is None and records[1]["max_error"] > 1e-8
+    monkeypatch.setattr(oracle, "_sample_times", no_times)
+    assert main(args + ["--json"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    records = [json.loads(line, parse_constant=not_json) for line in out]
+    assert [r["max_error"] for r in records] == [None, None]
+    # the text output keeps inf
+    assert main(args) == 2
+    assert capsys.readouterr().out.count("max_error=inf") == 2
+
+
+def test_verify_defaults_to_one_blas_thread(monkeypatch, capsys):
+    # a value the user set wins over the default; set first, so that the
+    # variable is restored however it was before the test
+    args = ["verify", "--input", "convolution", "--target", ">", "--seeds", "0"]
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert main(args) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert main(args) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
 @pytest.mark.parametrize("command", ["derive", "verify"])
 def test_name_with_two_arities_is_usage_error(command, tmp_path, capsys):
     # one sub-function name at two arities is an ill-formed equation, not a
@@ -360,15 +407,18 @@ eq = catalog.CORPUS["convolution"]()
 for name in catalog.all_targets(eq):
     compiler.emit(compiler.derive_rule(eq, parser.parse_superindex(name, eq)))
 cli.render_tables(cli.RunConfig("tables"))
-print(len(corpus), sorted(m for m in sys.modules if m.startswith("numpy.")))
+symbolic = oracle.verify(eq, parser.parse_superindex(">", eq), seeds=())
+loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
+print(len(corpus), [r.passed for r in symbolic], loaded)
 records = oracle.verify(eq, parser.parse_superindex(">", eq), seeds=range(1), grid_size=8)
 print([r.passed for r in records], "numpy.linalg" in sys.modules)
 """
 
 
 def test_compiler_never_loads_numpy():
-    # parsing, deriving, emitting and the tables run without NumPy; the
-    # numeric check loads it on its first call, in the same interpreter
+    # parsing, deriving, emitting, the tables and a verdict with no seeds
+    # run without NumPy; the numeric check loads it on its first call, in
+    # the same interpreter
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", _WITHOUT_NUMPY],
@@ -378,4 +428,4 @@ def test_compiler_never_loads_numpy():
         capture_output=True,
         check=True,
     )
-    assert proc.stdout.splitlines() == ["6 []", "[True, True] True"]
+    assert proc.stdout.splitlines() == ["6 [True] []", "[True, True] True"]

@@ -942,7 +942,7 @@ def test_batch_of_two_order_classes_is_refused():
     tables = (ComponentTable(eq, 0),) * 2
     both = ({"a": 1.31, "b": 0.52}, {"a": 0.52, "b": 1.31})
     # the rule compares a and b, so its side refuses the batch too
-    assert oracle._rule_plan(rule)[2] == ("a", "b")
+    assert oracle._plan_rule(rule)[2] == ("a", "b")
     with pytest.raises(ValueError, match="one order class"):
         evaluate_contour_batch(eq, target, tables, grid, both)
     with pytest.raises(ValueError, match="one order class"):
@@ -1279,24 +1279,21 @@ def test_corpus_verify_pass_component_calls(monkeypatch):
 # real-time side: one plan per rule, contractions in runs of terms
 
 
-def test_realtime_plan_is_built_once_per_rule(monkeypatch):
+def test_realtime_plan_is_built_once_per_rule():
     eq = parse_equation(LADDER, contour="keldysh")
     rule = derive_rule(eq, parse_superindex(">", eq))
     grid = DiscreteContour(n_fwd=4)
     tables = ComponentTable(eq, 0)
     times = {"a": 1.95, "b": 0.52}
     first = evaluate_realtime_side(rule, eq, tables, grid, times)
-    plans = []
-    monkeypatch.setattr(oracle, "_plan_rule", lambda expr: plans.append(expr))
-    hashes = Counter()
-    factor_hash = oracle.Factor.__hash__
-    monkeypatch.setattr(
-        oracle.Factor, "__hash__", lambda self: hashes.update(["factor"]) or factor_hash(self)
-    )
-    # the rule is found by identity: no new plan and no factor hashed
+    misses = oracle._plan_rule.cache_info().misses
+    # no new plan for the same rule, nor for an equal one derived apart
     assert evaluate_realtime_side(rule, eq, tables, grid, {"a": 0.1, "b": 1.9}) != first
     assert evaluate_realtime_side(rule, eq, tables, grid, times) == first
-    assert plans == [] and hashes["factor"] == 0
+    again = derive_rule(eq, parse_superindex(">", eq))
+    assert again == rule and again is not rule
+    assert evaluate_realtime_side(again, eq, tables, grid, times) == first
+    assert oracle._plan_rule.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("case", [6, 8])
