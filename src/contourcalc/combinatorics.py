@@ -6,14 +6,16 @@ step functions over shuffle-like permutation classes; nested commutators
 slices (grouped by the number of entries left of the head) are exactly the
 inverses of the reversed-front shuffle class.  These two facts together are
 what make retarded compositions work.  The total orders that a set of step
-chains allows are its linear extensions (:func:`linear_extensions`).
+chains allows are its linear extensions (:func:`linear_extensions`), and
+the order relation that the chains generate is a key for that set
+(:func:`order_relation`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .ir import ContourError
 
@@ -112,13 +114,7 @@ def linear_extensions(
     repeated label, or a neighbour condition naming no label of
     ``labels`` gives none.
     """
-    bits = {l: 1 << i for i, l in enumerate(labels)}
-    preds = dict.fromkeys(bits, 0)
-    for chain in chains:
-        for x, y in zip(chain, chain[1:]):
-            if x not in bits or y not in bits:
-                raise ValueError(f"step chain {chain} leaves the labels {tuple(labels)}")
-            preds[y] |= bits[x]
+    bits, preds = _chain_masks(labels, chains)
     # a bit above the labels' is set in every placed mask, so it is the
     # neighbour mask of a label that needs no neighbour
     start = 1 << len(labels)
@@ -138,6 +134,46 @@ def linear_extensions(
     if len(table) < len(labels):
         return []
     return _completions(start, table, {2 * start - 1: [()]})
+
+
+def order_relation(
+    labels: Sequence[Hashable], chains: Iterable[Sequence[Hashable]]
+) -> Optional[tuple[int, ...]]:
+    """The order that ``chains`` put on ``labels``, as a key: for each
+    label, in the given order, the bitmask of the labels that must be
+    later than it, closed transitively.  A partial order is the
+    intersection of its linear extensions (Szpilrajn), so two chain sets
+    over the same labels have the same key exactly when
+    :func:`linear_extensions` lists the same orders for them.  A cyclic
+    chain set or a repeated label has no order, and its key is None.
+    """
+    bits, preds = _chain_masks(labels, chains)
+    if len(bits) < len(labels):
+        return None
+    later = list(preds.values())
+    # Warshall's closure, one intermediate label at a time
+    for k, bit in enumerate(bits.values()):
+        for i, mask in enumerate(later):
+            if mask & bit:
+                later[i] = mask | later[k]
+    if any(mask >> i & 1 for i, mask in enumerate(later)):
+        return None
+    return tuple(later)
+
+
+def _chain_masks(
+    labels: Sequence[Hashable], chains: Iterable[Sequence[Hashable]]
+) -> tuple[dict, dict]:
+    """Each label's bit, and the mask of the labels that its chains put
+    right before it (later), by label in the labels' order."""
+    bits = {l: 1 << i for i, l in enumerate(labels)}
+    preds = dict.fromkeys(bits, 0)
+    for chain in chains:
+        for x, y in zip(chain, chain[1:]):
+            if x not in bits or y not in bits:
+                raise ValueError(f"step chain {chain} leaves the labels {tuple(labels)}")
+            preds[y] |= bits[x]
+    return bits, preds
 
 
 def _completions(placed: int, table: list[tuple], tails: dict[int, list[tuple]]) -> list[tuple]:

@@ -6,25 +6,28 @@ strategy:
 * a symbolic one that splits every contour integral over the branches,
   reduces each branch configuration with plain component calculus, and
   cancels -- the result is a normal form over total orderings of the real
-  time labels.  Both symbolic layers enumerate the total orderings of
-  each distinct (real labels, step chains) pair once per call, as linear
-  extensions over bitmasks of placed labels
-  (:func:`~contourcalc.combinatorics.linear_extensions`), and count their
-  keys in bulk (:class:`_SignedCounts`): a key's group (its Matsubara
-  placement and its plain component factors, which are interned by
+  time labels.  Both symbolic layers count occurrences of their keys in
+  bulk (:class:`_SignedCounts`): a key's group (its Matsubara placement
+  and its plain component factors, which are interned by
   :mod:`contourcalc.ir` and put in ``Factor.sort_key`` order once per
   call) and its ordering are numbered, so an occurrence is one int that
   ``Counter`` counts in C, and only the keys whose count is not zero are
-  built, in the order in which they first arose.  The branch split
-  builds only the orderings in which every real internal has a later
-  neighbour (a real label it shares a function with); the others cancel
-  between its forward and backward placements, by the largest-time
-  equation in local form (:func:`branch_split_oracle`).  It picks each
-  function's component for all of a branch assignment's orderings at
-  once, by comparing its labels' contour keys, and so counts its keys in
-  the normal-form basis itself (:func:`branch_split_normal_form`): a
-  verdict computes one normal form, the rule's.  A failing symbolic
-  record says how many keys differ and the ordering of the first;
+  built.  Orderings are listed as linear extensions over bitmasks of
+  placed labels (:func:`~contourcalc.combinatorics.linear_extensions`).
+  The branch split lists only the orderings in which every real internal
+  has a later neighbour (a real label it shares a function with); the
+  others cancel between its forward and backward placements, by the
+  largest-time equation in local form (:func:`branch_split_oracle`).  It
+  picks each function's component for all of a branch assignment's
+  orderings at once, by comparing its labels' contour keys, and so counts
+  in the normal-form basis itself (:func:`_count_split`).  The rule sums
+  the signs of its combinations of expansion entries that share a group
+  and an order relation first, and lists orderings only for the non-zero
+  sums (:func:`_count_rule`).  A verdict is one signed count, the split's
+  occurrences minus the rule's off the blocked orders of the horizontal
+  externals (:func:`signed_count`): it passes when every count is 0, and
+  only a failing one builds the two normal forms, to say how many keys
+  differ and the ordering of the first;
 * a numeric one that evaluates both sides of a rule on a shared discrete
   contour.  The rules are identities between integrands wherever the
   contour times are distinct, where the step-function algebra holds.
@@ -74,9 +77,9 @@ import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
-from .combinatorics import linear_extensions
+from .combinatorics import linear_extensions, order_relation
 from .compiler import BFunc, component_of_product, derive_rule
 from .engine import expand_retarded
 from .ir import (
@@ -132,20 +135,48 @@ def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
     """Expand to the common basis: one key per (Matsubara placement, total
     ordering of the real labels, plain component factors).
 
+    Counted by :func:`_count_rule`, which sums the signs of the
+    combinations that hold on the same orderings before it lists them: a
+    key arises with the first combination of its group and order
+    relation, so where combinations cancel or share their orderings, the
+    keys may arise in another order than the terms list them.
+    """
+    counts = _SignedCounts()
+    _count_rule(counts, expr, eq)
+    return counts.normal_form()
+
+
+def _count_rule(
+    counts: _SignedCounts,
+    expr: RealTimeExpression,
+    eq: ContourEquation,
+    sign: int = 1,
+    blocked: Collection[tuple[str, ...]] = (),
+) -> None:
+    """Add ``sign`` times the occurrences of ``expr``'s normal-form keys
+    to ``counts``, none on a ``blocked`` order of the horizontal
+    externals.
+
     A term's combinations of expansion entries are folded factor by
     factor, in the order of ``itertools.product``, so combinations that
-    share a prefix share its sign and step chains.  Each combination holds
-    on the orderings where the term's and its entries' chains hold, and
-    counts them in bulk (:class:`_SignedCounts`).
+    share a prefix share its sign and step chains.  Each combination
+    holds on the orderings of the term's real labels where the term's and
+    its entries' chains hold, which depend on their order relation alone
+    (:func:`~contourcalc.combinatorics.order_relation`, once per distinct
+    (real labels, chains)).  So the signs of the combinations with the
+    same group and relation are summed first, and only a non-zero sum
+    lists its orderings, once per relation, and counts them in bulk
+    (:class:`_SignedCounts`) with that sum as their multiplicity.  With
+    ``blocked``, a relation's orderings are those of the relation and
+    each other order of the horizontal externals in turn, so no blocked
+    ordering is listed.
     """
     known = {f.name for f in eq.product}
-    counts = _SignedCounts()
     # each distinct factor expands once, into (sign, step chains, component)
     expansions: dict[Factor, list[tuple[int, tuple, Factor]]] = {}
-    # the ordering ids of each distinct (real labels, chains), once per call
-    extensions = functools.cache(
-        lambda labels, chains: counts.ids(linear_extensions(labels, chains))
-    )
+    relations = _Relations()
+    # the summed sign of each (shifted group | relation id)
+    sums: dict[int, int] = {}
     for term in expr.terms:
         m_placed: set[str] = set()
         for f in term.factors:
@@ -166,14 +197,52 @@ def normal_form(expr: RealTimeExpression, eq: ContourEquation) -> Counter:
         combos = [(term.sign, term.steps, ())]
         for f in term.factors:
             combos = [
-                (sign * s, chains + cs, factors + (c,))
-                for sign, chains, factors in combos
+                (prefix * s, chains + cs, factors + (c,))
+                for prefix, chains, factors in combos
                 for s, cs, c in expansions[f]
             ]
         groups = counts.group(frozenset(m_placed), frozenset(term.imag_integrals))
-        for sign, chains, factors in combos:
-            counts.add(sign, itertools.repeat(groups[factors]), extensions(real_labels, chains))
-    return counts.normal_form()
+        for s, chains, factors in combos:
+            r = relations[real_labels, chains]
+            if r is not None:
+                pair = groups[factors] | r
+                sums[pair] = sums.get(pair, 0) + s
+    # every other order of the horizontal externals, as a chain
+    horizontal = sorted(next(iter(blocked), ()))
+    allowed = [(o,) for o in itertools.permutations(horizontal) if o not in blocked]
+    listed: dict[int, list[int]] = {}
+    for pair, n in sums.items():
+        if n:
+            r = pair & 0xFFFFFFFF
+            if r not in listed:
+                labels, chains = relations.first[r]
+                if blocked and set(horizontal) <= set(labels):
+                    orderings = itertools.chain.from_iterable(
+                        linear_extensions(labels, chains + o) for o in allowed
+                    )
+                else:
+                    orderings = linear_extensions(labels, chains)
+                listed[r] = counts.ids(orderings)
+            counts.add(sign * n, itertools.repeat(pair - r), listed[r])
+
+
+class _Relations(dict):
+    """The id of the order relation that each ``(labels, chains)`` pair
+    puts on its labels, numbered as the relations arise, or None where it
+    allows no ordering; ``first[id]`` is the first pair of each."""
+
+    def __init__(self):
+        super().__init__()
+        self.ids = _Ids()
+        self.first: list[tuple] = []
+
+    def __missing__(self, key: tuple) -> Optional[int]:
+        relation = order_relation(*key)
+        n = None if relation is None else self.ids[key[0], relation]
+        if n == len(self.first):
+            self.first.append(key)
+        self[key] = n
+        return n
 
 
 class _Ids(dict):
@@ -235,13 +304,20 @@ class _SignedCounts:
         return list(map(self.orderings.__getitem__, orderings))
 
     def add(self, sign: int, groups: Iterable[int], ids: Iterable[int]) -> None:
-        """One occurrence of each (group, ordering) pair, from shifted
-        groups and ordering ids taken in step, all of sign ``sign``."""
+        """``sign`` occurrences of each (group, ordering) pair, from
+        shifted groups and ordering ids taken in step: ``abs(sign)`` of
+        them, each of the sign of ``sign``."""
         pairs = map(operator.or_, groups, ids)
+        if abs(sign) > 1:
+            pairs = list(pairs) * abs(sign)
         if sign > 0:
             self.counts.update(pairs)
         else:
             self.counts.subtract(pairs)
+
+    def zero(self) -> bool:
+        """Whether every count is 0."""
+        return not any(self.counts.values())
 
     def normal_form(self) -> Counter:
         """Normal-form keys ``(Matsubara-placed labels, imaginary
@@ -256,7 +332,26 @@ class _SignedCounts:
 
 
 def normal_form_equal(x: RealTimeExpression, y: RealTimeExpression, eq: ContourEquation) -> bool:
-    return normal_form(x, eq) == normal_form(y, eq)
+    """Whether ``x`` and ``y`` have the same normal form: ``x`` counted
+    with a plus sign and ``y`` with a minus sign leave every count 0."""
+    counts = _SignedCounts()
+    _count_rule(counts, x, eq)
+    _count_rule(counts, y, eq, -1)
+    return counts.zero()
+
+
+def signed_count(
+    eq: ContourEquation, target: SuperIndex, rule: RealTimeExpression,
+    blocked: Collection[tuple[str, ...]],
+) -> _SignedCounts:
+    """The branch split's normal-form counts minus ``rule``'s, in one
+    :class:`_SignedCounts`, the rule's taken on the orders of the
+    horizontal externals that are not ``blocked``: the rule is right
+    exactly when every count is 0.  No key is built."""
+    counts = _SignedCounts()
+    _count_split(counts, eq, target)
+    _count_rule(counts, rule, eq, -1, blocked)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +379,18 @@ def placement_for_times(word: tuple[str, ...], times: dict[str, float]) -> Optio
 
 def branch_split_normal_form(eq: ContourEquation, target: SuperIndex) -> Counter:
     """``normal_form(branch_split_oracle(eq, target), eq)``, keys in the
-    same order, counted by the split itself: its signed counts, keyed in
-    the normal-form basis as ``(Matsubara-placed labels, imaginary
-    integrals, ordering, component factors)``, the factors in
-    ``Factor.sort_key`` order; no count is 0.
+    same order, counted by the split itself (:func:`_count_split`): its
+    signed counts, keyed in the normal-form basis as ``(Matsubara-placed
+    labels, imaginary integrals, ordering, component factors)``, the
+    factors in ``Factor.sort_key`` order; no count is 0."""
+    counts = _SignedCounts()
+    _count_split(counts, eq, target)
+    return counts.normal_form()
+
+
+def _count_split(counts: _SignedCounts, eq: ContourEquation, target: SuperIndex) -> None:
+    """Add the branch split's signed occurrences of its normal-form keys
+    to ``counts``.
 
     The loop of :func:`branch_split_oracle`, whose docstring gives the
     cancellation that leaves out most orderings.  The Matsubara-placed
@@ -319,7 +422,6 @@ def branch_split_normal_form(eq: ContourEquation, target: SuperIndex) -> Counter
     carried = {l for f in eq.product for l in f.args}
     dangling = [l for l in m_ext if l not in carried]
     horizontal = frozenset(eq.external).difference(m_ext)
-    counts = _SignedCounts()
     # the components of each (function, Matsubara slots), once per call
     words: dict[tuple[int, tuple[str, ...]], _Words] = {}
     # what depends on the Matsubara internals alone, once per call
@@ -411,7 +513,6 @@ def branch_split_normal_form(eq: ContourEquation, target: SuperIndex) -> Counter
                 factors.append(columns[pattern])
             groups = map(counts.group(m_placed, imag).__getitem__, zip(*factors))
             counts.add(sign_t * (-1) ** assign.count(BWD), groups, ids)
-    return counts.normal_form()
 
 
 class _Words(dict):
@@ -1601,10 +1702,18 @@ class VerifyRecord:
         }
 
 
-def _mismatch(split_nf: Counter, rule_nf: Counter) -> str:
-    """Where two normal forms differ: how many of their keys have
-    different counts, out of how many, and the ordering of the first such
-    key, the split's keys first."""
+def _mismatch(
+    eq: ContourEquation, target: SuperIndex, rule: RealTimeExpression,
+    blocked: Collection[tuple[str, ...]],
+) -> str:
+    """Where the branch split's normal form and the rule's, off the
+    ``blocked`` orders, differ: how many of their keys have different
+    counts, out of how many, and the ordering of the first such key, the
+    split's keys first."""
+    split_nf = branch_split_normal_form(eq, target)
+    counts = _SignedCounts()
+    _count_rule(counts, rule, eq, 1, blocked)
+    rule_nf = counts.normal_form()
     keys = dict.fromkeys(itertools.chain(split_nf, rule_nf))
     differ = [key for key in keys if split_nf.get(key, 0) != rule_nf.get(key, 0)]
     omega = differ[0][2]
@@ -1680,8 +1789,11 @@ def verify(
     rule: Optional[RealTimeExpression] = None,
 ) -> list[VerifyRecord]:
     """Check one rule symbolically and, once per seed, numerically;
-    failures are records, not exceptions.  With no seeds the check is
-    symbolic alone and loads no NumPy.  The numeric check evaluates each
+    failures are records, not exceptions.  The symbolic check is one
+    signed count (:func:`signed_count`), and a ``ContourError`` in it, such
+    as a factor that the equation does not carry, fails the symbolic
+    record with its text.  With no seeds the check is symbolic alone and
+    loads no NumPy.  The numeric check evaluates each
     order class of the horizontal externals once, as one batch of every
     seed's samples in seed order, on the grid of its size that the
     contour plans share (:func:`_shared_grid`).  So every class's batch
@@ -1691,26 +1803,17 @@ def verify(
     name = target_name or str(target)
     rule = derive_rule(eq, target) if rule is None else rule
     classes, blocked = _ordering_classes(eq, target)
-    horizontal = set(eq.external) - set(target.mats_labels())
-
     # the branch split has no term on an order of the horizontal externals
     # that has no contour placement (tested on the three-external probe; a
-    # term there would fail the verdict, not pass it):
-    # leave those orders out of the rule's normal form
-    rule_nf = normal_form(rule, eq)
-    if blocked:
-        rule_nf = Counter({
-            key: c for key, c in rule_nf.items()
-            if tuple(l for l in key[2] if l in horizontal) not in blocked
-        })
-    # normal forms hold no zero counts, so they agree as Counters exactly
-    # when they agree as dicts, which hashes each key once rather than four
-    # times
-    split_nf = branch_split_normal_form(eq, target)
-    sym_ok = dict.__eq__(split_nf, rule_nf)
+    # term there would fail the verdict, not pass it): the rule's count
+    # leaves those orders out
+    try:
+        sym_ok = signed_count(eq, target, rule, blocked).zero()
+        sym_detail = "" if sym_ok else _mismatch(eq, target, rule, blocked)
+    except ContourError as exc:
+        sym_ok, sym_detail = False, str(exc)
     records = [VerifyRecord(
-        eq.lhs_name, name, "symbolic", None, 0.0 if sym_ok else math.inf, sym_ok,
-        "" if sym_ok else _mismatch(split_nf, rule_nf),
+        eq.lhs_name, name, "symbolic", None, 0.0 if sym_ok else math.inf, sym_ok, sym_detail
     )]
     if not seeds:
         return records

@@ -10,7 +10,9 @@ references below walk every permutation of the real labels and filter it,
 keyed by ``Factor``s, with no cancellation left out, which is slow but
 plainly right; the optimized code must give exactly the same result, the
 branch split its terms in the same order, and its direct counts the keys
-of ``normal_form`` of those terms in the same order.
+of ``normal_form`` of those terms in the same order.  A verdict's one
+signed count (``signed_count``) must give the verdict of comparing the two
+normal forms.
 """
 
 import dataclasses
@@ -23,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contourcalc import catalog
-from contourcalc.combinatorics import linear_extensions
+from contourcalc.combinatorics import linear_extensions, order_relation
 from contourcalc.compiler import component_of_product, derive_rule
 from contourcalc.engine import expand_retarded
 from contourcalc.ir import (
@@ -37,10 +39,12 @@ from contourcalc.ir import (
 )
 from contourcalc.oracle import (
     _ordering_classes,
+    _SignedCounts,
     branch_split_normal_form,
     branch_split_oracle,
     normal_form,
     placement_for_times,
+    signed_count,
     verify,
 )
 from contourcalc.parser import parse_equation, parse_superindex
@@ -163,6 +167,44 @@ def test_linear_extensions_edge_cases():
     got = linear_extensions("dbca", [("c", "a")], [("b", "cd")])
     assert got == _filtered_permutations("dbca", [("c", "a")], [("b", "cd")])
     assert got != sorted(got) and len(got) == 9
+
+
+@st.composite
+def _labels_and_two_chain_sets(draw):
+    """Labels, a chain set over them, and a second one: the first's
+    adjacent pairs in another order, with some more pairs, which its order
+    may or may not imply."""
+    labels, chains = draw(_labels_and_chains())
+    pairs = [(x, y) for chain in chains for x, y in zip(chain, chain[1:])]
+    pair = st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True)
+    extra = draw(st.lists(pair, max_size=3)) if len(labels) > 1 else []
+    return labels, chains, draw(st.permutations(pairs)) + extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(_labels_and_two_chain_sets())
+def test_order_relation_is_equal_exactly_when_the_orders_are(case):
+    labels, chains, others = case
+    same_orders = set(linear_extensions(labels, chains)) == set(linear_extensions(labels, others))
+    assert (order_relation(labels, chains) == order_relation(labels, others)) == same_orders
+
+
+def test_order_relation_of_no_order_is_none():
+    # a cycle, of one label or of three, and a repeated label have no order
+    for labels, chains in [
+        ("ab", [("a", "a")]),
+        ("abc", [("a", "b", "c"), ("c", "a")]),
+        ("aab", []),
+        ("aab", [("a", "b")]),
+    ]:
+        assert linear_extensions(labels, chains) == []
+        assert order_relation(labels, chains) is None
+    # each label's mask holds the labels that must be later, closed
+    # transitively; a chain of one label, or none, constrains nothing
+    assert order_relation("abc", [("a", "b"), ("b", "c")]) == (0, 0b001, 0b011)
+    assert order_relation("abc", [("c",)]) == order_relation("abc", []) == (0, 0, 0)
+    with pytest.raises(ValueError):
+        order_relation("ab", [("a", "z")])
 
 
 # ---------------------------------------------------------------------------
@@ -411,3 +453,118 @@ def test_failing_symbolic_record_says_where():
     # some and adds as many, on the orderings of six real labels
     assert 0 < differ <= keys
     assert sorted(match[3].split(">")) == list("abcdef")
+
+
+# ---------------------------------------------------------------------------
+# one signed count per verdict
+
+
+def _two_normal_forms(eq, target, rule):
+    """``(keys that differ, keys)`` between the branch split's normal form
+    and the rule's, with the rule's keys on a blocked order of the
+    horizontal externals dropped: the comparison that one signed count
+    replaces."""
+    _, blocked = _ordering_classes(eq, target)
+    horizontal = set(eq.external) - set(target.mats_labels())
+    split_nf = branch_split_normal_form(eq, target)
+    rule_nf = {
+        key: c for key, c in normal_form(rule, eq).items()
+        if tuple(l for l in key[2] if l in horizontal) not in blocked
+    }
+    keys = set(split_nf) | set(rule_nf)
+    return sum(split_nf.get(k, 0) != rule_nf.get(k, 0) for k in keys), len(keys)
+
+
+def _dropped_term(rule):
+    return RealTimeExpression(rule.terms[1:])
+
+
+def _flipped_sign(rule):
+    bad = dataclasses.replace(rule.terms[0], sign=-rule.terms[0].sign)
+    return RealTimeExpression((bad,) + rule.terms[1:])
+
+
+@pytest.mark.parametrize("contour", ["extended", "keldysh"])
+def test_signed_count_gives_the_verdict_of_two_normal_forms(contour):
+    # every target of the corpus, chain4 and X (three horizontal externals,
+    # with blocked orders), and the dangling Matsubara external; the rule,
+    # and the rule with its first term dropped or its first sign flipped
+    cases = [
+        (name, eq, parse_superindex(tname, eq))
+        for name, eq in _structures(contour)
+        for tname in catalog.all_targets(eq)
+    ]
+    dangling = parse_equation(DANGLING[0], contour)
+    cases.append(("dangling", dangling, parse_superindex(DANGLING[1], dangling)))
+    blocked_targets = 0
+    for name, eq, target in cases:
+        rule = derive_rule(eq, target)
+        _, blocked = _ordering_classes(eq, target)
+        blocked_targets += bool(blocked)
+        for variant in (rule, _dropped_term(rule), _flipped_sign(rule)):
+            if not variant.terms:
+                continue
+            differ, _ = _two_normal_forms(eq, target, variant)
+            assert signed_count(eq, target, variant, blocked).zero() == (differ == 0), (name, target)
+        assert signed_count(eq, target, rule, blocked).zero(), (name, target)
+    assert blocked_targets > 0
+
+
+@pytest.mark.parametrize(
+    "text, contour, corrupt",
+    [
+        (LADDER, "keldysh", _dropped_chain),
+        (LADDER, "extended", _dropped_chain),
+        (LADDER, "keldysh", _swapped_component),
+        (PROBES["chain4"], "extended", _swapped_component),
+        (LADDER, "keldysh", _dropped_term),
+        (PROBES["X"], "keldysh", _flipped_sign),
+    ],
+    ids=["ladder-keldysh-chain", "ladder-extended-chain", "ladder-keldysh-component",
+         "chain4-extended-component", "ladder-keldysh-term", "X-keldysh-sign"],
+)
+def test_failing_detail_counts_the_keys_of_two_normal_forms(text, contour, corrupt):
+    eq = parse_equation(text, contour)
+    target = parse_superindex("123" if eq.lhs_name == "X" else ">", eq)
+    bad = corrupt(derive_rule(eq, target))
+    (record,) = verify(eq, target, seeds=(), rule=bad)
+    assert not record.passed
+    match = re.fullmatch(r"(\d+) of (\d+) normal-form keys differ, first on ordering .+", record.detail)
+    assert match, record.detail
+    assert (int(match[1]), int(match[2])) == _two_normal_forms(eq, target, bad)
+
+
+VERTEX = "V[a,b,c] = int{d,e,f,g} : K[a,b,d,e]*G[d,f]*G[g,e]*L[f,g,c]"
+
+
+def test_rule_lists_only_the_orderings_of_combinations_that_do_not_cancel(monkeypatch):
+    # combinations with the same group and order relation are summed
+    # before their orderings are listed; listing every combination's
+    # orderings counted 21 504 occurrences on the ladder and 61 440 on V
+    occurrences = []
+    add = _SignedCounts.add
+
+    def counted(self, sign, groups, ids):
+        ids = list(ids)
+        occurrences.append(abs(sign) * len(ids))
+        return add(self, sign, groups, ids)
+
+    monkeypatch.setattr(_SignedCounts, "add", counted)
+    for text, tname, expected in ((LADDER, ">", 11_904), (VERTEX, "R(1,23)", 30_720)):
+        eq = parse_equation(text, "keldysh")
+        rule = derive_rule(eq, parse_superindex(tname, eq))
+        occurrences.clear()
+        nf = normal_form(rule, eq)
+        assert sum(occurrences) == expected, tname
+        assert sum(map(abs, nf.values())) < expected
+
+
+def test_combinations_that_add_up_count_their_orderings_as_often():
+    # a term given twice sums to 2 before its orderings are listed
+    eq = parse_equation(LADDER, "keldysh")
+    target = parse_superindex(">", eq)
+    rule = derive_rule(eq, target)
+    twice = RealTimeExpression(rule.terms * 2)
+    assert normal_form(twice, eq) == {key: 2 * c for key, c in normal_form(rule, eq).items()}
+    _, blocked = _ordering_classes(eq, target)
+    assert not signed_count(eq, target, twice, blocked).zero()

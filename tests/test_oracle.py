@@ -289,6 +289,20 @@ def test_normal_form_rejects_foreign_factors():
         normal_form(rule, CONV)
 
 
+@pytest.mark.parametrize("seeds", [(), (0,)])
+def test_verify_records_a_foreign_factor_as_a_failure(seeds):
+    # failures are records, not exceptions: a rule with a factor that the
+    # equation does not carry fails its symbolic record with the error text
+    other = parse_equation("D[a,b] = int{c} : A[a,c]*Q[c,b]", CONV.contour)
+    rule = derive_rule(other, parse_superindex(">", other))
+    symbolic, *numeric = verify(CONV, parse_superindex(">", CONV), seeds=seeds, grid_size=8, rule=rule)
+    assert symbolic.mode == "symbolic" and not symbolic.passed
+    assert symbolic.max_error == float("inf")
+    assert symbolic.detail.startswith("factor Q") and "does not belong to D" in symbolic.detail
+    assert [r.seed for r in numeric] == list(seeds)
+    assert not any(r.passed for r in numeric)
+
+
 def test_branch_split_all_matsubara_on_keldysh_is_empty():
     # no horizontal placements survive: the forward and backward copies of
     # every internal cancel, leaving no real integrals at all

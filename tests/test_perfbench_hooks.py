@@ -67,13 +67,18 @@ def test_benchmark_names_exist():
 
 def test_verify_reaches_symbolic_layers_through_the_module(monkeypatch):
     # the traced benchmark wraps module attributes; a call that binds them
-    # locally or inlines them would silently time nothing.  A verdict takes
-    # one normal form, the rule's: the branch split counts its own in the
-    # normal-form basis, and its public wrapper is not called
+    # locally or inlines them would silently time nothing.  A verdict is
+    # one signed count, the branch split's occurrences minus the rule's,
+    # and builds no normal form while it passes
     from contourcalc import catalog, oracle
     from contourcalc.parser import parse_superindex
 
-    calls = {"normal_form": 0, "branch_split_normal_form": 0, "branch_split_oracle": 0}
+    calls = {
+        "signed_count": 0,
+        "normal_form": 0,
+        "branch_split_normal_form": 0,
+        "branch_split_oracle": 0,
+    }
     for name in calls:
         original = getattr(oracle, name)
 
@@ -85,7 +90,12 @@ def test_verify_reaches_symbolic_layers_through_the_module(monkeypatch):
     eq = catalog.convolution()
     (record,) = oracle.verify(eq, parse_superindex(">", eq), seeds=())
     assert record.passed
-    assert calls == {"normal_form": 1, "branch_split_normal_form": 1, "branch_split_oracle": 0}
+    assert calls == {
+        "signed_count": 1,
+        "normal_form": 0,
+        "branch_split_normal_form": 0,
+        "branch_split_oracle": 0,
+    }
 
 
 def test_verify_reaches_numeric_sides_through_the_module(monkeypatch):
