@@ -19,6 +19,7 @@ from .combinatorics import RangeError
 from .compiler import component_of_product
 from .engine import expand_retarded
 from .ir import (
+    EXTENDED,
     ContourEquation,
     Factor,
     Mats,
@@ -95,14 +96,14 @@ def all_targets(eq: ContourEquation) -> list[str]:
         raise RangeError("target enumeration is capped at 4 externals")
     if len(ext) == 2:
         return list(
-            TWO_POINT_TARGETS if eq.contour == "extended" else KELDYSH_TWO_POINT_TARGETS
+            TWO_POINT_TARGETS if eq.contour == EXTENDED else KELDYSH_TWO_POINT_TARGETS
         )
     if len(ext) == 1:
-        return ["1", "M"] if eq.contour == "extended" else ["1"]
+        return ["1", "M"] if eq.contour == EXTENDED else ["1"]
     names: list[str] = []
     for perm in itertools.permutations(range(1, len(ext) + 1)):
         names.append("".join(str(p) for p in perm))
-    if eq.contour == "extended":
+    if eq.contour == EXTENDED:
         for k in range(1, len(ext) + 1):
             for msub in itertools.combinations(range(1, len(ext) + 1), k):
                 rest = [p for p in range(1, len(ext) + 1) if p not in msub]

@@ -42,7 +42,8 @@ class ValidationError(ContourError):
     """A contour equation violates a structural invariant.
 
     ``kind`` is one of ``DuplicateLabel``, ``UnknownLabel``,
-    ``OverlappingSets``, ``DanglingInternal``, ``ArityMismatch``.
+    ``OverlappingSets``, ``DanglingInternal``, ``ArityMismatch``,
+    ``UnknownContour``.
     ``position`` is the place in the product of the sub-function the
     diagnostic is about, where there is one.
     """
@@ -316,6 +317,10 @@ class ContourEquation:
 def validate_equation(eq: ContourEquation) -> list[ValidationError]:
     """Collect structural diagnostics; an empty list means the equation is ok."""
     diags: list[ValidationError] = []
+    if eq.contour not in (KELDYSH, EXTENDED):
+        diags.append(ValidationError(
+            "UnknownContour", f"contour {eq.contour!r} is neither {KELDYSH} nor {EXTENDED}"
+        ))
     for name, seq in (("external", eq.external), ("internal", eq.internal)):
         dup = {l for l in seq if seq.count(l) > 1}
         if dup:

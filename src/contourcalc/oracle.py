@@ -48,6 +48,14 @@ strategy:
   paths lowered to matrix products when they are planned
   (:class:`_Step`).
 
+Both read the contour's branches from one table: :data:`CONTOURS` gives
+each contour's branch names in contour order, and :data:`BRANCHES` each
+branch's sign, whether it is vertical and where its contour keys start
+(:class:`Branch`).  The split's signs and contour keys, the grid's keys
+and weights, the contour orders and the blocks of the contour side all
+come from it, and no other code tests a branch name or a contour's
+name; a name the table does not hold is refused.
+
 Only the numeric oracle uses NumPy, and this module is the only one of
 the package that refers to it: ``np`` is a lazy module
 (:func:`_lazy_numpy`), so importing the package, parsing, deriving,
@@ -84,6 +92,7 @@ from .compiler import BFunc, component_of_product, derive_rule
 from .engine import expand_retarded
 from .ir import (
     EXTENDED,
+    KELDYSH,
     ContourEquation,
     ContourError,
     Factor,
@@ -113,6 +122,31 @@ def _lazy_numpy():
 np = _lazy_numpy()
 
 FWD, BWD, MAT = "F", "B", "M"
+
+
+class Branch(NamedTuple):
+    """One branch of the contour.
+
+    ``sign`` is +1 where contour time runs with real time and -1 where it
+    runs back toward t0: the sign of the branch's integrals, the direction
+    of its contour keys and its factor in the branch split.  ``vertical``
+    marks the vertical track, whose integrals carry -i and whose nodes are
+    the shared vertical ones.  ``offset`` is where its contour keys start,
+    in units of ``t_max``."""
+
+    sign: int
+    vertical: bool
+    offset: float
+
+
+# the branch table, which both oracles read: every branch by its name, and
+# each contour's branch names in contour order
+BRANCHES = {FWD: Branch(1, False, 0.0), BWD: Branch(-1, False, 3.0), MAT: Branch(1, True, 5.0)}
+CONTOURS = {KELDYSH: (FWD, BWD), EXTENDED: (FWD, BWD, MAT)}
+# the branches an external's placement picks from, in contour order, and
+# the one a Matsubara external sits on
+HORIZONTAL = tuple(b for b in CONTOURS[EXTENDED] if not BRANCHES[b].vertical)
+(VERTICAL,) = (b for b in CONTOURS[EXTENDED] if BRANCHES[b].vertical)
 
 
 class GridTieError(ContourError):
@@ -361,19 +395,21 @@ def signed_count(
 def placement_for_times(word: tuple[str, ...], times: dict[str, float]) -> Optional[dict[str, str]]:
     """A branch assignment realising contour order ``word`` at given times.
 
-    The first k labels go backward (needing increasing real times along the
-    word) and the rest forward (decreasing), trying k from ``len(word) - 1``
-    down; regions admitting no such split are not contour-constrained and
-    yield None.  For one or two labels the first k always fits, so the
-    placement does not depend on the times: F, and (B, F).
+    The first k labels go on the later of the :data:`HORIZONTAL` branches
+    (B) and the rest on the earlier (F), trying k from ``len(word) - 1``
+    down.  Along the word contour time falls, so on each branch the
+    labels' times times the branch's sign must fall: decreasing real
+    times on F and increasing ones on B.  Regions admitting no such split
+    are not contour-constrained and yield None.  For one or two labels
+    the first k always fits, so the placement does not depend on the
+    times: F, and (B, F).
     """
-    ts = [times[l] for l in word]
+    early, late = HORIZONTAL
     for k in range(max(len(word) - 1, 0), -1, -1):
-        bwd, fwd = ts[:k], ts[k:]
-        if all(bwd[i] < bwd[i + 1] for i in range(len(bwd) - 1)) and all(
-            fwd[i] > fwd[i + 1] for i in range(len(fwd) - 1)
-        ):
-            return {l: (BWD if i < k else FWD) for i, l in enumerate(word)}
+        branches = [late] * k + [early] * (len(word) - k)
+        keys = [BRANCHES[b].sign * times[l] for b, l in zip(branches, word)]
+        if all(keys[i] > keys[i + 1] for i in range(len(word) - 1) if i != k - 1):
+            return dict(zip(word, branches))
     return None
 
 
@@ -400,23 +436,24 @@ def _count_split(counts: _SignedCounts, eq: ContourEquation, target: SuperIndex)
     orderings, with no branch and in no function's word.  Equal components
     of two functions are one interned ``Factor``, so they share a key.
 
-    A label's contour key in an ordering is ``i`` on F and ``~i = -1 - i``
-    on B, for its position ``i`` in the ordering (latest first): the
-    backward branch is later than the forward one and runs back toward
-    t0, so a function's word is its horizontal labels in ascending key
-    order.  An external's branch is its placement's
-    (:func:`placement_for_times`), which the ordering fixes.  The branch
-    assignments with the same Matsubara internals share everything but
-    the branch of each real internal: the functions' Matsubara slots and
-    horizontal labels, the orderings, and each horizontal label's key
-    column over the orderings on either branch.  Each function is one
-    column of components over the orderings, which depends only on which
-    of its labels are on B and is picked by the outcomes of one key
-    comparison per pair of its horizontal labels (:class:`_Words`); per
-    assignment, the rows of the columns are counted in bulk
-    (:class:`_SignedCounts`).  No contour word, rank or sorted
-    label tuple is built per ordering, and an external order's placement
-    is found once per word.
+    A label's contour key in an ordering is ``i`` on a branch of sign +1
+    (F) and ``~i = -1 - i`` on one of sign -1 (B), for its position ``i``
+    in the ordering (latest first): the backward branch is later than the
+    forward one and runs back toward t0, so a function's word is its
+    horizontal labels in ascending key order.  An external's branch is
+    its placement's (:func:`placement_for_times`), which the ordering
+    fixes.  The branch assignments with the same Matsubara internals share
+    everything but the branch of each real internal: the functions'
+    Matsubara slots and horizontal labels, the orderings, and each
+    horizontal label's key column over the orderings on either branch.
+    An assignment's sign is the product of its branches' signs.  Each
+    function is one column of components over the orderings, which
+    depends only on which of its labels are on B and is picked by the
+    outcomes of one key comparison per pair of its horizontal labels
+    (:class:`_Words`); per assignment, the rows of the columns are
+    counted in bulk (:class:`_SignedCounts`).  No contour word, rank or
+    sorted label tuple is built per ordering, and an external order's
+    placement is found once per word.
     """
     m_ext = target.mats_labels()
     carried = {l for f in eq.product for l in f.args}
@@ -491,19 +528,22 @@ def _count_split(counts: _SignedCounts, eq: ContourEquation, target: SuperIndex)
                     if l in real_int:
                         keys[l] = (column, tuple(map(operator.invert, column)))
                     else:
-                        ext = tuple(i if p[l] == FWD else ~i for i, p in zip(column, places))
+                        ext = tuple(
+                            i if BRANCHES[p[l]].sign > 0 else ~i for i, p in zip(column, places)
+                        )
                         keys[l] = (ext, ext)
             return m_placed, tables, keys, counts.ids(live), {}
 
         shared: dict[frozenset, tuple] = {}
-        for assign in itertools.product(_branches(eq), repeat=len(eq.internal)):
-            imag = frozenset(itertools.compress(eq.internal, map(MAT.__eq__, assign)))
+        branches = [BRANCHES[b] for b in CONTOURS[eq.contour]]
+        for assign in itertools.product(branches, repeat=len(eq.internal)):
+            imag = frozenset(l for l, b in zip(eq.internal, assign) if b.vertical)
             if imag not in shared:
                 shared[imag] = shared_by(imag)
             m_placed, tables, keys, ids, columns = shared[imag]
             if not ids:
                 continue
-            on_b = frozenset(itertools.compress(eq.internal, map(BWD.__eq__, assign)))
+            on_b = frozenset(l for l, b in zip(eq.internal, assign) if b.sign < 0)
             # a function's column depends only on which of its labels are on B
             factors = []
             for j, table in enumerate(tables):
@@ -512,7 +552,7 @@ def _count_split(counts: _SignedCounts, eq: ContourEquation, target: SuperIndex)
                     columns[pattern] = table.column(keys, pattern[1], len(ids))
                 factors.append(columns[pattern])
             groups = map(counts.group(m_placed, imag).__getitem__, zip(*factors))
-            counts.add(sign_t * (-1) ** assign.count(BWD), groups, ids)
+            counts.add(sign_t * math.prod(b.sign for b in assign), groups, ids)
 
 
 class _Words(dict):
@@ -601,15 +641,10 @@ def branch_split_oracle(eq: ContourEquation, target: SuperIndex) -> RealTimeExpr
     ))
 
 
-def _branches(eq: ContourEquation) -> tuple[str, ...]:
-    """The branches an internal label runs over: F and B, and M on the
-    extended contour."""
-    return (FWD, BWD, MAT) if eq.contour == EXTENDED else (FWD, BWD)
-
-
 def branch_count(eq: ContourEquation) -> int:
-    """Integration-domain terms before cancellation: 2**I or 3**I."""
-    return len(_branches(eq)) ** len(eq.internal)
+    """Integration-domain terms before cancellation: one per branch of the
+    contour per internal label, 2**I or 3**I."""
+    return len(CONTOURS[eq.contour]) ** len(eq.internal)
 
 
 # ---------------------------------------------------------------------------
@@ -622,18 +657,19 @@ GRID_T_MAX = 2.0
 
 
 class DiscreteContour:
-    """Discretisation of the two-branch (plus vertical) contour.
+    """Discretisation of the branches of :data:`BRANCHES`.
 
     The real axis from ``t0`` to ``t_max`` is cut into ``n_fwd`` cells of
     width dt.  Each internal label has its own node in every cell
     (:meth:`label_nodes`), shifted from the cell's start by a fraction of
-    dt that the label's name fixes, so two labels never share a node.  The
-    forward and backward branches of one label carry its nodes with
-    opposite integration signs.  The vertical branch has unit imaginary
-    extent and as many nodes (``n_mats``), shared by all labels, since
-    imaginary times are never compared.  ``real_nodes`` are the cells
-    shifted by an irrational fraction; no label sits on them, but external
-    times stay off them as off every label's nodes.
+    dt that the label's name fixes, so two labels never share a node.
+    Every horizontal branch carries a label's nodes, with its ``sign`` as
+    the integration sign, so F and B carry them with opposite signs.  The
+    vertical branch has unit imaginary extent and as many nodes
+    (``n_mats``), shared by all labels, since imaginary times are never
+    compared.  ``real_nodes`` are the cells shifted by an irrational
+    fraction; no label sits on them, but external times stay off them as
+    off every label's nodes.
     """
 
     def __init__(self, t0: float = GRID_T0, t_max: float = GRID_T_MAX, n_fwd: int = 24):
@@ -677,13 +713,11 @@ class DiscreteContour:
         return float(np.min(np.abs(nodes - np.asarray(times)), initial=np.inf))
 
     def contour_key(self, branch: str, t):
-        """Strictly increasing with contour time; branches never collide."""
-        span = self.t_max
-        if branch == FWD:
-            return np.asarray(t, dtype=float)
-        if branch == BWD:
-            return 3.0 * span - np.asarray(t, dtype=float)
-        return 5.0 * span + np.asarray(t, dtype=float)
+        """Strictly increasing with contour time, ``offset * t_max + sign *
+        t`` on the branch of that name in :data:`BRANCHES`, which refuses
+        any other name; branches never collide."""
+        b = BRANCHES[branch]
+        return b.offset * self.t_max + b.sign * np.asarray(t, dtype=float)
 
     def check_external(self, times, labels: tuple[str, ...] = ()):
         """Raise :class:`GridTieError` where one of the external ``times``
@@ -950,32 +984,32 @@ def _ordered_sum(
 
 def _contour_orders(kinds: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
     """The contour orders, latest first, of the horizontal positions (from
-    1) of a function whose arguments sit on ``kinds``, leaving out every
-    order that puts a forward position later than a backward one: the
-    backward branch is later than the forward one, so those never hold."""
-    horizontal = [i + 1 for i, k in enumerate(kinds) if k != MAT]
-    return tuple(
-        perm
-        for perm in itertools.permutations(horizontal)
-        if not any(
-            kinds[x - 1] == FWD and kinds[y - 1] == BWD
-            for x, y in itertools.combinations(perm, 2)
-        )
-    )
+    1) of a function whose arguments sit on the branches ``kinds``: every
+    position on a later branch (by ``offset``) before every one on an
+    earlier branch, as the product of each branch's own permutations, the
+    latest branch's first.  The contour side sums over the orders in this
+    sequence, the one in which ``itertools.permutations`` of the
+    positions lists them."""
+    horizontal = {k for k in kinds if not BRANCHES[k].vertical}
+    later_first = sorted(horizontal, key=lambda k: -BRANCHES[k].offset)
+    own = [[i + 1 for i, k in enumerate(kinds) if k == b] for b in later_first]
+    return tuple(sum(perms, ()) for perms in itertools.product(*map(itertools.permutations, own)))
 
 
 def _branch_weights(
     eq: ContourEquation, grid: DiscreteContour, truncate_at: Optional[float]
 ) -> dict[str, np.ndarray]:
-    """The weight ``w[branch, node]`` of each internal label: +dt on F, -dt
-    on B and -i*dm on M, zero on the label's real nodes past
-    ``truncate_at``."""
+    """The weight ``w[branch, node]`` of each internal label, one row per
+    branch of the contour in contour order: the branch's sign times dt on
+    a horizontal branch (+dt on F, -dt on B) and -i*dm on the vertical
+    one, zero on the label's real nodes past ``truncate_at``."""
+    branches = [BRANCHES[b] for b in CONTOURS[eq.contour]]
     weights = {}
     for label in eq.internal:
         real = grid.real_weights.astype(complex)
         if truncate_at is not None:
             real[grid.label_nodes(label) > truncate_at] = 0
-        rows = [real, -real] + ([-1j * grid.mats_weights] if eq.contour == EXTENDED else [])
+        rows = [-1j * grid.mats_weights if b.vertical else b.sign * real for b in branches]
         weights[label] = np.array(rows)
     return weights
 
@@ -1011,7 +1045,7 @@ def _plan_function(
     it is the same), as ``(perm, blocks)``.  An order whose steps between
     internal labels hold at no point of a block is left out of it."""
     f = eq.product[j]
-    branches = _branches(eq)
+    branches = CONTOURS[eq.contour]
     labels = tuple(l for l in eq.internal if l in f.args)
     own = [a for a in f.args if a in labels]
     perm = (0,) + tuple(own.index(l) + 1 for l in labels)
@@ -1020,7 +1054,8 @@ def _plan_function(
     for pattern in itertools.product(range(len(branches)), repeat=len(labels)):
         kind = dict(external)
         kind.update((l, branches[b]) for l, b in zip(labels, pattern))
-        axes = _sparse_mesh(grid, tuple(MATS_NODES if kind[l] == MAT else l for l in labels))
+        vertical = {a for a in f.args if BRANCHES[kind[a]].vertical}
+        axes = _sparse_mesh(grid, tuple(MATS_NODES if l in vertical else l for l in labels))
         keys = {l: grid.contour_key(kind[l], t) for l, t in zip(labels, axes)}
         fkinds = tuple(kind[a] for a in f.args)
         # orders with the same steps between internal labels share a mask
@@ -1038,8 +1073,8 @@ def _plan_function(
         blocks.append(_Block(
             (slice(None),) + tuple(x for b in pattern for x in (b, slice(None))),
             fkinds,
-            frozenset(i + 1 for i, k in enumerate(fkinds) if k == MAT),
-            tuple(MATS_NODES if k == MAT and a in labels else a for a, k in zip(f.args, fkinds)),
+            frozenset(i + 1 for i, a in enumerate(f.args) if a in vertical),
+            tuple(MATS_NODES if a in vertical and a in labels else a for a in f.args),
             keys,
             tuple(orders),
         ))
@@ -1064,7 +1099,7 @@ class _ContourPlan:
         carried = set().union(*self.labels)
         # a label no function carries integrates its weight alone
         self.lone = tuple(l for l in eq.internal if l not in carried)
-        self.shape = (len(_branches(eq)), grid.n_fwd)
+        self.shape = (len(CONTOURS[eq.contour]), grid.n_fwd)
         # each label has a branch letter and a node letter; every operand
         # has the sample axis first, of size 1 where it does not vary
         axes = {l: chr(ord("b") + i) + chr(ord("B") + i) for i, l in enumerate(eq.internal)}
@@ -1360,10 +1395,13 @@ def evaluate_contour_batch(
     as an array over the samples (and one of the scales when requested).
 
     The samples must be of one order class of the horizontal externals;
-    any other batch is refused.  The values come from the value table
+    any other batch is refused, and so is a ``branch_override`` that names
+    no :data:`HORIZONTAL` branch.  The values come from the value table
     (:func:`_batch`).  The samples share their live external words and
     placements, and so the planned blocks and the contraction, which
     carry the sample axis."""
+    if branch_override and not set(branch_override.values()) <= set(HORIZONTAL):
+        raise ValueError(f"branch override {branch_override} names no horizontal branch")
     m_ext = target.mats_labels()
     horizontal = [l for l in eq.external if l not in m_ext]
     values = _batch(tables, grid, samples, horizontal)
@@ -1380,7 +1418,7 @@ def evaluate_contour_batch(
             )
         if branch_override:
             placement.update(branch_override)
-        kinds = {l: MAT for l in m_ext}
+        kinds = dict.fromkeys(m_ext, VERTICAL)
         kinds.update(placement)
         operands = _contour_operands(plan, values, kinds, weights, filled)
         total += sign_t * _contract(operands, plan.steps)

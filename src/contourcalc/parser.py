@@ -207,11 +207,14 @@ def _revalidate(
     diags = validate_equation(eq)
     if diags:
         first = diags[0]
+        # a diagnostic on no function or label spans the whole text, and so
+        # does one on the contour, which is an argument and not in the text
+        span = SourceSpan(0, max(len(text) - 1, 0))
         if first.position is not None:
             span = func_spans[first.position]
-        else:
+        elif first.kind != "UnknownContour":
             lbl = next((l for l in spans if l in str(first)), None)
-            span = spans.get(lbl, SourceSpan(0, max(len(text) - 1, 0)))
+            span = spans.get(lbl, span)
         raise EquationSyntaxError(str(first), span, text)
 
 

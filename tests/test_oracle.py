@@ -30,6 +30,7 @@ from contourcalc.ir import (
 from contourcalc.oracle import (
     BWD,
     FWD,
+    MAT,
     SAMPLE_ATTEMPTS,
     ComponentTable,
     DiscreteContour,
@@ -226,6 +227,29 @@ def test_total_contour_integral_vanishes():
             eq, SuperIndex(()), tables, grid, {}, with_scale=True
         )
         assert abs(val) < 1e-10 * scale
+
+
+def test_unknown_branch_names_are_refused():
+    # a branch is looked up in the branch table, so a name it does not hold
+    # (a typo, or "M" for a horizontal external) is refused rather than
+    # evaluated on the vertical branch
+    grid = DiscreteContour(n_fwd=8)
+    target = parse_superindex(">", CONV)
+    tables = ComponentTable(CONV, 0)
+    times = {"a": 1.31, "b": 0.52}
+    default = evaluate_contour_side(CONV, target, tables, grid, times)
+    # the default places a on B, so naming that branch changes nothing
+    assert default == evaluate_contour_side(
+        CONV, target, tables, grid, times, branch_override={"a": BWD}
+    )
+    for name in ("f", "X", MAT):
+        with pytest.raises(ValueError, match="names no horizontal branch"):
+            evaluate_contour_side(CONV, target, tables, grid, times, branch_override={"a": name})
+    with pytest.raises(KeyError):
+        grid.contour_key("Q", 1.0)
+    with pytest.raises(KeyError):
+        oracle._contour_orders((FWD, "X"))
+    assert grid.contour_key(MAT, 1.0) == 5 * grid.t_max + 1.0
 
 
 def test_largest_time_branch_flip_symmetry():
@@ -1418,6 +1442,64 @@ def test_path_steps_take_a_group_two_at_a_time():
     want = np.einsum(",".join(subscripts) + "->a", *operands)
     got = oracle._contract(operands, steps)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_only_the_branch_table_names_a_branch():
+    # the contour's branches are data: no function or class names a branch
+    # or a contour, compares a value to a branch or contour literal, or
+    # compares ``eq.contour``; only the module-level statements that define
+    # the branch table name them
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    names = {"FWD", "BWD", "MAT", "KELDYSH", "EXTENDED"}
+    literals = {FWD, BWD, MAT, "keldysh", "extended"}
+
+    def tests_a_name(node) -> list[int]:
+        lines = []
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and n.id in names:
+                lines.append(n.lineno)
+            elif isinstance(n, ast.Compare) and any(
+                isinstance(m, ast.Constant) and m.value in literals
+                or isinstance(m, ast.Attribute) and m.attr == "contour"
+                for m in ast.walk(n)
+            ):
+                lines.append(n.lineno)
+        return lines
+
+    defs = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    assert [line for d in defs for line in tests_a_name(d)] == []
+    table = {
+        target.id for n in tree.body if isinstance(n, ast.Assign) and tests_a_name(n)
+        for target in ast.walk(n.targets[0]) if isinstance(target, ast.Name)
+    }
+    assert table == {"FWD", "BWD", "MAT", "BRANCHES", "CONTOURS", "HORIZONTAL", "VERTICAL"}
+    assert not hasattr(oracle, "_branches")
+    assert oracle.CONTOURS == {"keldysh": (FWD, BWD), "extended": (FWD, BWD, MAT)}
+    assert [oracle.BRANCHES[b].sign for b in (FWD, BWD, MAT)] == [1, -1, 1]
+    assert [oracle.BRANCHES[b].vertical for b in (FWD, BWD, MAT)] == [False, False, True]
+
+
+def _contour_orders_by_filter(kinds):
+    """The definition of ``oracle._contour_orders`` before the branch
+    table: every permutation of the horizontal positions that puts no
+    forward position later than a backward one."""
+    horizontal = [i + 1 for i, k in enumerate(kinds) if k != MAT]
+    return tuple(
+        perm
+        for perm in itertools.permutations(horizontal)
+        if not any(
+            kinds[x - 1] == FWD and kinds[y - 1] == BWD
+            for x, y in itertools.combinations(perm, 2)
+        )
+    )
+
+
+def test_contour_orders_keep_the_sequence_of_the_permutation_filter():
+    # the contour side sums a block's orders in this sequence, so its values
+    # stay the same bit for bit only if the sequence does
+    for n in range(5):
+        for kinds in itertools.product((FWD, BWD, MAT), repeat=n):
+            assert oracle._contour_orders(kinds) == _contour_orders_by_filter(kinds), kinds
 
 
 def test_oracle_takes_only_its_inputs_from_the_compiler_and_engine():

@@ -6,6 +6,8 @@ import pytest
 
 from contourcalc import catalog
 from contourcalc.ir import (
+    EXTENDED,
+    KELDYSH,
     ContourEquation,
     ContourError,
     Mats,
@@ -176,6 +178,22 @@ def test_one_name_at_two_arities_is_refused():
     assert text[err.value.span.start:err.value.span.end + 1] == "F[u,b,a]"
     with pytest.raises(EquationSyntaxError, match="ArityMismatch"):
         parse_file("D[a,b] = int{c} : A[a,c]*B[c,b]\n" + text + "\n")
+
+
+def test_unknown_contour_is_refused():
+    # a contour name that is neither keldysh nor extended is a diagnostic,
+    # not the Keldysh contour; it spans the whole text, since the contour is
+    # an argument and no label of the text
+    text = "D[a,b] = int{c} : A[a,c]*B[c,b]"
+    for parse in (parse_equation, parse_file):
+        with pytest.raises(EquationSyntaxError, match="UnknownContour") as err:
+            parse(text, contour="Extended")
+        assert (err.value.span.start, err.value.span.end) == (0, len(text) - 1)
+    product = (SubFunction("A", ("a", "c")), SubFunction("B", ("c", "b")))
+    (diag,) = validate_equation(ContourEquation("D", ("a", "b"), ("c",), product, "Extended"))
+    assert diag.kind == "UnknownContour" and diag.position is None
+    for contour in (KELDYSH, EXTENDED):
+        assert parse_equation(text, contour=contour).contour == contour
 
 
 def test_superindex_garbage_rejected():
