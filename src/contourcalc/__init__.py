@@ -12,7 +12,6 @@ from .ir import (
     ContourError,
     CoverError,
     Factor,
-    LinearCombination,
     Mats,
     Plain,
     RealTimeExpression,
@@ -22,22 +21,9 @@ from .ir import (
     SuperIndex,
     ValidationError,
     canonicalize,
-    connectivity,
-    to_hacek,
-    to_labeled,
     validate_equation,
 )
-from .combinatorics import (
-    Permutation,
-    ShuffleClass,
-    commutator_slice,
-    enumerate_shuffles,
-    nested_commutator,
-    theta_product_decompose,
-)
 from .engine import (
-    component_representation,
-    composition_representation,
     expand_retarded,
     nested_expand,
     representation,

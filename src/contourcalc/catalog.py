@@ -60,14 +60,6 @@ def triangle_one() -> ContourEquation:
     return parse_equation("F[a] = int{b,c} : A[a,b]*B[a,c]*C[b,c]")
 
 
-def four_point() -> ContourEquation:
-    return parse_equation("D[a,d] = int{b,c} : Dbar[a,b,c,d]")
-
-
-def seven_point() -> ContourEquation:
-    return parse_equation("E[a,b,c,d,e] = int{f,g} : Ebar[a,b,c,d,e,f,g]")
-
-
 CORPUS = {
     "convolution": convolution,
     "product": product_structure,

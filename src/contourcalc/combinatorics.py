@@ -1,96 +1,31 @@
-"""Permutation classes, step-function products, and nested commutators.
+"""Step-function orders and nested commutators over formal words.
 
-Products of multi-argument step functions decompose into sums of single
-step functions over shuffle-like permutation classes; nested commutators
-``[x,1,...,m] = [...[[x,1],2],...,m]`` expand into 2**m signed words whose
-slices (grouped by the number of entries left of the head) are exactly the
-inverses of the reversed-front shuffle class.  These two facts together are
-what make retarded compositions work.  The total orders that a set of step
-chains allows are its linear extensions (:func:`linear_extensions`), and
-the order relation that the chains generate is a key for that set
-(:func:`order_relation`).
+Two facts of the calculus live here.  A product of step chains is the sum
+of the single chains over the total orders that the chains allow: with a
+front chain of k labels and a back chain of m - k labels, the C(m, k)
+shuffles.  These orders are the chains' linear extensions
+(:func:`linear_extensions`), and the order relation that the chains
+generate is a key for that set (:func:`order_relation`).  A nested
+commutator ``[x,1,...,m] = [...[[x,1],2],...,m]`` is a fold of
+:func:`commutator_words` and expands into 2**m signed words; the words
+with k entries left of the head carry the sign (-1)**k and are the
+inverses of the shuffles with the front reversed.  Together these make
+retarded compositions work.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence
 
 from .ir import ContourError
-
-
-class OverlappingChains(ContourError):
-    """A step-function chain repeats one of its own labels."""
 
 
 class RangeError(ContourError):
     pass
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """One-line notation: ``mapping[i]`` is the image of position i+1."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.mapping) != list(range(1, len(self.mapping) + 1)):
-            raise RangeError(f"{self.mapping} is not a permutation of 1..{len(self.mapping)}")
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i - 1]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.mapping)
-        for i, v in enumerate(self.mapping):
-            inv[v - 1] = i + 1
-        return Permutation(tuple(inv))
-
-    def apply(self, seq: Sequence) -> tuple:
-        """Reorder ``seq`` so that position i holds ``seq[mapping[i]-1]``."""
-        return tuple(seq[v - 1] for v in self.mapping)
-
-
-@dataclass(frozen=True)
-class ShuffleClass:
-    """Permutations of 1..m preserving the order of 1..k and k+1..m.
-
-    With ``reversed_front`` the front block must appear in decreasing
-    order instead, matching the product of a reversed and a forward chain.
-    """
-
-    m: int
-    k: int
-    reversed_front: bool = False
-
-    def __post_init__(self):
-        if not 0 <= self.k <= self.m:
-            raise RangeError(f"need 0 <= k <= m, got k={self.k}, m={self.m}")
-
-
-def enumerate_shuffles(cls: ShuffleClass) -> list[Permutation]:
-    """All permutations of the class, as images of the identity.
-
-    There are C(m, k) of them: a permutation is fixed by choosing
-    which positions the front block occupies.
-    """
-    front = list(range(cls.k, 0, -1)) if cls.reversed_front else list(range(1, cls.k + 1))
-    back = list(range(cls.k + 1, cls.m + 1))
-    out = []
-    for positions in itertools.combinations(range(cls.m), cls.k):
-        image = [0] * cls.m
-        fi = bi = 0
-        pos = set(positions)
-        for i in range(cls.m):
-            if i in pos:
-                image[i] = front[fi]
-                fi += 1
-            else:
-                image[i] = back[bi]
-                bi += 1
-        out.append(Permutation(tuple(image)))
-    return out
+class ForeignLabel(ContourError, ValueError):
+    """A step chain names a label outside the labels that it orders."""
 
 
 def linear_extensions(
@@ -171,7 +106,7 @@ def _chain_masks(
     for chain in chains:
         for x, y in zip(chain, chain[1:]):
             if x not in bits or y not in bits:
-                raise ValueError(f"step chain {chain} leaves the labels {tuple(labels)}")
+                raise ForeignLabel(f"step chain {chain} leaves the labels {tuple(labels)}")
             preds[y] |= bits[x]
     return bits, preds
 
@@ -190,34 +125,6 @@ def _completions(placed: int, table: list[tuple], tails: dict[int, list[tuple]])
     return out
 
 
-def merge_chains(front: Sequence[Hashable], back: Sequence[Hashable]) -> list[tuple]:
-    """All orderings of the union consistent with both chains.
-
-    Chains may share labels; shared labels act as synchronisation points.
-    Conflicting chains produce an empty list (the product of the two step
-    functions is identically zero).
-    """
-    front = tuple(front)
-    back = tuple(back)
-    for chain in (front, back):
-        if len(set(chain)) != len(chain):
-            raise OverlappingChains(f"chain {chain} repeats a label")
-    return linear_extensions(tuple(dict.fromkeys(front + back)), (front, back))
-
-
-def theta_product_decompose(
-    front: Sequence[Hashable], back: Sequence[Hashable], reversed_front: bool = False
-) -> list[tuple]:
-    """Rewrite Theta(front) * Theta(back) as a sum of single Theta chains.
-
-    Pointwise exact for pairwise-distinct times.  For disjoint chains of
-    sizes k and m-k this yields the C(m, k) shuffles; shared labels
-    are allowed and reduce the count.
-    """
-    f = tuple(reversed(front)) if reversed_front else tuple(front)
-    return merge_chains(f, back)
-
-
 # ---------------------------------------------------------------------------
 # nested commutators over formal words
 
@@ -232,37 +139,3 @@ def commutator_words(
             out.append((s1 * s2, w1 + w2))
             out.append((-s1 * s2, w2 + w1))
     return out
-
-
-def nested_commutator(items: Sequence[Hashable]) -> list[tuple[int, tuple]]:
-    """Expand ``[items[0], items[1], ..., items[-1]]`` into signed words.
-
-    Returns ``(sign, word)`` pairs; 2**(n-1) of them for n items, the sign
-    being (-1)**k with k the number of items left of the head.
-    """
-    if not items:
-        raise RangeError("nested commutator needs at least one item")
-    terms: list[tuple[int, tuple]] = [(1, (items[0],))]
-    for item in items[1:]:
-        terms = commutator_words(terms, [(1, (item,))])
-    return terms
-
-
-def commutator_slice(items: Sequence[Hashable], k: int) -> list[tuple[int, tuple]]:
-    """The (-1)**k part of the nested commutator with k items left of the head.
-
-    The words have the left block in decreasing original order and the
-    right block increasing; there are C(n-1, k) of them.
-    """
-    n = len(items)
-    if not 0 <= k <= n - 1:
-        raise RangeError(f"slice index {k} out of range for {n} items")
-    head, rest = items[0], list(items[1:])
-    sign = (-1) ** k
-    out = []
-    for left_idx in itertools.combinations(range(len(rest)), k):
-        left = [rest[i] for i in reversed(left_idx)]
-        right = [rest[i] for i in range(len(rest)) if i not in left_idx]
-        out.append((sign, tuple(left) + (head,) + tuple(right)))
-    return out
-

@@ -620,7 +620,7 @@ def derive_rule(
     chains.  ``dropped``, when given, collects the ``(functions, items)``
     blocks discarded by the disconnected-set rule.
     """
-    _validate_target(eq, target, allow_sets=True)
+    _validate_target(eq, target)
     rep = representation(eq, target)
     terms = []
     for rt in rep:

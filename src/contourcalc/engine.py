@@ -70,18 +70,15 @@ def _is_flat_slot(item: Item) -> bool:
     return False
 
 
-def _validate_target(eq: ContourEquation, target: SuperIndex, allow_sets: bool) -> None:
+def _validate_target(eq: ContourEquation, target: SuperIndex) -> None:
     covered = target.labels()
     if sorted(covered) != sorted(eq.external):
         raise CoverError(
             f"target {target} covers {sorted(covered)}, expected externals {sorted(eq.external)}"
         )
     for item in target.real_items():
-        if isinstance(item, Ret):
-            if not allow_sets:
-                raise CoverError("component targets admit only plain items after the Matsubara set")
-            if not _is_flat_slot(item):
-                raise CoverError("composition targets must use flat retarded sets")
+        if isinstance(item, Ret) and not _is_flat_slot(item):
+            raise CoverError("composition targets must use flat retarded sets")
 
 
 def representation(eq: ContourEquation, target: SuperIndex) -> list[RepresentationTerm]:
@@ -126,18 +123,6 @@ def representation(eq: ContourEquation, target: SuperIndex) -> list[Representati
         imag = frozenset(eq.internal) - real
         out.append(RepresentationTerm(SuperIndex(items), real, imag))
     return out
-
-
-def component_representation(eq: ContourEquation, external_order: SuperIndex) -> list[RepresentationTerm]:
-    """Representation of a Keldysh component (plain external ordering)."""
-    _validate_target(eq, external_order, allow_sets=False)
-    return representation(eq, external_order)
-
-
-def composition_representation(eq: ContourEquation, target: SuperIndex) -> list[RepresentationTerm]:
-    """Representation of a general multi-retarded composition target."""
-    _validate_target(eq, target, allow_sets=True)
-    return representation(eq, target)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ printed may follow the iteration order of a set of these values.
 from __future__ import annotations
 
 import inspect
-import itertools
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
@@ -45,13 +44,17 @@ class ValidationError(ContourError):
     ``OverlappingSets``, ``DanglingInternal``, ``ArityMismatch``,
     ``UnknownContour``.
     ``position`` is the place in the product of the sub-function the
-    diagnostic is about, where there is one.
+    diagnostic is about, and ``label`` the label it is about, where there
+    is one.
     """
 
-    def __init__(self, kind: str, message: str, position: Optional[int] = None):
+    def __init__(
+        self, kind: str, message: str, position: Optional[int] = None, label: Optional[str] = None
+    ):
         super().__init__(f"{kind}: {message}")
         self.kind = kind
         self.position = position
+        self.label = label
 
 
 class CoverError(ContourError):
@@ -239,20 +242,6 @@ def to_hacek(si: SuperIndex, args: Iterable[str]) -> SuperIndex:
     return map_labels(si, pos.__getitem__)
 
 
-def to_labeled(si: SuperIndex, args: Iterable[str]) -> SuperIndex:
-    """Inverse of :func:`to_hacek` for the same argument list."""
-    args = list(args)
-    n = len(args)
-    bad = [p for p in si.labels() if not (isinstance(p, int) and 1 <= p <= n)]
-    if bad:
-        raise CoverError(f"positions {bad} out of range for arity {n}")
-    return map_labels(si, lambda p: args[p - 1])
-
-
-def plain_index(labels: Iterable[LabelLike]) -> SuperIndex:
-    return SuperIndex(tuple(Plain(l) for l in labels))
-
-
 class TwoPoint(NamedTuple):
     """A two-point shorthand: its items over the arguments ``(x, y)`` and
     its glyphs in text and LaTeX output."""
@@ -324,10 +313,13 @@ def validate_equation(eq: ContourEquation) -> list[ValidationError]:
     for name, seq in (("external", eq.external), ("internal", eq.internal)):
         dup = {l for l in seq if seq.count(l) > 1}
         if dup:
-            diags.append(ValidationError("DuplicateLabel", f"{sorted(dup)} repeated in {name} set"))
+            diags.append(ValidationError("DuplicateLabel", f"{sorted(dup)} repeated in {name} set", label=min(dup)))
     overlap = set(eq.external) & set(eq.internal)
     if overlap:
-        diags.append(ValidationError("OverlappingSets", f"labels {sorted(overlap)} are both external and internal"))
+        diags.append(ValidationError(
+            "OverlappingSets", f"labels {sorted(overlap)} are both external and internal",
+            label=min(overlap),
+        ))
     known = set(eq.external) | set(eq.internal)
     used: set[str] = set()
     # a repeated name is one function, so it keeps one arity
@@ -335,10 +327,12 @@ def validate_equation(eq: ContourEquation) -> list[ValidationError]:
     for i, f in enumerate(eq.product):
         dup = {a for a in f.args if f.args.count(a) > 1}
         if dup:
-            diags.append(ValidationError("DuplicateLabel", f"{sorted(dup)} repeated in {f}"))
+            diags.append(ValidationError("DuplicateLabel", f"{sorted(dup)} repeated in {f}", i, min(dup)))
         for a in f.args:
             if a not in known:
-                diags.append(ValidationError("UnknownLabel", f"label {a} of {f} is neither external nor internal"))
+                diags.append(ValidationError(
+                    "UnknownLabel", f"label {a} of {f} is neither external nor internal", label=a
+                ))
         first = first_use.setdefault(f.name, f)
         if len(first.args) != len(f.args):
             diags.append(ValidationError(
@@ -350,7 +344,7 @@ def validate_equation(eq: ContourEquation) -> list[ValidationError]:
         used.update(f.args)
     for l in eq.internal:
         if l not in used:
-            diags.append(ValidationError("DanglingInternal", f"internal {l} appears in no sub-function"))
+            diags.append(ValidationError("DanglingInternal", f"internal {l} appears in no sub-function", label=l))
     return diags
 
 
@@ -359,15 +353,6 @@ def check_equation(eq: ContourEquation) -> ContourEquation:
     if diags:
         raise diags[0]
     return eq
-
-
-def direct_edges(product: Iterable[SubFunction]) -> set[frozenset[str]]:
-    """Pairs of labels appearing together in some sub-function."""
-    edges: set[frozenset[str]] = set()
-    for f in product:
-        for x, y in itertools.combinations(f.args, 2):
-            edges.add(frozenset((x, y)))
-    return edges
 
 
 def connected(labels: Iterable[str], edges: set[frozenset[str]]) -> bool:
@@ -385,33 +370,6 @@ def connected(labels: Iterable[str], edges: set[frozenset[str]]) -> bool:
                 seen.add(y)
                 frontier.append(y)
     return seen == universe
-
-
-def connectivity(eq: ContourEquation, subset: Iterable[str]) -> bool:
-    """Connectivity of a label subset through shared sub-function arguments,
-
-    never leaving the subset.
-    """
-    subset = tuple(subset)
-    known = set(eq.labels())
-    for l in subset:
-        if l not in known:
-            raise ValidationError("UnknownLabel", f"label {l} not in equation")
-    return connected(subset, direct_edges(eq.product))
-
-
-@dataclass(frozen=True)
-class LinearCombination:
-    """A formal signed sum of super-indices attached to one function."""
-
-    terms: tuple[tuple[int, SuperIndex], ...]
-
-    @classmethod
-    def from_words(cls, words: Iterable[tuple[int, tuple[LabelLike, ...]]]):
-        return cls(tuple((sign, plain_index(word)) for sign, word in words))
-
-    def __str__(self) -> str:
-        return _signed_sum((sign, str(si)) for sign, si in self.terms)
 
 
 def _signed_sum(terms: Iterable[tuple[int, str]]) -> str:

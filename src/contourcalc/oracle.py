@@ -1396,14 +1396,17 @@ def evaluate_contour_batch(
 
     The samples must be of one order class of the horizontal externals;
     any other batch is refused, and so is a ``branch_override`` that names
-    no :data:`HORIZONTAL` branch.  The values come from the value table
+    no :data:`HORIZONTAL` branch, or a label that is no horizontal
+    external of the target.  The values come from the value table
     (:func:`_batch`).  The samples share their live external words and
     placements, and so the planned blocks and the contraction, which
     carry the sample axis."""
-    if branch_override and not set(branch_override.values()) <= set(HORIZONTAL):
-        raise ValueError(f"branch override {branch_override} names no horizontal branch")
     m_ext = target.mats_labels()
     horizontal = [l for l in eq.external if l not in m_ext]
+    if branch_override and not set(branch_override.values()) <= set(HORIZONTAL):
+        raise ValueError(f"branch override {branch_override} names no horizontal branch")
+    if branch_override and not set(branch_override) <= set(horizontal):
+        raise ValueError(f"branch override {branch_override} names no horizontal external")
     values = _batch(tables, grid, samples, horizontal)
     grid.check_external([t[l] for t in samples for l in horizontal], eq.internal)
     plan = _contour_plan(eq, grid.t0, grid.t_max, grid.n_fwd)

@@ -207,14 +207,13 @@ def _revalidate(
     diags = validate_equation(eq)
     if diags:
         first = diags[0]
-        # a diagnostic on no function or label spans the whole text, and so
-        # does one on the contour, which is an argument and not in the text
+        # a diagnostic on no function or label, such as one on the contour
+        # (an argument, not in the text), spans the whole text
         span = SourceSpan(0, max(len(text) - 1, 0))
         if first.position is not None:
             span = func_spans[first.position]
-        elif first.kind != "UnknownContour":
-            lbl = next((l for l in spans if l in str(first)), None)
-            span = spans.get(lbl, span)
+        elif first.label is not None:
+            span = spans[first.label]
         raise EquationSyntaxError(str(first), span, text)
 
 

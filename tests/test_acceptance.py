@@ -6,23 +6,15 @@ later calibration.  The reference rows these tests compare against live in
 branch-splitting oracle.
 """
 
+import functools
 import math
 import time
 from pathlib import Path
 
 from contourcalc import catalog
-from contourcalc.combinatorics import (
-    ShuffleClass,
-    commutator_slice,
-    enumerate_shuffles,
-    nested_commutator,
-)
+from contourcalc.combinatorics import commutator_words, linear_extensions
 from contourcalc.compiler import component_of_product, derive_rule, emit
-from contourcalc.engine import (
-    component_representation,
-    composition_representation,
-    expand_retarded,
-)
+from contourcalc.engine import expand_retarded, representation
 from contourcalc.ir import ContourEquation, SuperIndex, canonicalize, to_hacek
 from contourcalc.oracle import (
     ComponentTable,
@@ -123,12 +115,12 @@ def test_criterion_4_vertex_table():
 
 def test_criterion_5_worked_example_parity():
     t0 = time.time()
-    four = catalog.four_point()
+    four = parse_equation("D[a,d] = int{b,c} : Dbar[a,b,c,d]")
     four_k = _keldysh(four)
     args = four.product[0].args
 
     def hacek_strings(eq, target):
-        terms = component_representation(eq, parse_superindex(target, eq))
+        terms = representation(eq, parse_superindex(target, eq))
         return [str(to_hacek(rt.index, args)) for rt in terms]
 
     assert hacek_strings(four_k, "12") == [
@@ -138,8 +130,8 @@ def test_criterion_5_worked_example_parity():
         ["4R(1,23)", "R(4,3)R(1,2)", "R(4,2)R(1,3)", "R(4,23)1"]
     )
 
-    seven = _keldysh(catalog.seven_point())
-    terms = composition_representation(seven, parse_superindex("R(a,b)R(c,de)", seven))
+    seven = parse_equation("E[a,b,c,d,e] = int{f,g} : Ebar[a,b,c,d,e,f,g]", contour="keldysh")
+    terms = representation(seven, parse_superindex("R(a,b)R(c,de)", seven))
     got = [str(to_hacek(rt.index, seven.product[0].args)) for rt in terms]
     assert got == [
         "R(1,267)R(3,45)", "R(1,26)R(3,457)", "R(1,27)R(3,456)", "R(1,2)R(3,4567)",
@@ -149,32 +141,65 @@ def test_criterion_5_worked_example_parity():
 
 def test_criterion_6_combinatorial_counts():
     t0 = time.time()
+
+    def shuffles(m, k, rev):
+        front = tuple(range(k, 0, -1)) if rev else tuple(range(1, k + 1))
+        return linear_extensions(tuple(range(1, m + 1)), (front, tuple(range(k + 1, m + 1))))
+
+    def nested_commutator(items):
+        return functools.reduce(
+            lambda words, item: commutator_words(words, [(1, (item,))]),
+            items[1:],
+            [(1, (items[0],))],
+        )
+
+    def signed_sum(words):
+        out = {}
+        for s, w in words:
+            out[w] = out.get(w, 0) + s
+        return {w: c for w, c in out.items() if c}
+
     for m in range(0, 9):
         for k in range(0, m + 1):
             for rev in (False, True):
-                assert len(enumerate_shuffles(ShuffleClass(m, k, rev))) == math.comb(m, k)
+                assert len(shuffles(m, k, rev)) == math.comb(m, k)
     for n in range(1, 9):
         items = tuple(range(n))
-        assert len(nested_commutator(items)) == 2 ** (n - 1)
+        words = nested_commutator(items)
+        assert len(words) == 2 ** (n - 1)
         for k in range(0, n):
-            assert len(commutator_slice(items, k)) == math.comb(n - 1, k)
+            part = [(s, w) for s, w in words if w.index(0) == k]
+            assert len(part) == math.comb(n - 1, k)
+            assert all(s == (-1) ** k for s, _ in part)
+            # the slice is the inverses of the reversed-front shuffles
+            orders = {tuple(v for v in w if v != 0) for _, w in part}
+            inverses = {
+                tuple(p.index(v) + 1 for v in range(1, n)) for p in shuffles(n - 1, k, True)
+            }
+            assert orders == inverses
+        # the slices partition the commutator: their C(n-1, k) words add up
+        # to its 2**(n-1), and no two words cancel
+        assert len(signed_sum(words)) == len(words)
 
     # Jacobi identity over formal words
-    def comm2(x, y):
-        out = {}
-        for wx, cx in x.items():
-            for wy, cy in y.items():
-                out[wx + wy] = out.get(wx + wy, 0) + cx * cy
-                out[wy + wx] = out.get(wy + wx, 0) - cx * cy
-        return out
-
-    A, B, C = {("A",): 1}, {("B",): 1}, {("C",): 1}
-    total = {}
+    A, B, C = [(1, ("A",))], [(1, ("B",))], [(1, ("C",))]
+    total = []
     for x, y, z in ((A, B, C), (C, A, B), (B, C, A)):
-        for w, c in comm2(comm2(x, y), z).items():
-            total[w] = total.get(w, 0) + c
-    assert all(c == 0 for c in total.values())
-    _status(6, True, "shuffle/commutator counts and the Jacobi identity", t0)
+        total += commutator_words(commutator_words(x, y), z)
+    assert signed_sum(total) == {}
+
+    # insertion: [1..i, x, i+1..n] is the sum over j <= i of the
+    # commutators of 1..n with [j, x] in place of j
+    for n in range(1, 6):
+        for i in range(1, n + 1):
+            lhs = nested_commutator(tuple(range(1, i + 1)) + ("x",) + tuple(range(i + 1, n + 1)))
+            rhs = []
+            for j in range(1, i + 1):
+                fused = [[(1, (v,))] if v != j else [(1, (j, "x")), (-1, ("x", j))]
+                         for v in range(1, n + 1)]
+                rhs += functools.reduce(commutator_words, fused[1:], fused[0])
+            assert signed_sum(lhs) == signed_sum(rhs), (n, i)
+    _status(6, True, "shuffle/commutator counts, slices and the Jacobi and insertion identities", t0)
 
 
 def test_criterion_7_oracle_equivalence_full_corpus():

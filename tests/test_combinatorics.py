@@ -1,24 +1,60 @@
-"""Shuffle classes, step-function products, nested commutators."""
+"""The paper's two combinatorial facts, checked on the functions that the
+compiler and the oracles run: products of step chains split into shuffles
+(``linear_extensions``), and nested commutators, folds of
+``commutator_words``, expand into 2**(n-1) signed words whose slices are
+the inverses of the reversed-front shuffles."""
 
+import functools
 import itertools
 import math
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from contourcalc.combinatorics import (
-    OverlappingChains,
-    Permutation,
-    RangeError,
-    ShuffleClass,
-    commutator_slice,
-    enumerate_shuffles,
-    merge_chains,
-    nested_commutator,
-    theta_product_decompose,
-)
+from contourcalc.combinatorics import commutator_words, linear_extensions
+
+
+def shuffles(m, k, reversed_front=False):
+    """The orders of 1..m that keep 1..k (decreasing with
+    ``reversed_front``) and k+1..m in order: the linear extensions of a
+    front and a back chain."""
+    front = tuple(range(k, 0, -1)) if reversed_front else tuple(range(1, k + 1))
+    return linear_extensions(tuple(range(1, m + 1)), (front, tuple(range(k + 1, m + 1))))
+
+
+def theta_product(front, back, reversed_front=False):
+    """Theta(front) * Theta(back) as the single chains of its orders."""
+    f = tuple(reversed(front)) if reversed_front else tuple(front)
+    return linear_extensions(tuple(dict.fromkeys(f + tuple(back))), (f, back))
+
+
+def nested_commutator(items):
+    """``[items[0], items[1], ..., items[-1]]`` as signed words: the fold
+    of ``commutator_words`` that ``engine.expand_retarded`` runs."""
+    return functools.reduce(
+        lambda words, item: commutator_words(words, [(1, (item,))]),
+        items[1:],
+        [(1, (items[0],))],
+    )
+
+
+def commutator_slice(items, k):
+    """The words of the nested commutator with k items left of the head."""
+    return [(s, w) for s, w in nested_commutator(items) if w.index(items[0]) == k]
+
+
+def slice_formula(items, k):
+    """Reference for :func:`commutator_slice`: the C(n-1, k) words with k
+    of the other items, in decreasing order, left of the head and the rest,
+    increasing, right of it, each with the sign (-1)**k."""
+    head, rest = items[0], items[1:]
+    out = []
+    for left_idx in itertools.combinations(range(len(rest)), k):
+        left = tuple(rest[i] for i in reversed(left_idx))
+        right = tuple(rest[i] for i in range(len(rest)) if i not in left_idx)
+        out.append(((-1) ** k, left + (head,) + right))
+    return out
 
 
 def brute_force_shuffles(m, k, reversed_front):
@@ -67,7 +103,7 @@ def brute_force_shuffle_classes(m):
 
 
 def test_shuffles_m4_k2():
-    got = sorted(p.mapping for p in enumerate_shuffles(ShuffleClass(4, 2)))
+    got = sorted(shuffles(4, 2))
     assert got == [
         (1, 2, 3, 4),
         (1, 3, 2, 4),
@@ -79,11 +115,11 @@ def test_shuffles_m4_k2():
 
 
 def test_shuffles_k0_identity_only():
-    assert [p.mapping for p in enumerate_shuffles(ShuffleClass(4, 0))] == [(1, 2, 3, 4)]
+    assert shuffles(4, 0) == [(1, 2, 3, 4)]
 
 
 def test_shuffles_m6_k3_against_brute_force():
-    got = sorted(p.mapping for p in enumerate_shuffles(ShuffleClass(6, 3, reversed_front=True)))
+    got = sorted(shuffles(6, 3, reversed_front=True))
     assert got == brute_force_shuffles(6, 3, reversed_front=True)
     assert len(got) == 20  # binomial(6,3); not 6!/3!
 
@@ -93,21 +129,14 @@ def test_shuffle_counts_binomial_up_to_8():
         brute = brute_force_shuffle_classes(m)
         for k in range(0, m + 1):
             for rev in (False, True):
-                got = enumerate_shuffles(ShuffleClass(m, k, rev))
+                got = shuffles(m, k, rev)
                 assert len(got) == math.comb(m, k)
-                assert len({p.mapping for p in got}) == len(got)
-                assert sorted(p.mapping for p in got) == brute[k, rev]
-
-
-def test_shuffle_class_range_checks():
-    with pytest.raises(RangeError):
-        ShuffleClass(3, 4)
-    with pytest.raises(RangeError):
-        Permutation((1, 1, 2))
+                assert len(set(got)) == len(got)
+                assert sorted(got) == brute[k, rev]
 
 
 def test_theta_product_disjoint_pairs():
-    chains = theta_product_decompose(("t1", "t2"), ("t3", "t4"))
+    chains = theta_product(("t1", "t2"), ("t3", "t4"))
     assert sorted(chains) == sorted(
         [
             ("t1", "t2", "t3", "t4"),
@@ -121,24 +150,24 @@ def test_theta_product_disjoint_pairs():
 
 
 def test_theta_product_singletons():
-    assert sorted(theta_product_decompose(("t1",), ("t2",))) == [("t1", "t2"), ("t2", "t1")]
+    assert sorted(theta_product(("t1",), ("t2",))) == [("t1", "t2"), ("t2", "t1")]
 
 
 def test_theta_product_shared_label():
     # Theta(a,b) * Theta(c,b) = Theta(c,a,b) + Theta(a,c,b)
-    assert sorted(theta_product_decompose(("a", "b"), ("c", "b"))) == [
+    assert sorted(theta_product(("a", "b"), ("c", "b"))) == [
         ("a", "c", "b"),
         ("c", "a", "b"),
     ]
 
 
 def test_theta_product_conflicting_chains_empty():
-    assert theta_product_decompose(("a", "b"), ("b", "a")) == []
+    assert theta_product(("a", "b"), ("b", "a")) == []
 
 
 def test_theta_product_duplicate_in_chain_rejected():
-    with pytest.raises(OverlappingChains):
-        theta_product_decompose(("a", "a"), ("b",))
+    # Theta(a, a) is zero: a chain that repeats a label allows no order
+    assert theta_product(("a", "a"), ("b",)) == []
 
 
 def _theta(chain, values):
@@ -158,7 +187,7 @@ def test_theta_product_pointwise_exact():
     ]
     for front, back, rev in cases:
         labels = sorted(set(front) | set(back))
-        merged = theta_product_decompose(front, back, rev)
+        merged = theta_product(front, back, rev)
         f = tuple(reversed(front)) if rev else front
         for _ in range(2000):
             values = dict(zip(labels, rng.uniform(0, 1, len(labels))))
@@ -172,7 +201,7 @@ def test_merge_chains_reversed_front_counts():
         for k in range(0, m + 1):
             front = tuple(f"f{i}" for i in range(k))
             back = tuple(f"b{i}" for i in range(m - k))
-            assert len(merge_chains(front, back)) == math.comb(m, k)
+            assert len(theta_product(front, back, reversed_front=True)) == math.comb(m, k)
 
 
 def test_nested_commutator_single_item():
@@ -237,8 +266,8 @@ def test_commutator_slice_k0_and_extremes():
         }
         assert {w: s for s, w in got} == oracle
         assert got[0][0] == (-1) ** (n - 1)
-    with pytest.raises(RangeError):
-        commutator_slice(("x", 1), 2)
+    # no word has more items left of the head than there are
+    assert commutator_slice(("x", 1), 2) == []
 
 
 def test_slices_partition_commutator():
@@ -251,6 +280,8 @@ def test_slices_partition_commutator():
         for k in range(0, n):
             sl = commutator_slice(items, k)
             assert len(sl) == math.comb(n - 1, k)
+            assert all(s == (-1) ** k for s, _ in sl)
+            assert sorted(sl, key=str) == sorted(slice_formula(items, k), key=str)
             for s, w in sl:
                 combined[w] = combined.get(w, 0) + s
         assert combined == whole
@@ -258,20 +289,14 @@ def test_slices_partition_commutator():
 
 def test_jacobi_identity_formal_words():
     # [[A,B],C] + [[C,A],B] + [[B,C],A] expands to the empty combination
-    def comm2(x, y):
-        out = {}
-        for wx, cx in x.items():
-            for wy, cy in y.items():
-                out[wx + wy] = out.get(wx + wy, 0) + cx * cy
-                out[wy + wx] = out.get(wy + wx, 0) - cx * cy
-        return out
-
-    A, B, C = ({("A",): 1}, {("B",): 1}, {("C",): 1})
+    A, B, C = [(1, ("A",))], [(1, ("B",))], [(1, ("C",))]
     total = {}
     for x, y, z in ((A, B, C), (C, A, B), (B, C, A)):
-        for w, c in comm2(comm2(x, y), z).items():
+        words = commutator_words(commutator_words(x, y), z)
+        assert len(words) == 4
+        for c, w in words:
             total[w] = total.get(w, 0) + c
-    assert all(c == 0 for c in total.values())
+    assert len(total) == 6 and all(c == 0 for c in total.values())
 
 
 def _commutator_with_fused(seq, j, inner):
@@ -299,7 +324,11 @@ def test_insertion_telescoping_identity():
     for n in range(1, 7):
         for i in range(1, n + 1):
             items = list(range(1, i + 1)) + ["x"] + list(range(i + 1, n + 1))
-            lhs = {w: c for w, c in brute_commutator(tuple(items)).items() if c}
+            lhs = {}
+            for c, w in nested_commutator(tuple(items)):
+                lhs[w] = lhs.get(w, 0) + c
+            assert lhs == brute_commutator(tuple(items))
+            lhs = {w: c for w, c in lhs.items() if c}
             rhs = {}
             seq = list(range(1, n + 1))
             for j in range(1, i + 1):
@@ -321,17 +350,13 @@ def test_slices_are_inverses_of_reversed_shuffles():
             for w in slice_words:
                 seq = [v for v in w if v != "x"]
                 perms.add(tuple(seq))
-            inv = set()
-            for p in enumerate_shuffles(ShuffleClass(m, k, reversed_front=True)):
-                inv.add(p.inverse().apply(tuple(range(1, m + 1))))
+            # the inverse of an order: where each of 1..m stands in it
+            inv = {tuple(p.index(v) + 1 for v in range(1, m + 1)) for p in shuffles(m, k, True)}
             assert perms == inv
 
 
 @given(st.integers(0, 6), st.integers(0, 6), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_shuffle_count_property(m, k, rev):
-    if k > m:
-        with pytest.raises(RangeError):
-            ShuffleClass(m, k, rev)
-        return
-    assert len(enumerate_shuffles(ShuffleClass(m, k, rev))) == math.comb(m, k)
+    assume(k <= m)
+    assert len(shuffles(m, k, rev)) == math.comb(m, k)

@@ -30,7 +30,6 @@ from contourcalc.ir import (
     SubFunction,
     SuperIndex,
     canonicalize,
-    direct_edges,
     to_hacek,
 )
 from contourcalc.oracle import normal_form_equal
@@ -39,6 +38,11 @@ from contourcalc.parser import parse_equation, parse_superindex
 
 def _keldysh(eq):
     return ContourEquation(eq.lhs_name, eq.external, eq.internal, eq.product, "keldysh")
+
+
+def direct_edges(product):
+    """Pairs of labels appearing together in some sub-function."""
+    return {frozenset(pair) for f in product for pair in itertools.combinations(f.args, 2)}
 
 
 def _fs(factors):

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from contourcalc.combinatorics import RangeError
 from contourcalc.engine import (
-    component_representation,
-    composition_representation,
+    _validate_target,
     enumerate_pivots,
     expand_retarded,
     nested_expand,
@@ -40,12 +39,12 @@ def _hacek_strings(eq, terms):
     return [str(to_hacek(t.index, args)) for t in terms]
 
 
-FOUR = catalog.four_point()
+FOUR = parse_equation("D[a,d] = int{b,c} : Dbar[a,b,c,d]")
 FOUR_K = _keldysh(FOUR)
 
 
 def test_component_representation_greater_worked_example():
-    terms = component_representation(FOUR_K, parse_superindex("12", FOUR_K))
+    terms = representation(FOUR_K, parse_superindex("12", FOUR_K))
     assert _hacek_strings(FOUR_K, terms) == [
         "R(1,23)4",
         "R(1,2)R(4,3)",
@@ -56,14 +55,14 @@ def test_component_representation_greater_worked_example():
 
 
 def test_component_representation_lesser_worked_example():
-    terms = component_representation(FOUR_K, parse_superindex("21", FOUR_K))
+    terms = representation(FOUR_K, parse_superindex("21", FOUR_K))
     assert sorted(_hacek_strings(FOUR_K, terms)) == sorted(
         ["4R(1,23)", "R(4,3)R(1,2)", "R(4,2)R(1,3)", "R(4,23)1"]
     )
 
 
 def test_component_representation_extended_matsubara_head():
-    terms = component_representation(FOUR, parse_superindex("M(a)d", FOUR))
+    terms = representation(FOUR, parse_superindex("M(a)d", FOUR))
     assert _hacek_strings(FOUR, terms) == [
         "M(123)4",
         "M(12)R(4,3)",
@@ -75,13 +74,13 @@ def test_component_representation_extended_matsubara_head():
 
 def test_component_representation_zero_internals():
     eq = catalog.product_structure()
-    terms = component_representation(eq, parse_superindex(">", eq))
+    terms = representation(eq, parse_superindex(">", eq))
     assert len(terms) == 1 and terms[0].index.items == (Plain("a"), Plain("b"))
 
 
 def test_composition_representation_seven_point_worked_example():
-    eq = _keldysh(catalog.seven_point())
-    terms = composition_representation(eq, parse_superindex("R(a,b)R(c,de)", eq))
+    eq = parse_equation("E[a,b,c,d,e] = int{f,g} : Ebar[a,b,c,d,e,f,g]", contour="keldysh")
+    terms = representation(eq, parse_superindex("R(a,b)R(c,de)", eq))
     assert _hacek_strings(eq, terms) == [
         "R(1,267)R(3,45)",
         "R(1,26)R(3,457)",
@@ -93,21 +92,31 @@ def test_composition_representation_seven_point_worked_example():
 def test_composition_single_internal_fully_retarded():
     eq = _keldysh(parse_equation("O[e] = int{i} : Obar[e,i]"))
     # R(e, empty set) is the plain top; the single internal joins the one slot
-    terms = composition_representation(eq, SuperIndex((Ret(Plain("e"), ()),)))
+    terms = representation(eq, SuperIndex((Ret(Plain("e"), ()),)))
     assert _hacek_strings(eq, terms) == ["R(1,2)"]
 
 
 def test_composition_no_internals_identity():
     eq = parse_equation("D[a,b] = int{} : A[a,b]*B[b,a]")
     target = parse_superindex("R", eq)
-    terms = composition_representation(eq, target)
+    terms = representation(eq, target)
     assert len(terms) == 1 and terms[0].index == target
 
 
 def test_composition_reduces_to_component_representation():
-    for target in ("12", "21"):
+    # a component is the composition whose retarded sets hold their top
+    # alone, since R(e, empty) is e
+    for target in ("12", "21", "M(a)d"):
         si = parse_superindex(target, FOUR)
-        assert representation(FOUR, si) == component_representation(FOUR, si)
+        sets = SuperIndex(tuple(Ret(i, ()) if isinstance(i, Plain) else i for i in si.items))
+        _validate_target(FOUR, sets)
+        got = [
+            (SuperIndex(tuple(map(normalize_item, t.index.items))), t.real_integrals, t.imag_integrals)
+            for t in representation(FOUR, sets)
+        ]
+        assert got == [
+            (t.index, t.real_integrals, t.imag_integrals) for t in representation(FOUR, si)
+        ]
 
 
 def test_term_counts():
@@ -124,17 +133,18 @@ def test_term_counts():
 
 def test_target_validation():
     with pytest.raises(CoverError):
-        component_representation(FOUR, parse_superindex("R(a,d)", FOUR))
+        _validate_target(FOUR, SuperIndex((Plain("a"),)))
     with pytest.raises(CoverError):
-        composition_representation(FOUR, SuperIndex((Plain("a"),)))
+        _validate_target(FOUR, SuperIndex((Ret(Ret(Plain("a"), (Plain("d"),)), ()),)))
+    _validate_target(FOUR, parse_superindex("R(a,d)", FOUR))
     # on the Keldysh contour the vertical slot is suppressed for internals;
     # external vertical placements stay legal and distribute over real slots
-    terms = component_representation(FOUR_K, parse_superindex("M(a)d", FOUR))
+    terms = representation(FOUR_K, parse_superindex("M(a)d", FOUR))
     assert _hacek_strings(FOUR_K, terms) == ["M(1)R(4,23)"]
     # with every external vertical, the horizontal integral vanishes
     eq = _keldysh(parse_equation("D[a,b] = int{c} : A[a,c]*B[c,b]"))
     full_m = parse_superindex("M", eq)
-    assert component_representation(eq, full_m) == []
+    assert representation(eq, full_m) == []
 
 
 # ---------------------------------------------------------------------------

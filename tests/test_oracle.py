@@ -1,6 +1,7 @@
 """Branch-splitting oracle, normal forms, and the discrete-contour evaluators."""
 
 import ast
+import dataclasses
 import gc
 import itertools
 import json
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from contourcalc import catalog, oracle
+from contourcalc.combinatorics import ForeignLabel
 from contourcalc.compiler import derive_rule
 from contourcalc.engine import expand_retarded
 from contourcalc.ir import (
@@ -25,6 +27,7 @@ from contourcalc.ir import (
     RealTimeTerm,
     SubFunction,
     SuperIndex,
+    canonicalize,
     to_hacek,
 )
 from contourcalc.oracle import (
@@ -171,12 +174,19 @@ def test_grid_rejects_external_on_node():
             )
 
 
+# one function of all the labels, as in the paper's worked examples
+FOUR_POINT = "D[a,d] = int{b,c} : Dbar[a,b,c,d]"
+SEVEN_POINT = "E[a,b,c,d,e] = int{f,g} : Ebar[a,b,c,d,e,f,g]"
+
+
 def test_internal_labels_have_disjoint_nodes_inside_the_grid():
     # the numeric sums have no tie to leave out only because no two internal
     # labels share a real node
     equations = [make() for make in catalog.CORPUS.values()]
-    equations += [catalog.four_point(), catalog.seven_point()]
-    equations += [parse_equation(src) for src in (SELF_ENERGY, CHAIN4, LADDER, THREE_EXTERNAL)]
+    equations += [
+        parse_equation(src)
+        for src in (FOUR_POINT, SEVEN_POINT, SELF_ENERGY, CHAIN4, LADDER, THREE_EXTERNAL)
+    ]
     for eq in equations:
         for n in range(2, 25):
             grid = DiscreteContour(t0=0.5, t_max=2.5, n_fwd=n)
@@ -252,6 +262,26 @@ def test_unknown_branch_names_are_refused():
     assert grid.contour_key(MAT, 1.0) == 5 * grid.t_max + 1.0
 
 
+def test_override_of_a_label_that_is_no_horizontal_external_is_refused():
+    # an override key must be a horizontal external of the target: an
+    # unknown label, an internal or a Matsubara external is refused rather
+    # than ignored
+    grid = DiscreteContour(n_fwd=8)
+    target = parse_superindex(">", CONV)
+    tables = ComponentTable(CONV, 0)
+    times = {"a": 1.31, "b": 0.52}
+    for override in ({"z": FWD}, {"c": BWD}, {"a": BWD, "c": BWD}):
+        with pytest.raises(ValueError, match="names no horizontal external"):
+            evaluate_contour_side(CONV, target, tables, grid, times, branch_override=override)
+        with pytest.raises(ValueError, match="names no horizontal external"):
+            evaluate_contour_batch(CONV, target, (tables,), grid, (times,), override)
+    mixed = parse_superindex("rc", CONV)
+    with pytest.raises(ValueError, match="names no horizontal external"):
+        evaluate_contour_side(CONV, mixed, tables, grid, {"a": 1.31, "b": 0.3}, {"b": FWD})
+    value = evaluate_contour_side(CONV, mixed, tables, grid, {"a": 1.31, "b": 0.3}, {"a": FWD})
+    assert np.isfinite(value)
+
+
 def test_largest_time_branch_flip_symmetry():
     grid = DiscreteContour(n_fwd=16)
     eq = _keldysh(catalog.chain3())
@@ -325,6 +355,46 @@ def test_verify_records_a_foreign_factor_as_a_failure(seeds):
     assert symbolic.detail.startswith("factor Q") and "does not belong to D" in symbolic.detail
     assert [r.seed for r in numeric] == list(seeds)
     assert not any(r.passed for r in numeric)
+
+
+def test_verify_records_a_malformed_rule_as_a_failure():
+    # the extended convolution >, with A^{M(c)a} of the vertical term swapped
+    # for the A^{R(a,c)} of a real term: c is integrated on the vertical
+    # branch but sits in a real retarded slot, so the step chain (a, c)
+    # leaves the real labels; that fails the symbolic record and every
+    # seed, and raises nothing
+    target = parse_superindex(">", CONV)
+    real, retarded, vertical = derive_rule(CONV, target).terms
+    assert vertical.imag_integrals == {"c"} and str(retarded.factors[0]) == "A^{R(a,c)}"
+    swapped = dataclasses.replace(vertical, factors=(retarded.factors[0], vertical.factors[1]))
+    rule = RealTimeExpression((real, retarded, swapped))
+    with pytest.raises(ForeignLabel):
+        oracle.signed_count(CONV, target, rule, ())
+    symbolic, *numeric = verify(CONV, target, rule=rule)
+    assert not symbolic.passed and symbolic.max_error == float("inf")
+    assert "leaves the labels" in symbolic.detail
+    assert [r.seed for r in numeric] == [0, 1, 2]
+    assert not any(r.passed for r in numeric)
+
+
+def test_keldysh_rule_is_the_horizontal_part_of_the_extended_rule():
+    # the Keldysh contour is the extended one without its vertical branch:
+    # each Keldysh rule is the extended rule's terms with no vertical label
+    checked = 0
+    for make in catalog.CORPUS.values():
+        extended = make()
+        keldysh = _keldysh(extended)
+        for tname in catalog.all_targets(keldysh):
+            horizontal = [
+                t for t in derive_rule(extended, parse_superindex(tname, extended)).terms
+                if not t.imag_integrals and not any(f.index.mats_labels() for f in t.factors)
+            ]
+            kel = derive_rule(keldysh, parse_superindex(tname, keldysh))
+            assert canonicalize(kel) == canonicalize(RealTimeExpression(tuple(horizontal))), (
+                str(extended), tname
+            )
+            checked += 1
+    assert checked == 21
 
 
 def test_branch_split_all_matsubara_on_keldysh_is_empty():

@@ -105,6 +105,29 @@ def test_dangling_internal_rejected():
     with pytest.raises(EquationSyntaxError) as err:
         parse_equation("D[a,b] = int{c} : A[a,b]")
     assert "Dangling" in str(err.value)
+    (diag,) = validate_equation(ContourEquation("D", ("a", "b"), ("c",), (SubFunction("A", ("a", "b")),)))
+    assert (diag.kind, diag.label, diag.position) == ("DanglingInternal", "c", None)
+
+
+@pytest.mark.parametrize(
+    "text, kind, spanned",
+    [
+        ("D[a,b] = int{c,x} : A[a,c]*B[c,b]", "DanglingInternal", "x"),
+        ("D[a,b] = int{c} : A[a,c]*B[c,b]*C[q,b]", "UnknownLabel", "q"),
+        ("D[a,b] = int{b} : A[a,b]", "OverlappingSets", "b"),
+        ("D[b,b] = int{c} : A[b,c]*B[c,b]", "DuplicateLabel", "b"),
+        # a label repeated in one sub-function spans that sub-function
+        ("D[a,b] = int{c} : A[a,c]*B[c,c,b]", "DuplicateLabel", "B[c,c,b]"),
+    ],
+)
+def test_validation_error_spans_its_label(text, kind, spanned):
+    # the span is the diagnostic's label, found by the label itself, not
+    # by a search of the message text, where a one-letter label inside a
+    # word such as "DanglingInternal" would win
+    with pytest.raises(EquationSyntaxError, match=kind) as err:
+        parse_equation(text)
+    span = err.value.span
+    assert text[span.start:span.end + 1] == spanned
 
 
 CONV = parse_equation("D[a,b] = int{c} : A[a,c]*B[c,b]")
