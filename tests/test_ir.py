@@ -297,8 +297,14 @@ def test_sort_key_is_computed_once_per_value(monkeypatch):
     assert len(calls) == 1
 
 
-def test_signed_sum_signs():
-    # the text of a signed sum, as emit writes a rule
+def test_linear_combination_from_words():
+    # a signed sum of words, as emit writes a rule: each word is joined into
+    # one term text
+    words = [(1, ("e", "i")), (-1, ("i", "e"))]
+    assert ir._signed_sum((sign, "".join(w)) for sign, w in words) == "ei - ie"
+
+
+def test_linear_combination_signs():
+    # no "+" before the first term, "- " before every negative one, "0" for none
     assert ir._signed_sum(()) == "0"
-    assert ir._signed_sum([(1, "ei"), (-1, "ie")]) == "ei - ie"
     assert ir._signed_sum([(-1, "ab"), (1, "ba"), (-1, "a")]) == "- ab + ba - a"
